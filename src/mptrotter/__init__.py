@@ -50,7 +50,7 @@ from .multiproduct import (
     mp_operator,
     phase_aligned_state_error,
 )
-from .trotter import TrotterStep, second_order_step, trotterize
+from .trotter import second_order_step, trotterize
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "SpinModelParams",
     "SweepConfig",
     "SweepRow",
-    "TrotterStep",
     "apply_lcu",
     "apply_oaa",
     "build_lcu",

@@ -161,7 +161,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

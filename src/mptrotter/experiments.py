@@ -27,7 +27,7 @@ import numpy as np
 
 from .hamiltonian import DEFAULT_PARAMS, SpinModelParams, build_spin_hamiltonian, total
 from .lcu import LcuOutcome, apply_lcu, apply_oaa, build_lcu
-from .linalg import hermitian_propagator
+from .linalg import eigen_propagator
 from .multiproduct import MpSchedule, make_schedule
 from .trotter import trotterize
 
@@ -82,6 +82,13 @@ class AlgorithmSpec:
     l: int | None = None
     schedule: MpSchedule | None = None
     rounds: int = 0
+
+    @property
+    def iterations(self) -> tuple[int, ...]:
+        """Iteration counts of the Trotter products this algorithm combines."""
+        if self.kind == "trotter":
+            return (self.l,)
+        return self.schedule.iterations if self.schedule else ()
 
 
 def parse_algorithm(spec: str, default_rounds: int = 1) -> AlgorithmSpec:
@@ -175,29 +182,54 @@ def _parse_amplitude(entry) -> complex:
     raise ValueError(f"amplitudes must be numbers or [re, im] pairs, got {entry!r}")
 
 
+def _config_value(raw: dict, key: str, default, types: tuple, what: str):
+    """raw[key] (or the default), rejected unless an instance of types.
+
+    JSON true/false never pass as numbers.
+    """
+    val = raw.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, types):
+        raise ValueError(f"config key {key!r} must be {what}, got {val!r}")
+    return val
+
+
+def _real(val, what: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"{what} must be a number, got {val!r}")
+    return float(val)
+
+
 def load_config(path) -> SweepConfig:
-    """Read a flat JSON config; unknown keys are rejected, known ones optional."""
+    """Read a flat JSON config; unknown keys are rejected, known ones optional.
+
+    Every value is type-checked, so a malformed config fails with a
+    ValueError naming the key rather than a TypeError deeper down.
+    """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; allowed: {list(CONFIG_KEYS)}")
-    model = SpinModelParams(
-        omega=float(raw.get("omega", DEFAULT_PARAMS.omega)),
-        delta=float(raw.get("delta", DEFAULT_PARAMS.delta)),
-        e1=float(raw.get("e1", DEFAULT_PARAMS.e1)),
-        e2=float(raw.get("e2", DEFAULT_PARAMS.e2)),
-    )
-    state = tuple(_parse_amplitude(a) for a in raw.get("initial_state", ()))
+    model = SpinModelParams(**{
+        name: _real(raw.get(name, getattr(DEFAULT_PARAMS, name)), f"config key {name!r}")
+        for name in ("omega", "delta", "e1", "e2")
+    })
+    state = tuple(_parse_amplitude(a)
+                  for a in _config_value(raw, "initial_state", [], (list,), "a list"))
+    grid = tuple(_real(t, "every t_grid entry")
+                 for t in _config_value(raw, "t_grid", [], (list,), "a list"))
+    algorithms = _config_value(raw, "algorithms", list(DEFAULT_ALGORITHMS), (list,), "a list")
+    if not all(isinstance(a, str) for a in algorithms):
+        raise ValueError(f"config key 'algorithms' must list strings, got {algorithms!r}")
     return SweepConfig(
         model=model,
         initial_state=state,
-        t_grid=tuple(float(t) for t in raw.get("t_grid", ())),
-        algorithms=tuple(raw.get("algorithms", DEFAULT_ALGORITHMS)),
-        oaa_rounds=int(raw.get("oaa_rounds", 1)),
-        output_path=raw.get("output"),
-        format=raw.get("format", "csv"),
+        t_grid=grid,
+        algorithms=tuple(algorithms),
+        oaa_rounds=_config_value(raw, "oaa_rounds", 1, (int,), "an integer"),
+        output_path=_config_value(raw, "output", None, (str, type(None)), "a path string"),
+        format=_config_value(raw, "format", "csv", (str,), "a string"),
     )
 
 
@@ -223,14 +255,17 @@ def classical_fidelity(p, q) -> float:
     return min(root * root, 1.0)
 
 
-def _evolve_one(decomp, psi0, exact_state, t: float, algo: AlgorithmSpec):
-    """(state or None, success probability, degenerate flag) for one cell."""
+def _evolve_one(psi0, exact_state, products, algo: AlgorithmSpec):
+    """(state or None, success probability, degenerate flag) for one cell.
+
+    products maps each iteration count to its Trotter product at this time.
+    """
     if algo.kind == "exact":
         return exact_state, 1.0, False
     if algo.kind == "trotter":
-        out = trotterize(decomp, t, algo.l) @ psi0
+        out = products[algo.l] @ psi0
         return out / np.linalg.norm(out), 1.0, False
-    ops = [trotterize(decomp, t, l) for l in algo.schedule.iterations]
+    ops = [products[l] for l in algo.schedule.iterations]
     circuit = build_lcu(np.asarray(algo.schedule.coefficients), ops)
     if algo.kind == "mp":
         outcome: LcuOutcome = apply_lcu(circuit, psi0)
@@ -242,19 +277,25 @@ def _evolve_one(decomp, psi0, exact_state, t: float, algo: AlgorithmSpec):
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """All (t, algorithm) rows of the sweep, grid-major, algorithms in config order."""
+    """All (t, algorithm) rows of the sweep, grid-major, algorithms in config order.
+
+    H is diagonalized once per run, and at each time every distinct Trotter
+    product is computed once and shared by the algorithms that use it.
+    """
     decomp = build_spin_hamiltonian(config.model)
-    h = total(decomp)
+    energies, modes = np.linalg.eigh(total(decomp))
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     algos = [parse_algorithm(s, config.oaa_rounds) for s in config.algorithms]
+    iterations = sorted({l for a in algos for l in a.iterations})
     rows: list[SweepRow] = []
     for t in config.t_grid:
-        exact_state = hermitian_propagator(h, t) @ psi0
+        exact_state = eigen_propagator(energies, modes, t) @ psi0
         p_exact = np.abs(exact_state) ** 2
         p_exact = p_exact / p_exact.sum()
+        products = {l: trotterize(decomp, t, l) for l in iterations}
         for algo in algos:
-            state, prob, degenerate = _evolve_one(decomp, psi0, exact_state, t, algo)
+            state, prob, degenerate = _evolve_one(psi0, exact_state, products, algo)
             if degenerate:
                 rows.append(SweepRow(t=t, algo=algo.spec, p00=None, p01=None,
                                      p10=None, p11=None, success_prob=prob,

@@ -10,6 +10,7 @@ so |10> means electron excited, nuclear ground.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class HamiltonianDecomposition:
                 raise ValueError(f"term {i} is not Hermitian: ||H - H^dag|| = {dev:.3e}")
         object.__setattr__(self, "terms", coerced)
 
+    @cached_property
+    def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(eigenvalues, eigenvectors) of each term, computed on first use.
+
+        Every propagator of a term is then a phase scaling of the same basis.
+        """
+        return tuple(np.linalg.eigh(h) for h in self.terms)
+
     @property
     def dim(self) -> int:
         return self.terms[0].shape[0]
@@ -84,8 +93,6 @@ def build_spin_hamiltonian(params: SpinModelParams = DEFAULT_PARAMS) -> Hamilton
 
 def total(decomp: HamiltonianDecomposition) -> np.ndarray:
     """Sum of all terms."""
-    if len(decomp.terms) == 0:
-        raise ValueError("decomposition has no terms")
     out = np.zeros_like(decomp.terms[0])
     for h in decomp.terms:
         out = out + h

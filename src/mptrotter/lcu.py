@@ -1,30 +1,47 @@
-"""Explicit matrix simulation of linear-combination-of-unitaries circuits.
+"""Linear-combination-of-unitaries circuits, simulated on the data register.
 
 The circuit realizes T = sum_i c_i A_i on a data register by loading amplitudes
 m_i on an ancilla register (gate C, first column m), applying A_i conditioned
 on ancilla state i-1 (SELECT), unloading with a gate C' whose first row is m',
 and post-selecting the ancilla on |0>. The kept branch is
 
-    (<0| (x) I) W (|0> (x) |psi>) = sum_i m_i m'_i A_i |psi>,    W = (C' (x) I) SELECT (C (x) I),
+    (<0| (x) I) W (|0> (x) |psi>) = M |psi>,    M = sum_i m_i m'_i A_i,
 
-so choosing m_i m'_i proportional to c_i realizes T up to normalization. The
-squared norm of the kept branch is the success probability; the best possible
-split puts it at 1/(sum|c_i|)^2 when T is unitary.
+with W = (C' (x) I) SELECT (C (x) I), so choosing m_i m'_i proportional to c_i
+realizes T up to normalization. The squared norm of the kept branch is the
+success probability; the best possible split puts it at 1/(sum|c_i|)^2 when T
+is unitary.
 
 A Grover-like iterate (-W R W^dag R)^N W, with R the reflection about the
 ancilla-|0> subspace, rotates the kept amplitude from sin(theta) to
 sin((2N+1) theta) without touching the data state (oblivious amplitude
-amplification). With one round and success probability near 1/4 this lands
-the probability near 1.
+amplification; Berry et al., arXiv:1312.1414). With one round and success
+probability near 1/4 this lands the probability near 1. By qubitization
+(Gilyen, Su, Low, Wiebe, arXiv:1806.01838) the kept branch after N rounds is
+(-1)^N T_{2N+1}(M) |psi>, the odd Chebyshev polynomial applied to the singular
+values of M, which needs only the d x d block.
+
+`apply_lcu` and `apply_oaa` therefore work on M alone: `build_lcu` validates
+the circuit and stores M, and W, C and C' are reference objects built on first
+access, for the oracle checks in `oaa_iterate` and `oaa_error_report`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import asin, sin
 
 import numpy as np
 
-from .linalg import ATOL_ALGEBRAIC, as_operator, as_state, complete_unitary, kron, spectral_norm
+from .linalg import (
+    ATOL_ALGEBRAIC,
+    as_operator,
+    as_state,
+    complete_unitary,
+    kron,
+    spectral_norm,
+    weighted_sum,
+)
 
 # Post-selected amplitudes below this are treated as a degenerate (failed)
 # branch rather than renormalized noise.
@@ -33,15 +50,17 @@ DEGENERATE_AMPLITUDE = 1e-12
 
 @dataclass(frozen=True)
 class LcuCircuit:
-    """Assembled circuit data. All arrays are frozen by convention."""
+    """Assembled circuit data. All arrays are frozen by convention.
+
+    block is the d x d kept-branch operator M = sum_i m_i m'_i A_i; the
+    ancilla gates and the full circuit W are computed on first access.
+    """
 
     coeffs: np.ndarray          # real c_i, length k
     m: np.ndarray               # complex, length k, first column of C
     m_prime: np.ndarray         # complex, length k, first row of C'
-    c_matrix: np.ndarray        # ancilla_dim x ancilla_dim unitary
-    c_prime_matrix: np.ndarray  # ancilla_dim x ancilla_dim unitary
     branch_ops: tuple[np.ndarray, ...]
-    w: np.ndarray               # (ancilla_dim * data_dim)^2 assembled circuit
+    block: np.ndarray           # data_dim x data_dim, <0|W|0>
     ancilla_dim: int
     data_dim: int
 
@@ -51,10 +70,36 @@ class LcuCircuit:
 
     def combined_operator(self) -> np.ndarray:
         """sum_i c_i A_i, the operator the post-selected branch implements."""
-        out = np.zeros((self.data_dim, self.data_dim), dtype=complex)
-        for c, a in zip(self.coeffs, self.branch_ops):
-            out = out + c * a
+        return weighted_sum(self.coeffs, self.branch_ops)
+
+    def _padded(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.ancilla_dim, dtype=complex)
+        out[:self.k] = v
         return out
+
+    @cached_property
+    def c_matrix(self) -> np.ndarray:
+        """ancilla_dim x ancilla_dim unitary with first column m."""
+        return complete_unitary(self._padded(self.m), "column")
+
+    @cached_property
+    def c_prime_matrix(self) -> np.ndarray:
+        """ancilla_dim x ancilla_dim unitary with first row m'."""
+        return complete_unitary(self._padded(self.m_prime), "row")
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """The (ancilla_dim * data_dim)^2 circuit (C' (x) I) SELECT (C (x) I).
+
+        Padded ancilla states select the identity.
+        """
+        d = self.data_dim
+        eye = np.eye(d, dtype=complex)
+        select = np.zeros((self.ancilla_dim * d, self.ancilla_dim * d), dtype=complex)
+        for i in range(self.ancilla_dim):
+            select[i * d:(i + 1) * d, i * d:(i + 1) * d] = \
+                self.branch_ops[i] if i < self.k else eye
+        return kron(self.c_prime_matrix, eye) @ select @ kron(self.c_matrix, eye)
 
 
 @dataclass(frozen=True)
@@ -148,12 +193,13 @@ def _validate_split(c: np.ndarray, m: np.ndarray, m_prime: np.ndarray) -> None:
 
 
 def build_lcu(coeffs, branch_ops, split: tuple[np.ndarray, np.ndarray] | None = None) -> LcuCircuit:
-    """Assemble the explicit circuit matrix for sum_i c_i A_i.
+    """Validate the circuit for sum_i c_i A_i and store its kept-branch block.
 
     branch_ops must share one dimension and match coeffs in count. When the
     branch count is not a power of two the ancilla is padded with zero
-    coefficients and identity branches. split overrides the optimal amplitude
-    split; it must be two unit-norm vectors whose products track c_i.
+    coefficients and identity branches; padded branches carry m = 0 and so add
+    nothing to the block. split overrides the optimal amplitude split; it must
+    be two unit-norm vectors whose products track c_i.
     """
     c = _as_real_coeffs(coeffs)
     ops = tuple(as_operator(a) for a in branch_ops)
@@ -172,53 +218,34 @@ def build_lcu(coeffs, branch_ops, split: tuple[np.ndarray, np.ndarray] | None = 
             raise ValueError("split vectors must match the coefficient count")
         _validate_split(c, m, m_prime)
 
-    k = c.size
     ancilla = 1
-    while ancilla < k:
+    while ancilla < c.size:
         ancilla *= 2
-
-    m_full = np.zeros(ancilla, dtype=complex)
-    m_full[:k] = m
-    mp_full = np.zeros(ancilla, dtype=complex)
-    mp_full[:k] = m_prime
-    c_mat = complete_unitary(m_full, "column")
-    cp_mat = complete_unitary(mp_full, "row")
-
-    select = np.zeros((ancilla * d, ancilla * d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for i in range(ancilla):
-        block = ops[i] if i < k else eye
-        select[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
-
-    w = kron(cp_mat, eye) @ select @ kron(c_mat, eye)
-    return LcuCircuit(coeffs=c, m=m, m_prime=m_prime, c_matrix=c_mat,
-                      c_prime_matrix=cp_mat, branch_ops=ops, w=w,
+    return LcuCircuit(coeffs=c, m=m, m_prime=m_prime, branch_ops=ops,
+                      block=weighted_sum(m * m_prime, ops),
                       ancilla_dim=ancilla, data_dim=d)
 
 
-def _embed(circuit: LcuCircuit, psi: np.ndarray) -> np.ndarray:
-    x = np.zeros(circuit.ancilla_dim * circuit.data_dim, dtype=complex)
-    x[:circuit.data_dim] = psi
-    return x
+def _data_state(circuit: LcuCircuit, psi) -> np.ndarray:
+    v = as_state(psi, normalized=True)
+    if v.size != circuit.data_dim:
+        raise ValueError(f"state dimension {v.size} != data register {circuit.data_dim}")
+    return v
 
 
-def _project(circuit: LcuCircuit, y: np.ndarray) -> LcuOutcome:
-    proj = y[:circuit.data_dim].copy()
-    nrm = float(np.linalg.norm(proj))
+def _project(kept: np.ndarray) -> LcuOutcome:
+    nrm = float(np.linalg.norm(kept))
     prob = nrm * nrm
     if nrm <= DEGENERATE_AMPLITUDE:
-        return LcuOutcome(projected_state=proj, success_probability=prob,
+        return LcuOutcome(projected_state=kept, success_probability=prob,
                           renormalized_state=None, degenerate=True)
-    return LcuOutcome(projected_state=proj, success_probability=prob,
-                      renormalized_state=proj / nrm)
+    return LcuOutcome(projected_state=kept, success_probability=prob,
+                      renormalized_state=kept / nrm)
 
 
 def apply_lcu(circuit: LcuCircuit, psi) -> LcuOutcome:
     """Run the circuit on |0> (x) |psi> and post-select the ancilla on |0>."""
-    v = as_state(psi, normalized=True)
-    if v.size != circuit.data_dim:
-        raise ValueError(f"state dimension {v.size} != data register {circuit.data_dim}")
-    return _project(circuit, circuit.w @ _embed(circuit, v))
+    return _project(circuit.block @ _data_state(circuit, psi))
 
 
 def _amplitude_flip(circuit: LcuCircuit) -> np.ndarray:
@@ -227,17 +254,20 @@ def _amplitude_flip(circuit: LcuCircuit) -> np.ndarray:
     return kron(r, np.eye(circuit.data_dim, dtype=complex))
 
 
-def oaa_iterate(circuit: LcuCircuit, *, flip_sign: bool = True) -> np.ndarray:
-    """One amplification round: -W R W^dag R, or +W R W^dag R when
-    flip_sign=False. The two differ by a global phase only, so probabilities
-    agree; the signed form is the one whose algebra the report checks."""
+def oaa_iterate(circuit: LcuCircuit) -> np.ndarray:
+    """One amplification round -W R W^dag R as a dense matrix (reference)."""
     r = _amplitude_flip(circuit)
-    g = circuit.w @ r @ circuit.w.conj().T @ r
-    return -g if flip_sign else g
+    return -(circuit.w @ r @ circuit.w.conj().T @ r)
 
 
 def apply_oaa(circuit: LcuCircuit, psi, n: int, *, flip_sign: bool = True) -> LcuOutcome:
     """Apply (-W R W^dag R)^n W to |0> (x) |psi> and post-select.
+
+    Runs on the data register: with M the circuit block, u_0 = M psi,
+    u_{-1} = -u_0 and u_{j+1} = -2 (2 M M^dag - I) u_j - u_{j-1} give the kept
+    branch u_n = (-1)^n T_{2n+1}(M) psi, at 2n + 1 products with M or M^dag.
+    flip_sign=False amplifies with +W R W^dag R instead, which multiplies the
+    kept branch by (-1)^n and leaves probabilities unchanged.
 
     n = 0 reduces exactly to apply_lcu. For a unitary combined operator with
     post-selection amplitude sin(theta), n rounds move the success probability
@@ -245,15 +275,15 @@ def apply_oaa(circuit: LcuCircuit, psi, n: int, *, flip_sign: bool = True) -> Lc
     """
     if int(n) != n or n < 0:
         raise ValueError(f"round count must be a nonnegative integer, got {n!r}")
-    v = as_state(psi, normalized=True)
-    if v.size != circuit.data_dim:
-        raise ValueError(f"state dimension {v.size} != data register {circuit.data_dim}")
-    y = circuit.w @ _embed(circuit, v)
-    if n > 0:
-        g = oaa_iterate(circuit, flip_sign=flip_sign)
-        for _ in range(int(n)):
-            y = g @ y
-    return _project(circuit, y)
+    m = circuit.block
+    m_dag = m.conj().T
+    u = m @ _data_state(circuit, psi)
+    prev = -u
+    for _ in range(int(n)):
+        u, prev = -2.0 * (2.0 * (m @ (m_dag @ u)) - u) - prev, u
+    if not flip_sign and int(n) % 2:
+        u = -u
+    return _project(u)
 
 
 def predicted_probability(p: float, n: int) -> float:

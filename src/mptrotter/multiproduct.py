@@ -21,7 +21,7 @@ from math import exp
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition, total
-from .linalg import as_state, hermitian_propagator, spectral_norm
+from .linalg import as_state, hermitian_propagator, spectral_norm, weighted_sum
 from .trotter import trotterize
 
 COEFF_SUM_TOL = 1e-9
@@ -141,10 +141,8 @@ def mp_operator(decomp: HamiltonianDecomposition, t: float,
                 schedule: MpSchedule) -> np.ndarray:
     """The combined operator M(t); generally non-unitary, equals a plain
     iterated product when k = 1."""
-    out = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    for c, l in zip(schedule.coefficients, schedule.iterations):
-        out = out + c * trotterize(decomp, t, l)
-    return out
+    return weighted_sum(schedule.coefficients,
+                        [trotterize(decomp, t, l) for l in schedule.iterations])
 
 
 @dataclass(frozen=True)

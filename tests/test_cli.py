@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mptrotter
 from mptrotter.cli import main
 
 
@@ -131,6 +135,64 @@ class TestSweep:
         assert code == 1
         assert "no output path" in err
 
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                               "--out", str(tmp_path / "absent" / "rows.csv"))
+        assert code == 1
+        assert one_error_line(err)
+        assert "No such file or directory" in err
+
+
+def one_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestConfigErrors:
+    """Malformed configs exit 1 with a single error: line, never a traceback."""
+
+    def run_with(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return run_cli(capsys, "evolve", "--config", str(path), "--algo", "exact",
+                       "--t", "1")
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "evolve", "--config", str(tmp_path / "nope.json"),
+                               "--algo", "exact", "--t", "1")
+        assert code == 1
+        assert one_error_line(err)
+        assert "nope.json" in err
+
+    def test_null_model_parameter(self, capsys, tmp_path):
+        code, _, err = self.run_with(capsys, tmp_path, '{"omega": null}')
+        assert code == 1
+        assert one_error_line(err)
+        assert "'omega' must be a number" in err
+
+    def test_algorithms_must_be_a_list(self, capsys, tmp_path):
+        code, _, err = self.run_with(capsys, tmp_path, '{"algorithms": "exact"}')
+        assert code == 1
+        assert one_error_line(err)
+        assert "'algorithms' must be a list" in err
+        assert "unknown algorithm" not in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"t_grid": [0, null]}', "t_grid"),
+        ('{"t_grid": 3}', "t_grid"),
+        ('{"initial_state": 1}', "initial_state"),
+        ('{"algorithms": ["exact", 4]}', "algorithms"),
+        ('{"oaa_rounds": "2"}', "oaa_rounds"),
+        ('{"output": 5}', "output"),
+        ('{"delta": true}', "delta"),
+    ])
+    def test_mistyped_values(self, capsys, tmp_path, text, key):
+        code, _, err = self.run_with(capsys, tmp_path, text)
+        assert code == 1
+        assert one_error_line(err)
+        assert key in err
+
 
 class TestScaling:
     def test_two_term_order(self, capsys):
@@ -171,10 +233,16 @@ class TestScaling:
         assert "at least 4 points" in err
 
 
-@pytest.mark.skipif(shutil.which("mptrotter") is None,
-                    reason="console script not on PATH")
 def test_console_entry_point():
-    proc = subprocess.run(["mptrotter", "coeffs", "--schedule", "1,2"],
-                          capture_output=True, text=True)
+    # the installed console script when present, else `python -m mptrotter`
+    # with this package first on the import path
+    script = shutil.which("mptrotter")
+    command = [script] if script else [sys.executable, "-m", "mptrotter"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(mptrotter.__file__).parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(command + ["coeffs", "--schedule", "1,2"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "sum c_q = 1" in proc.stdout

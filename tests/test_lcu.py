@@ -276,3 +276,63 @@ class TestOaaErrorReport:
         block = one_round[:d, :d]
         poly = 3.0 * tp - 4.0 * tp @ tp.conj().T @ tp
         assert spectral_norm(block - poly) < 1e-10
+
+
+def random_split(c, rng):
+    """A random feasible split: unit-norm m, m' with m_i m'_i proportional to c_i."""
+    r = rng.dirichlet(np.ones(c.size))
+    r = (r + 1e-4) / (1.0 + c.size * 1e-4)
+    m = np.sqrt(r) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=c.size))
+    z = np.sqrt(np.sum(c ** 2 / r))
+    return m, c / (z * m)
+
+
+class TestBlockPath:
+    def test_oaa_matches_dense_reference(self):
+        # oracle: (-W R W^dag R)^n W on |0> (x) |psi>, ancilla-0 block kept,
+        # from the lazily built circuit matrix
+        rng = np.random.default_rng(16)
+        ks = set()
+        for trial in range(48):
+            k = int(rng.integers(1, 9))
+            ks.add(k)
+            c = rng.uniform(-1.0, 1.5, size=k)
+            if np.max(np.abs(c)) < 1e-3:
+                c[0] = 1.0
+            d = int(rng.integers(2, 6))
+            ops = [haar_unitary(d, rng) for _ in range(k)]
+            psi = random_state(d, rng)
+            split = random_split(c, rng) if trial % 2 else None
+            circ = build_lcu(c, ops, split=split)
+            g = oaa_iterate(circ)
+            y = circ.w[:, :d] @ psi
+            for n in range(5):
+                for flip_sign in (True, False):
+                    got = apply_oaa(circ, psi, n, flip_sign=flip_sign)
+                    ref = y[:d] if flip_sign else (-1) ** n * y[:d]
+                    assert np.linalg.norm(got.projected_state - ref) < 1e-12, (trial, n)
+                    assert got.success_probability == pytest.approx(
+                        float(np.linalg.norm(ref)) ** 2, abs=1e-12)
+                y = g @ y
+        assert ks & {3, 5, 6, 7}  # padded ancillas are covered
+
+    def test_block_is_kept_corner_of_w(self):
+        rng = np.random.default_rng(18)
+        c = np.array([0.7, -0.4, 0.9])
+        ops = [haar_unitary(3, rng) for _ in range(3)]
+        for split in (None, random_split(c, rng)):
+            circ = build_lcu(c, ops, split=split)
+            assert spectral_norm(circ.w[:3, :3] - circ.block) < 1e-12
+
+    def test_fast_path_does_not_build_w(self):
+        rng = np.random.default_rng(19)
+        ops = [haar_unitary(4, rng) for _ in range(5)]
+        circ = build_lcu([0.5, -0.2, 0.3, 0.1, 0.3], ops)
+        psi = random_state(4, rng)
+        apply_lcu(circ, psi)
+        apply_oaa(circ, psi, 3)
+        apply_oaa(circ, psi, 2, flip_sign=False)
+        for name in ("w", "c_matrix", "c_prime_matrix"):
+            assert name not in circ.__dict__
+        assert circ.w.shape == (32, 32)
+        assert "w" in circ.__dict__

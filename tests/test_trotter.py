@@ -3,7 +3,6 @@ import pytest
 
 from mptrotter import (
     HamiltonianDecomposition,
-    TrotterStep,
     build_spin_hamiltonian,
     fit_order,
     hermitian_propagator,
@@ -14,6 +13,7 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter.trotter import _matrix_power
+from tests.conftest import random_hermitian
 
 
 def test_single_iteration_is_one_step(spin_decomp):
@@ -92,13 +92,23 @@ def test_rejects_zero_iterations(spin_decomp):
         trotterize(spin_decomp, 1.0, 0)
 
 
-class TestTrotterStep:
-    def test_operator_matches_function(self, spin_decomp):
-        step = TrotterStep(spin_decomp, 2.0, 8)
-        assert np.allclose(step.operator(), trotterize(spin_decomp, 2.0, 8), atol=0)
+def test_cached_eigenpairs_match_propagator_product():
+    # d = 16: four random Hermitian terms, reference product built from
+    # independent hermitian_propagator calls in the palindromic order
+    rng = np.random.default_rng(17)
+    terms = tuple(random_hermitian(16, rng) for _ in range(4))
+    decomp = HamiltonianDecomposition(terms)
+    for t, l in ((0.9, 1), (2.5, 7), (-1.3, 32)):
+        halves = [hermitian_propagator(h, t / l / 2.0) for h in terms]
+        step = np.eye(16, dtype=complex)
+        for u in halves + halves[::-1]:
+            step = step @ u
+        ref = np.eye(16, dtype=complex)
+        for _ in range(l):
+            ref = ref @ step
+        assert spectral_norm(trotterize(decomp, t, l) - ref) < 1e-12, (t, l)
 
-    def test_validation(self, spin_decomp):
-        with pytest.raises(ValueError, match="positive integer"):
-            TrotterStep(spin_decomp, 1.0, 0)
-        with pytest.raises(ValueError, match="finite"):
-            TrotterStep(spin_decomp, float("nan"), 4)
+
+def test_step_rejects_non_finite_time(spin_decomp):
+    with pytest.raises(ValueError, match="finite"):
+        second_order_step(spin_decomp, float("nan"))
