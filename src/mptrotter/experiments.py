@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import DEFAULT_PARAMS, SpinModelParams, build_spin_hamiltonian, total
-from .lcu import LcuOutcome, apply_lcu, apply_oaa, build_lcu
-from .linalg import eigen_propagator
-from .multiproduct import MpSchedule, make_schedule
-from .trotter import trotterize
+from .lcu import DEGENERATE_AMPLITUDE, amplify, optimal_split
+from .linalg import eigen_propagator, weighted_sum
+from .multiproduct import MpSchedule, make_schedule, state_errors
+from .trotter import products
 
 CSV_HEADER = "t,algo,p00,p01,p10,p11,success_prob,state_error,fidelity"
 
@@ -233,85 +233,86 @@ def load_config(path) -> SweepConfig:
     )
 
 
-def classical_fidelity(p, q) -> float:
+def classical_fidelity(p, q):
     """Bhattacharyya-type overlap (sum_i sqrt(p_i q_i))^2 of two distributions.
 
     Inputs must be elementwise nonnegative and each sum to 1 within 1e-9;
     the result is symmetric, 1 exactly when p = q, 0 on disjoint support.
+    Batched over the last axis: 1-d inputs give a float, (T, n) inputs an
+    array of T overlaps, and one bad row rejects the batch.
     """
-    a = np.asarray(p, dtype=float).reshape(-1)
-    b = np.asarray(q, dtype=float).reshape(-1)
-    if a.size != b.size:
-        raise ValueError(f"distributions differ in length: {a.size} vs {b.size}")
+    a = np.atleast_1d(np.asarray(p, dtype=float))
+    b = np.atleast_1d(np.asarray(q, dtype=float))
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"distributions differ in length: {a.shape[-1]} vs {b.shape[-1]}")
     for name, v in (("p", a), ("q", b)):
         if np.any(v < -1e-12):
             raise ValueError(f"{name} has negative entries")
-        tot = float(v.sum())
-        if abs(tot - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not normalized: sum = {tot!r}")
-    a = np.clip(a, 0.0, None)
-    b = np.clip(b, 0.0, None)
-    root = float(np.sum(np.sqrt(a * b)))
-    return min(root * root, 1.0)
+        tot = v.sum(axis=-1)
+        bad = np.abs(tot - 1.0) > 1e-9
+        if np.any(bad):
+            raise ValueError(f"{name} is not normalized: sum = {float(tot[bad].flat[0])!r}")
+    root = np.sum(np.sqrt(np.clip(a, 0.0, None) * np.clip(b, 0.0, None)), axis=-1)
+    fid = np.minimum(root * root, 1.0)
+    return float(fid) if fid.ndim == 0 else fid
 
 
-def _evolve_one(psi0, exact_state, products, algo: AlgorithmSpec):
-    """(state or None, success probability, degenerate flag) for one cell.
+def _outputs(algo: AlgorithmSpec, psi0, exact, stacks) -> np.ndarray:
+    """Unnormalized kept states of one algorithm at every time, (T, d).
 
-    products maps each iteration count to its Trotter product at this time.
+    stacks maps each iteration count to its (T, d, d) stack of Trotter
+    products.
     """
     if algo.kind == "exact":
-        return exact_state, 1.0, False
+        return exact
     if algo.kind == "trotter":
-        out = products[algo.l] @ psi0
-        return out / np.linalg.norm(out), 1.0, False
-    ops = [products[l] for l in algo.schedule.iterations]
-    circuit = build_lcu(np.asarray(algo.schedule.coefficients), ops)
-    if algo.kind == "mp":
-        outcome: LcuOutcome = apply_lcu(circuit, psi0)
-    else:
-        outcome = apply_oaa(circuit, psi0, algo.rounds)
-    if outcome.degenerate:
-        return None, outcome.success_probability, True
-    return outcome.renormalized_state, outcome.success_probability, False
+        return stacks[algo.l] @ psi0
+    m, m_prime = optimal_split(algo.schedule.coefficients)
+    block = weighted_sum(m * m_prime, [stacks[l] for l in algo.schedule.iterations])
+    return amplify(block, psi0, algo.rounds)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """All (t, algorithm) rows of the sweep, grid-major, algorithms in config order.
 
-    H is diagonalized once per run, and at each time every distinct Trotter
-    product is computed once and shared by the algorithms that use it.
+    The whole time grid is computed at once: H is diagonalized once per run,
+    each distinct Trotter product is one (T, d, d) stack shared by the
+    algorithms that use it, and each multi-product algorithm runs its circuit
+    block through one stacked amplification. Post-selected branches with
+    amplitude at or below DEGENERATE_AMPLITUDE give degenerate rows.
     """
     decomp = build_spin_hamiltonian(config.model)
     energies, modes = np.linalg.eigh(total(decomp))
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
+    ts = np.asarray(config.t_grid)
     algos = [parse_algorithm(s, config.oaa_rounds) for s in config.algorithms]
-    iterations = sorted({l for a in algos for l in a.iterations})
-    rows: list[SweepRow] = []
-    for t in config.t_grid:
-        exact_state = eigen_propagator(energies, modes, t) @ psi0
-        p_exact = np.abs(exact_state) ** 2
-        p_exact = p_exact / p_exact.sum()
-        products = {l: trotterize(decomp, t, l) for l in iterations}
-        for algo in algos:
-            state, prob, degenerate = _evolve_one(psi0, exact_state, products, algo)
-            if degenerate:
-                rows.append(SweepRow(t=t, algo=algo.spec, p00=None, p01=None,
-                                     p10=None, p11=None, success_prob=prob,
-                                     state_error=float("nan"), fidelity=None,
-                                     degenerate=True))
-                continue
-            pops = np.abs(state) ** 2
-            pops = pops / pops.sum()
-            err = float(np.linalg.norm(exact_state - state))
-            fid = classical_fidelity(p_exact, pops)
-            rows.append(SweepRow(t=t, algo=algo.spec,
-                                 p00=float(pops[0]), p01=float(pops[1]),
-                                 p10=float(pops[2]), p11=float(pops[3]),
-                                 success_prob=float(prob), state_error=err,
-                                 fidelity=fid))
-    return rows
+    exact = eigen_propagator(energies, modes, ts) @ psi0
+    p_exact = np.abs(exact) ** 2
+    p_exact = p_exact / p_exact.sum(axis=-1, keepdims=True)
+    stacks = {l: products(decomp, ts, l)
+              for l in sorted({l for a in algos for l in a.iterations})}
+    columns = []
+    for algo in algos:
+        kept = _outputs(algo, psi0, exact, stacks)
+        errors, degenerate = state_errors(exact, kept, DEGENERATE_AMPLITUDE)
+        if algo.kind == "exact":  # the reference itself, not a roundoff-sized error
+            errors = np.zeros_like(errors)
+        norms = np.linalg.norm(kept, axis=-1)
+        prob = norms * norms if algo.schedule else np.ones_like(norms)
+        ok = ~degenerate
+        pops = np.abs(kept[ok]) ** 2
+        pops = pops / pops.sum(axis=-1, keepdims=True)
+        pop_col = [(None,) * kept.shape[-1]] * len(ts)
+        fid_col = [None] * len(ts)
+        for i, pop, fid in zip(np.flatnonzero(ok).tolist(), pops.tolist(),
+                               classical_fidelity(p_exact[ok], pops).tolist()):
+            pop_col[i], fid_col[i] = pop, fid
+        columns.append((algo.spec, pop_col, prob.tolist(), errors.tolist(), fid_col,
+                        degenerate.tolist()))
+    return [SweepRow(t, spec, *pop_col[i], prob[i], errors[i], fid_col[i], flags[i])
+            for i, t in enumerate(config.t_grid)
+            for spec, pop_col, prob, errors, fid_col, flags in columns]
 
 
 def fit_order(t_grid, errors) -> float:

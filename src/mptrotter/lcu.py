@@ -21,9 +21,12 @@ probability near 1/4 this lands the probability near 1. By qubitization
 (-1)^N T_{2N+1}(M) |psi>, the odd Chebyshev polynomial applied to the singular
 values of M, which needs only the d x d block.
 
-`apply_lcu` and `apply_oaa` therefore work on M alone: `build_lcu` validates
-the circuit and stores M, and W, C and C' are reference objects built on first
-access, for the oracle checks in `oaa_iterate` and `oaa_error_report`.
+`apply_lcu` and `apply_oaa` therefore work on M alone, through the one
+recurrence in `amplify`: `build_lcu` validates the circuit and stores M, and
+W, C and C' are reference objects built on first access, for the oracle checks
+in `oaa_iterate` and `oaa_error_report`. `amplify` also takes a stack of blocks,
+which is how a sweep runs every time of its grid at once; the circuit API
+(`build_lcu`, `apply_lcu`, `apply_oaa`) handles one circuit and one state.
 """
 from __future__ import annotations
 
@@ -243,9 +246,30 @@ def _project(kept: np.ndarray) -> LcuOutcome:
                       renormalized_state=kept / nrm)
 
 
+def amplify(block, psi, n: int) -> np.ndarray:
+    """Kept branch (-1)^n T_{2n+1}(M) psi of n amplification rounds.
+
+    With M the kept-branch block, u_0 = M psi, u_{-1} = -u_0 and
+    u_{j+1} = -2 (2 M M^dag - I) u_j - u_{j-1} give u_n at 2n + 1 products with
+    M or M^dag; n = 0 is M psi. block is an ndarray that may carry leading
+    batch axes, (..., d, d), and psi is one d-vector ndarray; the result has
+    shape (..., d). Inputs are not validated here.
+    """
+    # a stack of blocks multiplies a column per block; one block keeps the
+    # vector, since a matrix-vector product is faster than a one-column matmul
+    stacked = block.ndim > 2
+    u = block @ (psi[:, None] if stacked else psi)
+    if n:
+        block_dag = block.conj().swapaxes(-1, -2)
+        prev = -u
+        for _ in range(n):
+            u, prev = -2.0 * (2.0 * (block @ (block_dag @ u)) - u) - prev, u
+    return u[..., 0] if stacked else u
+
+
 def apply_lcu(circuit: LcuCircuit, psi) -> LcuOutcome:
     """Run the circuit on |0> (x) |psi> and post-select the ancilla on |0>."""
-    return _project(circuit.block @ _data_state(circuit, psi))
+    return _project(amplify(circuit.block, _data_state(circuit, psi), 0))
 
 
 def _amplitude_flip(circuit: LcuCircuit) -> np.ndarray:
@@ -263,11 +287,10 @@ def oaa_iterate(circuit: LcuCircuit) -> np.ndarray:
 def apply_oaa(circuit: LcuCircuit, psi, n: int, *, flip_sign: bool = True) -> LcuOutcome:
     """Apply (-W R W^dag R)^n W to |0> (x) |psi> and post-select.
 
-    Runs on the data register: with M the circuit block, u_0 = M psi,
-    u_{-1} = -u_0 and u_{j+1} = -2 (2 M M^dag - I) u_j - u_{j-1} give the kept
-    branch u_n = (-1)^n T_{2n+1}(M) psi, at 2n + 1 products with M or M^dag.
-    flip_sign=False amplifies with +W R W^dag R instead, which multiplies the
-    kept branch by (-1)^n and leaves probabilities unchanged.
+    Runs on the data register through `amplify`, which gives the kept branch
+    (-1)^n T_{2n+1}(M) psi from the circuit block M alone. flip_sign=False
+    amplifies with +W R W^dag R instead, which multiplies the kept branch by
+    (-1)^n and leaves probabilities unchanged.
 
     n = 0 reduces exactly to apply_lcu. For a unitary combined operator with
     post-selection amplitude sin(theta), n rounds move the success probability
@@ -275,12 +298,7 @@ def apply_oaa(circuit: LcuCircuit, psi, n: int, *, flip_sign: bool = True) -> Lc
     """
     if int(n) != n or n < 0:
         raise ValueError(f"round count must be a nonnegative integer, got {n!r}")
-    m = circuit.block
-    m_dag = m.conj().T
-    u = m @ _data_state(circuit, psi)
-    prev = -u
-    for _ in range(int(n)):
-        u, prev = -2.0 * (2.0 * (m @ (m_dag @ u)) - u) - prev, u
+    u = amplify(circuit.block, _data_state(circuit, psi), int(n))
     if not flip_sign and int(n) % 2:
         u = -u
     return _project(u)

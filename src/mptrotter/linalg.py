@@ -4,7 +4,8 @@ Operators are plain square complex ndarrays and state vectors are 1-d complex
 ndarrays; nothing here mutates its inputs. Matrix exponentials go through an
 eigendecomposition, which is exact to roundoff for Hermitian generators at any
 dimension, so no scaling-and-squaring is needed. Callers that exponentiate one
-generator at many times keep its eigenpairs and call `eigen_propagator`.
+generator at many times keep its eigenpairs and call `eigen_propagator`, which
+takes one time or an array of times.
 """
 from __future__ import annotations
 
@@ -78,13 +79,22 @@ def hermitian_propagator(h, t: float) -> np.ndarray:
     return eigen_propagator(w, vecs, t)
 
 
-def eigen_propagator(w: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) from the eigenvalues w and eigenvector columns vecs of h."""
-    return (vecs * np.exp(-1j * w * t)) @ vecs.conj().T
+def eigen_propagator(w: np.ndarray, vecs: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) from the eigenvalues w and eigenvector columns vecs of h.
+
+    A scalar t gives one (d, d) matrix; an array of times gives the stack of
+    propagators with the time axes in front, (T, d, d) for T times.
+    """
+    phases = np.exp(-1j * np.multiply.outer(t, w))
+    return (vecs * phases[..., None, :]) @ vecs.conj().T
 
 
 def weighted_sum(weights, operators) -> np.ndarray:
-    """sum_i w_i A_i over a nonempty sequence of operators, left to right."""
+    """sum_i w_i A_i over a nonempty sequence of operators, left to right.
+
+    The operators may be stacks with the same leading axes; the sum is then
+    taken entrywise over the stacks.
+    """
     out = np.zeros_like(operators[0], dtype=complex)
     for w, a in zip(weights, operators):
         out = out + w * a

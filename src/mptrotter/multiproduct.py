@@ -22,7 +22,7 @@ import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition, total
 from .linalg import as_state, hermitian_propagator, spectral_norm, weighted_sum
-from .trotter import trotterize
+from .trotter import products
 
 COEFF_SUM_TOL = 1e-9
 
@@ -137,12 +137,12 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-def mp_operator(decomp: HamiltonianDecomposition, t: float,
+def mp_operator(decomp: HamiltonianDecomposition, t,
                 schedule: MpSchedule) -> np.ndarray:
     """The combined operator M(t); generally non-unitary, equals a plain
-    iterated product when k = 1."""
+    iterated product when k = 1. A time array gives a (T, d, d) stack."""
     return weighted_sum(schedule.coefficients,
-                        [trotterize(decomp, t, l) for l in schedule.iterations])
+                        [products(decomp, t, l) for l in schedule.iterations])
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,23 @@ class ErrorReport:
             raise ValueError("error metrics must be nonnegative")
 
 
+def state_errors(exact, outputs, atol: float = 0.0):
+    """State errors of outputs against exact states, along the last axis.
+
+    Each output is renormalized and compared with its exact state without
+    global-phase alignment, so antipodal phases score 2. An output whose norm
+    is at or below atol has no direction: its error is NaN and its degenerate
+    flag is set. Returns (errors, degenerate) with the leading shape of the
+    inputs, as 0-d arrays for single states.
+    """
+    out = np.asarray(outputs, dtype=complex)
+    norms = np.linalg.norm(out, axis=-1)
+    degenerate = norms <= atol
+    safe = np.where(degenerate, 1.0, norms)
+    errors = np.linalg.norm(exact - out / safe[..., None], axis=-1)
+    return np.where(degenerate, np.nan, errors), degenerate
+
+
 def phase_aligned_state_error(psi, phi) -> float:
     """min over theta of ||psi - e^{i theta} phi||; diagnostic only.
 
@@ -188,15 +205,9 @@ def error_report(decomp: HamiltonianDecomposition, t: float, m,
     """Compare an approximate propagator m against exact evolution at time t."""
     psi = as_state(psi0, normalized=True)
     exact = hermitian_propagator(total(decomp), t)
-    target = exact @ psi
-    raw = np.asarray(m, dtype=complex) @ psi
-    nrm = float(np.linalg.norm(raw))
-    op_err = spectral_norm(np.asarray(m, dtype=complex) - exact)
-    nonu = spectral_norm(np.asarray(m, dtype=complex) @ np.asarray(m, dtype=complex).conj().T
-                         - np.eye(decomp.dim))
-    if nrm == 0.0:
-        return ErrorReport(t=t, state_error=float("nan"), operator_error=op_err,
-                           nonunitarity=nonu, degenerate=True)
-    out = raw / nrm
-    return ErrorReport(t=t, state_error=float(np.linalg.norm(target - out)),
-                       operator_error=op_err, nonunitarity=nonu)
+    m = np.asarray(m, dtype=complex)
+    err, degenerate = state_errors(exact @ psi, m @ psi)
+    return ErrorReport(t=t, state_error=float(err),
+                       operator_error=spectral_norm(m - exact),
+                       nonunitarity=spectral_norm(m @ m.conj().T - np.eye(decomp.dim)),
+                       degenerate=bool(degenerate))

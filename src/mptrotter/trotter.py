@@ -1,4 +1,9 @@
-"""Second-order symmetric product formulas and their iterated powers."""
+"""Second-order symmetric product formulas and their iterated powers.
+
+`second_order_step` and `products` take one time or an array of times; an
+array gives a stack of operators with the time axes in front. `trotterize` is
+the one-time form.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -7,22 +12,23 @@ from .hamiltonian import HamiltonianDecomposition
 from .linalg import eigen_propagator
 
 
-def second_order_step(decomp: HamiltonianDecomposition, t: float) -> np.ndarray:
-    """Palindromic second-order product S_1(t).
+def second_order_step(decomp: HamiltonianDecomposition, t) -> np.ndarray:
+    """Palindromic second-order product S_1(t), for one time or a time array.
 
     Half-step exponentials of the terms are applied left to right and then
     right to left, so the product is symmetric under t -> -t up to conjugation
     and its error per step is O(t^3). Exact when all terms commute. The two
     half steps of the last term meet in the middle and are taken as one full
     step; every exponential is a phase scaling of the term's cached
-    eigenbasis.
+    eigenbasis. Every time must be finite.
     """
-    if not np.isfinite(t):
+    ts = np.asarray(t, dtype=float)
+    if not np.isfinite(ts).all():
         raise ValueError(f"time must be finite, got {t!r}")
     *outer, (w, vecs) = decomp.eigenpairs
-    out = eigen_propagator(w, vecs, t)
+    out = eigen_propagator(w, vecs, ts)
     for w, vecs in reversed(outer):
-        half = eigen_propagator(w, vecs, t / 2.0)
+        half = eigen_propagator(w, vecs, ts / 2.0)
         out = half @ out @ half
     return out
 
@@ -32,13 +38,21 @@ def _matrix_power(m: np.ndarray, l: int) -> np.ndarray:
 
     Chosen over a plain product loop for every l: it is faster at l <= 32 as
     well and agrees with the loop to 1e-12 for the unitary steps used here.
+    A stack of matrices has each matrix raised to the l-th power.
     """
     return np.linalg.matrix_power(m, l)
 
 
-def trotterize(decomp: HamiltonianDecomposition, t: float, l: int) -> np.ndarray:
-    """S_1(t/l) raised to the l-th power."""
+def products(decomp: HamiltonianDecomposition, ts, l: int) -> np.ndarray:
+    """S_1(t/l)^l for every time in ts: a (T, d, d) stack for T times."""
     if int(l) != l or l < 1:
         raise ValueError(f"iteration count must be a positive integer, got {l!r}")
-    step = second_order_step(decomp, t / int(l))
-    return _matrix_power(step, int(l))
+    return _matrix_power(second_order_step(decomp, np.asarray(ts, dtype=float) / int(l)),
+                         int(l))
+
+
+def trotterize(decomp: HamiltonianDecomposition, t: float, l: int) -> np.ndarray:
+    """S_1(t/l) raised to the l-th power, at one time t."""
+    if np.ndim(t) != 0:
+        raise ValueError("trotterize takes one time; use products for a time array")
+    return products(decomp, t, l)

@@ -1,0 +1,116 @@
+"""Time-array forms of the propagator, product and amplification layers.
+
+Each stacked result must equal the scalar result at every time within 1e-13,
+and a non-finite time anywhere in an array must be rejected.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mptrotter import (
+    HamiltonianDecomposition,
+    amplify,
+    eigen_propagator,
+    make_schedule,
+    mp_operator,
+    products,
+    second_order_step,
+    state_errors,
+    trotterize,
+)
+from tests.conftest import random_hermitian, random_state
+
+TOL = 1e-13
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+times = st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1, max_size=6)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def random_decomp(rng, d: int, terms: int) -> HamiltonianDecomposition:
+    return HamiltonianDecomposition(terms=tuple(random_hermitian(d, rng) for _ in range(terms)))
+
+
+def max_dev(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+@PROPERTY
+@given(ts=times, seed=seeds, d=st.integers(1, 6))
+def test_eigen_propagator_stack_matches_scalar(ts, seed, d):
+    w, vecs = np.linalg.eigh(random_hermitian(d, np.random.default_rng(seed)))
+    stack = eigen_propagator(w, vecs, np.array(ts))
+    assert stack.shape == (len(ts), d, d)
+    for t, u in zip(ts, stack):
+        assert max_dev(u, eigen_propagator(w, vecs, t)) <= TOL
+
+
+@PROPERTY
+@given(ts=times, seed=seeds, d=st.integers(2, 5), terms=st.integers(1, 3))
+def test_second_order_step_stack_matches_scalar(ts, seed, d, terms):
+    decomp = random_decomp(np.random.default_rng(seed), d, terms)
+    stack = second_order_step(decomp, np.array(ts) / 8.0)
+    assert stack.shape == (len(ts), d, d)
+    for t, s in zip(ts, stack):
+        assert max_dev(s, second_order_step(decomp, t / 8.0)) <= TOL
+
+
+@PROPERTY
+@given(ts=times, seed=seeds, a=st.integers(1, 3), k=st.integers(1, 4))
+def test_mp_operator_stack_matches_scalar(ts, seed, a, k):
+    decomp = random_decomp(np.random.default_rng(seed), 4, 2)
+    sched = make_schedule("modified", a=a, k=k)
+    stack = mp_operator(decomp, np.array(ts), sched)
+    assert stack.shape == (len(ts), 4, 4)
+    for t, m in zip(ts, stack):
+        assert max_dev(m, mp_operator(decomp, t, sched)) <= TOL
+
+
+@PROPERTY
+@given(seed=seeds, batch=st.integers(1, 5), d=st.integers(1, 6), n=st.integers(0, 4))
+def test_amplify_stack_matches_single_blocks(seed, batch, d, n):
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((batch, d, d)) + 1j * rng.standard_normal((batch, d, d))
+    # contractions, like every post-selected block ||M|| <= 1
+    blocks /= np.linalg.norm(blocks, ord=2, axis=(-2, -1))[:, None, None]
+    psi = random_state(d, rng)
+    stack = amplify(blocks, psi, n)
+    assert stack.shape == (batch, d)
+    for block, u in zip(blocks, stack):
+        assert max_dev(u, amplify(block, psi, n)) <= TOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_non_finite_time_anywhere_is_rejected(spin_decomp, bad, where):
+    ts = np.linspace(0.0, 2.0, 5)
+    ts[where] = bad
+    sched = make_schedule("modified", a=1, k=2)
+    for call in (lambda: second_order_step(spin_decomp, ts),
+                 lambda: products(spin_decomp, ts, 4),
+                 lambda: mp_operator(spin_decomp, ts, sched),
+                 lambda: mp_operator(spin_decomp, ts.reshape(5, 1), sched)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_trotterize_takes_one_time(spin_decomp):
+    with pytest.raises(ValueError, match="one time"):
+        trotterize(spin_decomp, np.array([0.5, 1.0]), 4)
+    assert trotterize(spin_decomp, np.float64(0.5), 4).shape == (4, 4)
+
+
+def test_state_errors_flag_only_vanishing_rows():
+    rng = np.random.default_rng(3)
+    exact = np.stack([random_state(4, rng) for _ in range(3)])
+    outputs = 2.5 * exact
+    outputs[1] = 0.0
+    outputs[2] = -outputs[2]
+    errors, degenerate = state_errors(exact, outputs)
+    assert degenerate.tolist() == [False, True, False]
+    assert errors[0] == pytest.approx(0.0, abs=1e-15)
+    assert np.isnan(errors[1])
+    assert errors[2] == pytest.approx(2.0, abs=1e-15)
+    one, flag = state_errors(exact[0], outputs[0])
+    assert one.shape == () and not flag

@@ -7,18 +7,25 @@ import pytest
 from mptrotter import (
     SweepConfig,
     SweepRow,
+    apply_lcu,
+    apply_oaa,
+    build_lcu,
     build_spin_hamiltonian,
     classical_fidelity,
     default_t_grid,
     drop_floor,
     emit,
     fit_order,
+    hermitian_propagator,
     load_config,
     parse_algorithm,
     parse_schedule_spec,
+    products,
     run_sweep,
+    total,
     trotterize,
 )
+from mptrotter import experiments
 from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS
 
 
@@ -48,6 +55,28 @@ class TestClassicalFidelity:
             classical_fidelity([-0.2, 1.2], [0.5, 0.5])
         with pytest.raises(ValueError, match="not normalized"):
             classical_fidelity([0.5, 0.4], [0.5, 0.5])
+
+    def test_batch_equals_scalar_calls(self):
+        rng = np.random.default_rng(22)
+        p = rng.dirichlet(np.ones(4), size=7)
+        q = rng.dirichlet(np.ones(4), size=7)
+        got = classical_fidelity(p, q)
+        assert got.shape == (7,)
+        assert got.tolist() == [classical_fidelity(a, b) for a, b in zip(p, q)]
+        assert isinstance(classical_fidelity(p[0], q[0]), float)
+
+    def test_one_bad_row_rejects_the_batch(self):
+        good = np.full((5, 4), 0.25)
+        negative = good.copy()
+        negative[3] = [-0.2, 0.6, 0.3, 0.3]
+        with pytest.raises(ValueError, match="q has negative"):
+            classical_fidelity(good, negative)
+        unnormalized = good.copy()
+        unnormalized[1, 2] = 0.3
+        with pytest.raises(ValueError, match=r"p is not normalized: sum = 1\.05"):
+            classical_fidelity(unnormalized, good)
+        with pytest.raises(ValueError, match="differ in length: 4 vs 3"):
+            classical_fidelity(good, np.full((5, 3), 1.0 / 3.0))
 
 
 class TestFitOrder:
@@ -238,6 +267,85 @@ class TestRunSweep:
         row = run_sweep(cfg)[0]
         assert row.p00 + row.p01 + row.p10 + row.p11 == pytest.approx(1.0, abs=1e-12)
         assert row.success_prob == 1.0
+
+
+def reference_rows(config):
+    """Per-cell sweep rows from the scalar public API only: one trotterize
+    per product, one build_lcu and apply_lcu/apply_oaa per cell, one scalar
+    classical_fidelity per row."""
+    decomp = build_spin_hamiltonian(config.model)
+    h = total(decomp)
+    psi0 = np.asarray(config.initial_state, dtype=complex)
+    psi0 = psi0 / np.linalg.norm(psi0)
+    rows = []
+    for t in config.t_grid:
+        exact = hermitian_propagator(h, t) @ psi0
+        p_exact = np.abs(exact) ** 2 / np.sum(np.abs(exact) ** 2)
+        for spec in config.algorithms:
+            algo = parse_algorithm(spec, config.oaa_rounds)
+            prob = 1.0
+            if algo.kind == "exact":
+                state = exact
+            elif algo.kind == "trotter":
+                out = trotterize(decomp, t, algo.l) @ psi0
+                state = out / np.linalg.norm(out)
+            else:
+                circuit = build_lcu(algo.schedule.coefficients,
+                                    [trotterize(decomp, t, l) for l in algo.iterations])
+                outcome = (apply_lcu(circuit, psi0) if algo.kind == "mp"
+                           else apply_oaa(circuit, psi0, algo.rounds))
+                assert not outcome.degenerate
+                state, prob = outcome.renormalized_state, outcome.success_probability
+            pops = np.abs(state) ** 2 / np.sum(np.abs(state) ** 2)
+            rows.append((t, spec, *pops, prob, np.linalg.norm(exact - state),
+                         classical_fidelity(p_exact, pops)))
+    return rows
+
+
+MIXED_ALGORITHMS = ("exact", "trotter:1", "mp:original:1.0,3", "mp:1,2,3,96",
+                    "mp_oaa:modified:1,3:0", "mp_oaa:1,2,3,96:2",
+                    "mp_oaa:original:1.0,3:3")
+MIXED_STATE = (0.5, 0.5j, -0.5, complex(0.3, 0.4))
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("config", [
+        SweepConfig(),
+        SweepConfig(initial_state=MIXED_STATE, algorithms=MIXED_ALGORITHMS,
+                    t_grid=(-2.5, 0.0, 0.7, 3.0, 12.0)),
+        SweepConfig(initial_state=MIXED_STATE, algorithms=MIXED_ALGORITHMS,
+                    t_grid=(1.3,)),
+    ], ids=["default", "mixed-grid", "single-time"])
+    def test_matches_scalar_reference(self, config):
+        rows = run_sweep(config)
+        want = reference_rows(config)
+        assert [(r.t, r.algo) for r in rows] == [w[:2] for w in want]
+        for r, w in zip(rows, want):
+            got = (r.p00, r.p01, r.p10, r.p11, r.success_prob, r.state_error, r.fidelity)
+            assert not r.degenerate
+            assert np.max(np.abs(np.array(got) - np.array(w[2:]))) <= 1e-12, r
+
+    def test_vanishing_block_gives_one_degenerate_row(self, monkeypatch):
+        config = SweepConfig(t_grid=(0.5, 1.0, 1.5),
+                             algorithms=("exact", "mp_oaa:modified:2,4:1"))
+        ordinary = run_sweep(config)
+
+        def vanishing_at_second_time(decomp, ts, l):
+            out = products(decomp, ts, l).copy()
+            out[1] = 0.0
+            return out
+
+        monkeypatch.setattr(experiments, "products", vanishing_at_second_time)
+        rows = run_sweep(config)
+        bad = [r for r in rows if r.degenerate]
+        assert len(bad) == 1
+        (row,) = bad
+        assert (row.t, row.algo) == (1.0, "mp_oaa:modified:2,4:1")
+        assert (row.p00, row.p01, row.p10, row.p11, row.fidelity) == (None,) * 5
+        assert np.isnan(row.state_error)
+        assert row.success_prob == 0.0
+        assert [r for r in rows if r is not row] == [r for r in ordinary if r.t != 1.0
+                                                    or r.algo == "exact"]
 
 
 class TestEmit:
