@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from .experiments import (
+    COLUMNS,
     ERROR_FLOOR,
     SweepConfig,
+    cell_text,
     drop_floor,
     emit,
     fit_order,
     load_config,
-    parse_algorithm,
     parse_schedule_spec,
     run_sweep,
 )
@@ -88,21 +89,17 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_evolve(args) -> int:
     config = _config(args.config)
-    parse_algorithm(args.algo, config.oaa_rounds)  # fail fast on a bad spec
     one = SweepConfig(model=config.model, initial_state=config.initial_state,
                       t_grid=(args.t,), algorithms=(args.algo,),
                       oaa_rounds=config.oaa_rounds)
     row = run_sweep(one)[0]
-    print(f"t = {row.t:.12g}  algo = {row.algo}")
+    # time and algorithm share the first line; missing cells are left out
+    lines = [f"{name} = {cell_text(cell)}"
+             for name, cell in zip(COLUMNS, row.cells()) if cell is not None]
+    print("  ".join(lines[:2]))
+    print("\n".join(lines[2:]))
     if row.degenerate:
-        print(f"success_prob = {row.success_prob:.12g}")
         print("degenerate post-selection: populations undefined")
-        return 0
-    for name in ("p00", "p01", "p10", "p11"):
-        print(f"{name} = {getattr(row, name):.12g}")
-    print(f"success_prob = {row.success_prob:.12g}")
-    print(f"state_error = {row.state_error:.12g}")
-    print(f"fidelity = {row.fidelity:.12g}")
     return 0
 
 

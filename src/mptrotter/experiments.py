@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .lcu import DEGENERATE_AMPLITUDE, amplify, optimal_split
 from .linalg import eigen_propagator, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import products
-
-CSV_HEADER = "t,algo,p00,p01,p10,p11,success_prob,state_error,fidelity"
 
 # State errors at or below this are indistinguishable from double-precision
 # roundoff for the problem sizes here; order fits must drop such points.
@@ -132,6 +131,7 @@ class SweepConfig:
     oaa_rounds: int = 1
     output_path: str | None = None
     format: str = "csv"
+    specs: tuple[AlgorithmSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         state = tuple(complex(a) for a in self.initial_state) or (
@@ -148,15 +148,20 @@ class SweepConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if int(self.oaa_rounds) != self.oaa_rounds or self.oaa_rounds < 0:
             raise ValueError(f"oaa_rounds must be a nonnegative integer, got {self.oaa_rounds!r}")
-        for spec in self.algorithms:
-            parse_algorithm(spec, self.oaa_rounds)  # validate early
+        object.__setattr__(self, "specs",
+                           tuple(parse_algorithm(s, self.oaa_rounds) for s in self.algorithms))
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One (t, algorithm) result of a sweep.
+
+    The fields before `degenerate` are the output columns, in order. A
+    degenerate row has None populations and fidelity and a NaN state error.
+    """
+
     t: float
     algo: str
     p00: float | None
@@ -167,6 +172,14 @@ class SweepRow:
     state_error: float
     fidelity: float | None
     degenerate: bool = False
+
+    def cells(self) -> list:
+        """The output columns in order, None where a value is None or NaN."""
+        return [None if v != v else v for v in self[:len(COLUMNS)]]  # NaN != NaN
+
+
+COLUMNS = SweepRow._fields[:SweepRow._fields.index("degenerate")]
+CSV_HEADER = ",".join(COLUMNS)
 
 
 CONFIG_KEYS = ("omega", "delta", "e1", "e2", "initial_state", "t_grid",
@@ -286,14 +299,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     ts = np.asarray(config.t_grid)
-    algos = [parse_algorithm(s, config.oaa_rounds) for s in config.algorithms]
     exact = eigen_propagator(energies, modes, ts) @ psi0
     p_exact = np.abs(exact) ** 2
     p_exact = p_exact / p_exact.sum(axis=-1, keepdims=True)
     stacks = {l: products(decomp, ts, l)
-              for l in sorted({l for a in algos for l in a.iterations})}
+              for l in sorted({l for a in config.specs for l in a.iterations})}
     columns = []
-    for algo in algos:
+    for algo in config.specs:
         kept = _outputs(algo, psi0, exact, stacks)
         errors, degenerate = state_errors(exact, kept, DEGENERATE_AMPLITUDE)
         if algo.kind == "exact":  # the reference itself, not a roundoff-sized error
@@ -345,39 +357,27 @@ def drop_floor(t_grid, errors, floor: float = ERROR_FLOOR):
     return ts[keep], es[keep]
 
 
-def _fmt(x: float | None) -> str:
-    if x is None:
-        return ""
-    return f"{x:.12g}"
+def cell_text(cell) -> str:
+    """CSV spelling of one output cell: empty for None, 12 significant digits."""
+    return "" if cell is None else cell if isinstance(cell, str) else f"{cell:.12g}"
 
 
 def emit(rows, format: str, path) -> None:
-    """Write rows as CSV or JSON; floats carry 12 significant digits.
+    """Write rows as CSV or JSON; CSV floats carry 12 significant digits.
 
-    A degenerate row keeps its time, algorithm and success probability but
-    leaves populations and fidelity empty (CSV) or null (JSON).
+    Each row is written from its cells, so a degenerate row keeps its time,
+    algorithm and success probability and leaves the other columns empty
+    (CSV) or null (JSON).
     """
+    table = [r.cells() for r in rows]
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER.split(","))
-            for r in rows:
-                writer.writerow([
-                    _fmt(r.t), r.algo, _fmt(r.p00), _fmt(r.p01), _fmt(r.p10),
-                    _fmt(r.p11), _fmt(r.success_prob),
-                    "" if np.isnan(r.state_error) else _fmt(r.state_error),
-                    _fmt(r.fidelity),
-                ])
+            writer.writerow(COLUMNS)
+            writer.writerows([cell_text(c) for c in cells] for cells in table)
         return
     if format == "json":
-        payload = []
-        for r in rows:
-            payload.append({
-                "t": r.t, "algo": r.algo, "p00": r.p00, "p01": r.p01,
-                "p10": r.p10, "p11": r.p11, "success_prob": r.success_prob,
-                "state_error": None if np.isnan(r.state_error) else r.state_error,
-                "fidelity": r.fidelity,
-            })
+        payload = [dict(zip(COLUMNS, cells)) for cells in table]
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
         return
     raise ValueError(f"format must be csv or json, got {format!r}")

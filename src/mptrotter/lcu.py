@@ -284,13 +284,11 @@ def oaa_iterate(circuit: LcuCircuit) -> np.ndarray:
     return -(circuit.w @ r @ circuit.w.conj().T @ r)
 
 
-def apply_oaa(circuit: LcuCircuit, psi, n: int, *, flip_sign: bool = True) -> LcuOutcome:
+def apply_oaa(circuit: LcuCircuit, psi, n: int) -> LcuOutcome:
     """Apply (-W R W^dag R)^n W to |0> (x) |psi> and post-select.
 
     Runs on the data register through `amplify`, which gives the kept branch
-    (-1)^n T_{2n+1}(M) psi from the circuit block M alone. flip_sign=False
-    amplifies with +W R W^dag R instead, which multiplies the kept branch by
-    (-1)^n and leaves probabilities unchanged.
+    (-1)^n T_{2n+1}(M) psi from the circuit block M alone.
 
     n = 0 reduces exactly to apply_lcu. For a unitary combined operator with
     post-selection amplitude sin(theta), n rounds move the success probability
@@ -298,10 +296,7 @@ def apply_oaa(circuit: LcuCircuit, psi, n: int, *, flip_sign: bool = True) -> Lc
     """
     if int(n) != n or n < 0:
         raise ValueError(f"round count must be a nonnegative integer, got {n!r}")
-    u = amplify(circuit.block, _data_state(circuit, psi), int(n))
-    if not flip_sign and int(n) % 2:
-        u = -u
-    return _project(u)
+    return _project(amplify(circuit.block, _data_state(circuit, psi), int(n)))
 
 
 def predicted_probability(p: float, n: int) -> float:

@@ -33,22 +33,15 @@ def second_order_step(decomp: HamiltonianDecomposition, t) -> np.ndarray:
     return out
 
 
-def _matrix_power(m: np.ndarray, l: int) -> np.ndarray:
-    """m^l by binary powering (repeated squaring), O(log l) products.
-
-    Chosen over a plain product loop for every l: it is faster at l <= 32 as
-    well and agrees with the loop to 1e-12 for the unitary steps used here.
-    A stack of matrices has each matrix raised to the l-th power.
-    """
-    return np.linalg.matrix_power(m, l)
-
-
 def products(decomp: HamiltonianDecomposition, ts, l: int) -> np.ndarray:
     """S_1(t/l)^l for every time in ts: a (T, d, d) stack for T times."""
     if int(l) != l or l < 1:
         raise ValueError(f"iteration count must be a positive integer, got {l!r}")
-    return _matrix_power(second_order_step(decomp, np.asarray(ts, dtype=float) / int(l)),
-                         int(l))
+    # binary powering (repeated squaring), O(log l) products, raising each
+    # matrix of the stack: faster than a plain product loop at every l, l <= 32
+    # included, and within 1e-12 of it for the unitary steps used here
+    return np.linalg.matrix_power(
+        second_order_step(decomp, np.asarray(ts, dtype=float) / int(l)), int(l))
 
 
 def trotterize(decomp: HamiltonianDecomposition, t: float, l: int) -> np.ndarray:

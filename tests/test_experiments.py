@@ -25,7 +25,7 @@ from mptrotter import (
     total,
     trotterize,
 )
-from mptrotter import experiments
+from mptrotter import cli, experiments
 from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS
 
 
@@ -184,6 +184,23 @@ class TestSweepConfig:
     def test_rejects_bad_algorithm_early(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             SweepConfig(algorithms=("exact", "nope"))
+
+    def test_parses_each_spec_once(self, monkeypatch, capsys):
+        calls = []
+        real = experiments.make_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_schedule", counting)
+        config = SweepConfig()
+        assert len(calls) == 2  # the two multi-product defaults
+        run_sweep(config)
+        assert len(calls) == 2
+        assert cli.main(["evolve", "--algo", "mp:modified:2,4", "--t", "1"]) == 0
+        assert len(calls) == 5  # 2 for the default config, 1 for the cell
+        assert "fidelity = " in capsys.readouterr().out
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -385,6 +402,7 @@ class TestEmit:
         emit(rows, "json", path)
         payload = json.loads(path.read_text())
         assert len(payload) == len(rows)
+        assert all(list(rec) == CSV_HEADER.split(",") for rec in payload)
         assert payload[0]["algo"] == rows[0].algo
         assert payload[0]["success_prob"] == rows[0].success_prob
 
@@ -398,7 +416,7 @@ class TestEmit:
         jpath = tmp_path / "d.json"
         emit([row], "json", jpath)
         rec = json.loads(jpath.read_text())[0]
-        assert rec["p00"] is None
+        assert (rec["p00"], rec["p01"], rec["p10"], rec["p11"]) == (None,) * 4
         assert rec["state_error"] is None
         assert rec["fidelity"] is None
 

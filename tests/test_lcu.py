@@ -176,17 +176,6 @@ class TestOaa:
                 got = apply_oaa(circ, psi, n).success_probability
                 assert got == pytest.approx(predicted_probability(p0, n), abs=1e-9)
 
-    def test_flip_sign_variant_same_probability(self):
-        rng = np.random.default_rng(12)
-        u = haar_unitary(2, rng)
-        psi = random_state(2, rng)
-        circ = build_lcu([1.5, -0.5], [u, u])
-        a = apply_oaa(circ, psi, 1, flip_sign=True)
-        b = apply_oaa(circ, psi, 1, flip_sign=False)
-        assert abs(a.success_probability - b.success_probability) < 1e-12
-        # states agree up to the global sign of the iterate
-        assert np.linalg.norm(a.projected_state + b.projected_state) < 1e-12
-
     def test_iterate_is_unitary(self):
         rng = np.random.default_rng(13)
         ops = [haar_unitary(2, rng) for _ in range(4)]
@@ -307,12 +296,10 @@ class TestBlockPath:
             g = oaa_iterate(circ)
             y = circ.w[:, :d] @ psi
             for n in range(5):
-                for flip_sign in (True, False):
-                    got = apply_oaa(circ, psi, n, flip_sign=flip_sign)
-                    ref = y[:d] if flip_sign else (-1) ** n * y[:d]
-                    assert np.linalg.norm(got.projected_state - ref) < 1e-12, (trial, n)
-                    assert got.success_probability == pytest.approx(
-                        float(np.linalg.norm(ref)) ** 2, abs=1e-12)
+                got = apply_oaa(circ, psi, n)
+                assert np.linalg.norm(got.projected_state - y[:d]) < 1e-12, (trial, n)
+                assert got.success_probability == pytest.approx(
+                    float(np.linalg.norm(y[:d])) ** 2, abs=1e-12)
                 y = g @ y
         assert ks & {3, 5, 6, 7}  # padded ancillas are covered
 
@@ -331,7 +318,7 @@ class TestBlockPath:
         psi = random_state(4, rng)
         apply_lcu(circ, psi)
         apply_oaa(circ, psi, 3)
-        apply_oaa(circ, psi, 2, flip_sign=False)
+        apply_oaa(circ, psi, 2)
         for name in ("w", "c_matrix", "c_prime_matrix"):
             assert name not in circ.__dict__
         assert circ.w.shape == (32, 32)
