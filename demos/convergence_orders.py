@@ -12,8 +12,8 @@ import numpy as np
 from mptrotter import (
     build_spin_hamiltonian,
     drop_floor,
-    eigen_propagator,
     fit_order,
+    hermitian_propagator,
     make_schedule,
     mp_operator,
     state_errors,
@@ -23,12 +23,11 @@ from mptrotter import (
 
 decomp = build_spin_hamiltonian()
 psi0 = np.array([np.sqrt(0.3), np.sqrt(0.7), 0.0, 0.0])
-energies, modes = np.linalg.eigh(total(decomp))
 
 
 def exact_states(ts):
     """exp(-iHt) psi0 for a time or an array of times."""
-    return eigen_propagator(energies, modes, ts) @ psi0
+    return hermitian_propagator(total(decomp), ts) @ psi0
 
 
 # each term count gets the window where its error is clean of the floor

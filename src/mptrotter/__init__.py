@@ -15,7 +15,6 @@ from .experiments import (
     run_sweep,
 )
 from .hamiltonian import (
-    DEFAULT_PARAMS,
     HamiltonianDecomposition,
     SpinModelParams,
     build_spin_hamiltonian,
@@ -23,14 +22,11 @@ from .hamiltonian import (
 )
 from .lcu import (
     LcuCircuit,
-    LcuOutcome,
-    OaaErrorReport,
     amplify,
     apply_lcu,
     apply_oaa,
     build_lcu,
     oaa_error_report,
-    oaa_iterate,
     optimal_split,
     predicted_probability,
 )
@@ -58,13 +54,10 @@ from .trotter import products, second_order_step, trotterize
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_PARAMS",
     "ErrorReport",
     "HamiltonianDecomposition",
     "LcuCircuit",
-    "LcuOutcome",
     "MpSchedule",
-    "OaaErrorReport",
     "SpinModelParams",
     "SweepConfig",
     "SweepRow",
@@ -90,7 +83,6 @@ __all__ = [
     "mp_coefficients",
     "mp_operator",
     "oaa_error_report",
-    "oaa_iterate",
     "optimal_split",
     "parse_algorithm",
     "parse_schedule_spec",

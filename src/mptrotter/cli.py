@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .hamiltonian import build_spin_hamiltonian, total
 from .lcu import predicted_probability
-from .linalg import eigen_propagator
+from .linalg import hermitian_propagator
 from .multiproduct import make_schedule, mp_operator, state_errors
 
 
@@ -123,11 +123,10 @@ def _cmd_scaling(args) -> int:
         raise ValueError(f"need 0 < tmin < tmax, got {args.tmin}, {args.tmax}")
     sched = make_schedule("modified", a=1, k=args.k)
     decomp = build_spin_hamiltonian(config.model)
-    energies, modes = np.linalg.eigh(total(decomp))
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     ts = np.geomspace(args.tmin, args.tmax, args.points)
-    errs, _ = state_errors(eigen_propagator(energies, modes, ts) @ psi0,
+    errs, _ = state_errors(hermitian_propagator(total(decomp), ts) @ psi0,
                            mp_operator(decomp, ts, sched) @ psi0)
     kept_t, kept_e = drop_floor(ts, errs, args.floor)
     print(f"schedule L = {sched.iterations}, {len(kept_t)}/{len(ts)} points above "

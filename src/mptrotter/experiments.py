@@ -28,7 +28,7 @@ import numpy as np
 
 from .hamiltonian import DEFAULT_PARAMS, SpinModelParams, build_spin_hamiltonian, total
 from .lcu import DEGENERATE_AMPLITUDE, amplify, optimal_split
-from .linalg import eigen_propagator, weighted_sum
+from .linalg import hermitian_propagator, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import products
 
@@ -139,7 +139,7 @@ class SweepConfig:
         if len(state) != 4:
             raise ValueError(f"initial state needs 4 amplitudes, got {len(state)}")
         nrm = float(np.linalg.norm(np.asarray(state)))
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:  # NaN fails
             raise ValueError(f"initial state is not normalized: ||psi|| = {nrm!r}")
         grid = tuple(float(t) for t in self.t_grid) or default_t_grid()
         if not all(np.isfinite(grid)):
@@ -262,7 +262,7 @@ def classical_fidelity(p, q):
         if np.any(v < -1e-12):
             raise ValueError(f"{name} has negative entries")
         tot = v.sum(axis=-1)
-        bad = np.abs(tot - 1.0) > 1e-9
+        bad = ~(np.abs(tot - 1.0) <= 1e-9)  # NaN fails
         if np.any(bad):
             raise ValueError(f"{name} is not normalized: sum = {float(tot[bad].flat[0])!r}")
     root = np.sum(np.sqrt(np.clip(a, 0.0, None) * np.clip(b, 0.0, None)), axis=-1)
@@ -295,11 +295,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     amplitude at or below DEGENERATE_AMPLITUDE give degenerate rows.
     """
     decomp = build_spin_hamiltonian(config.model)
-    energies, modes = np.linalg.eigh(total(decomp))
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     ts = np.asarray(config.t_grid)
-    exact = eigen_propagator(energies, modes, ts) @ psi0
+    exact = hermitian_propagator(total(decomp), ts) @ psi0
     p_exact = np.abs(exact) ** 2
     p_exact = p_exact / p_exact.sum(axis=-1, keepdims=True)
     stacks = {l: products(decomp, ts, l)

@@ -57,7 +57,7 @@ class HamiltonianDecomposition:
                     f"term {i} has dimension {h.shape[0]}, expected {dim}"
                 )
             dev = spectral_norm(h - h.conj().T)
-            if dev >= ATOL_ALGEBRAIC:
+            if not dev < ATOL_ALGEBRAIC:  # NaN fails
                 raise ValueError(f"term {i} is not Hermitian: ||H - H^dag|| = {dev:.3e}")
         object.__setattr__(self, "terms", coerced)
 

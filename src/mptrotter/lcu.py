@@ -21,18 +21,17 @@ probability near 1/4 this lands the probability near 1. By qubitization
 (-1)^N T_{2N+1}(M) |psi>, the odd Chebyshev polynomial applied to the singular
 values of M, which needs only the d x d block.
 
-`apply_lcu` and `apply_oaa` therefore work on M alone, through the one
-recurrence in `amplify`: `build_lcu` validates the circuit and stores M, and
-W, C and C' are reference objects built on first access, for the oracle checks
-in `oaa_iterate` and `oaa_error_report`. `amplify` also takes a stack of blocks,
-which is how a sweep runs every time of its grid at once; the circuit API
-(`build_lcu`, `apply_lcu`, `apply_oaa`) handles one circuit and one state.
+This module works on M alone and forms nothing larger than d x d: `build_lcu`
+validates the circuit and stores M, and `apply_lcu` and `apply_oaa` run the
+one recurrence in `amplify`. The dense W, C, C' and iterate are the reference
+in `mptrotter.circuit`. `amplify` also takes a stack of blocks, which is how a
+sweep runs every time of its grid at once; the circuit API (`build_lcu`,
+`apply_lcu`, `apply_oaa`) handles one circuit and one state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import asin, sin
+from math import asin, isfinite, sin
 
 import numpy as np
 
@@ -40,8 +39,6 @@ from .linalg import (
     ATOL_ALGEBRAIC,
     as_operator,
     as_state,
-    complete_unitary,
-    kron,
     spectral_norm,
     weighted_sum,
 )
@@ -53,10 +50,9 @@ DEGENERATE_AMPLITUDE = 1e-12
 
 @dataclass(frozen=True)
 class LcuCircuit:
-    """Assembled circuit data. All arrays are frozen by convention.
+    """Validated circuit data; all arrays are frozen by convention.
 
-    block is the d x d kept-branch operator M = sum_i m_i m'_i A_i; the
-    ancilla gates and the full circuit W are computed on first access.
+    block is the d x d kept-branch operator M = sum_i m_i m'_i A_i.
     """
 
     coeffs: np.ndarray          # real c_i, length k
@@ -74,35 +70,6 @@ class LcuCircuit:
     def combined_operator(self) -> np.ndarray:
         """sum_i c_i A_i, the operator the post-selected branch implements."""
         return weighted_sum(self.coeffs, self.branch_ops)
-
-    def _padded(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.ancilla_dim, dtype=complex)
-        out[:self.k] = v
-        return out
-
-    @cached_property
-    def c_matrix(self) -> np.ndarray:
-        """ancilla_dim x ancilla_dim unitary with first column m."""
-        return complete_unitary(self._padded(self.m), "column")
-
-    @cached_property
-    def c_prime_matrix(self) -> np.ndarray:
-        """ancilla_dim x ancilla_dim unitary with first row m'."""
-        return complete_unitary(self._padded(self.m_prime), "row")
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        """The (ancilla_dim * data_dim)^2 circuit (C' (x) I) SELECT (C (x) I).
-
-        Padded ancilla states select the identity.
-        """
-        d = self.data_dim
-        eye = np.eye(d, dtype=complex)
-        select = np.zeros((self.ancilla_dim * d, self.ancilla_dim * d), dtype=complex)
-        for i in range(self.ancilla_dim):
-            select[i * d:(i + 1) * d, i * d:(i + 1) * d] = \
-                self.branch_ops[i] if i < self.k else eye
-        return kron(self.c_prime_matrix, eye) @ select @ kron(self.c_matrix, eye)
 
 
 @dataclass(frozen=True)
@@ -127,10 +94,10 @@ class OaaErrorReport:
     one round of amplification is designed for), delta the non-unitarity
     ||TT^dag - I|| of the combined operator, and bound = (1/2 + 3 Delta) delta
     the first-order residual estimate, clamped at zero since the expansion is
-    only meaningful near s = 1/2. identity_residual is the self-check
-    || P A P - (3 PWP - 4 (PWP)(PWP)^dag(PWP)) || with A one amplification
-    round; observed_error compares the amplified state against the
-    renormalized target sum c_i A_i |psi>.
+    only meaningful near s = 1/2. identity_residual is the data-register
+    self-check || amplify(M, psi, 1) - U (3 Sigma - 4 Sigma^3) V^dag psi ||,
+    with U Sigma V^dag the SVD of the block M; observed_error compares the
+    amplified state against the renormalized target sum c_i A_i |psi>.
     """
 
     s: float
@@ -164,19 +131,21 @@ def optimal_split(coeffs) -> tuple[np.ndarray, np.ndarray]:
 def _as_real_coeffs(coeffs) -> np.ndarray:
     a = np.asarray(coeffs)
     if np.iscomplexobj(a):
-        if np.any(np.abs(a.imag) > 0):
+        if not np.all(a.imag == 0):
             raise ValueError("coefficients must be real")
         a = a.real
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.size == 0:
         raise ValueError("need at least one coefficient")
+    if not all(map(isfinite, a.tolist())):  # faster than np.isfinite for a few entries
+        raise ValueError(f"coefficients must be finite, got {a.tolist()}")
     return a
 
 
 def _validate_split(c: np.ndarray, m: np.ndarray, m_prime: np.ndarray) -> None:
     for name, v in (("m", m), ("m_prime", m_prime)):
         n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > ATOL_ALGEBRAIC:
+        if not abs(n - 1.0) <= ATOL_ALGEBRAIC:  # NaN fails
             raise ValueError(f"split vector {name} must be unit norm, got {n!r}")
     prod = m * m_prime
     # the products must be proportional to the coefficients with one common
@@ -188,7 +157,7 @@ def _validate_split(c: np.ndarray, m: np.ndarray, m_prime: np.ndarray) -> None:
     if abs(z) < 1e-300:
         raise ValueError("split vectors give a vanishing amplitude on every branch")
     dev = float(np.max(np.abs(prod - z * c)))
-    if dev > 1e-9:
+    if not dev <= 1e-9:
         raise ValueError(
             f"split products m_i * m'_i are not proportional to the coefficients "
             f"(max deviation {dev:.3e})"
@@ -272,18 +241,6 @@ def apply_lcu(circuit: LcuCircuit, psi) -> LcuOutcome:
     return _project(amplify(circuit.block, _data_state(circuit, psi), 0))
 
 
-def _amplitude_flip(circuit: LcuCircuit) -> np.ndarray:
-    r = np.eye(circuit.ancilla_dim, dtype=complex)
-    r[0, 0] = -1.0
-    return kron(r, np.eye(circuit.data_dim, dtype=complex))
-
-
-def oaa_iterate(circuit: LcuCircuit) -> np.ndarray:
-    """One amplification round -W R W^dag R as a dense matrix (reference)."""
-    r = _amplitude_flip(circuit)
-    return -(circuit.w @ r @ circuit.w.conj().T @ r)
-
-
 def apply_oaa(circuit: LcuCircuit, psi, n: int) -> LcuOutcome:
     """Apply (-W R W^dag R)^n W to |0> (x) |psi> and post-select.
 
@@ -312,20 +269,15 @@ def predicted_probability(p: float, n: int) -> float:
     return sin((2 * int(n) + 1) * asin(p ** 0.5)) ** 2
 
 
-def _ancilla_projector(circuit: LcuCircuit) -> np.ndarray:
-    p = np.zeros((circuit.ancilla_dim, circuit.ancilla_dim), dtype=complex)
-    p[0, 0] = 1.0
-    return kron(p, np.eye(circuit.data_dim, dtype=complex))
-
-
 def oaa_error_report(circuit: LcuCircuit, psi) -> OaaErrorReport:
     """Measure amplification-error quantities for one round on this input.
 
     The non-unitarity of the combined operator is what limits amplification:
-    for the exactly unitary case the report is all zeros. The algebraic
-    self-check verifies that one round, restricted to the ancilla-|0>
-    subspace, acts as 3 PWP - 4 (PWP)(PWP)^dag(PWP); on the data register that
-    is the cubic polynomial 3 sT' - 4 s^3 T'T'^dag T' of the loaded operator.
+    for the exactly unitary case the report is all zeros. The self-check
+    compares the recurrence with the qubitization identity on the data
+    register: one round keeps -T_3(M) psi = U (3 Sigma - 4 Sigma^3) V^dag psi,
+    the odd Chebyshev polynomial applied to the singular values of M
+    (Gilyen et al., arXiv:1806.01838). Nothing larger than d x d is formed.
     """
     v = as_state(psi, normalized=True)
     base = apply_lcu(circuit, v)
@@ -334,14 +286,11 @@ def oaa_error_report(circuit: LcuCircuit, psi) -> OaaErrorReport:
     delta = spectral_norm(delta_mat @ delta_mat.conj().T - np.eye(circuit.data_dim))
     bound = max(0.0, (0.5 + 3.0 * (s - 0.5)) * delta)
 
-    proj = _ancilla_projector(circuit)
-    pwp = proj @ circuit.w @ proj
-    one_round = oaa_iterate(circuit) @ circuit.w
-    lhs = proj @ one_round @ proj
-    rhs = 3.0 * pwp - 4.0 * pwp @ pwp.conj().T @ pwp
-    residual = spectral_norm(lhs - rhs)
-
     amplified = apply_oaa(circuit, v, 1)
+    u, sigma, vh = np.linalg.svd(circuit.block)
+    cubic = (u * (3.0 * sigma - 4.0 * sigma ** 3)) @ (vh @ v)
+    residual = np.linalg.norm(amplified.projected_state - cubic)
+
     target = delta_mat @ v
     tnorm = float(np.linalg.norm(target))
     if amplified.degenerate or tnorm <= DEGENERATE_AMPLITUDE:

@@ -32,7 +32,7 @@ def as_state(v, *, normalized: bool = False) -> np.ndarray:
         raise ValueError("state vector must be nonempty")
     if normalized:
         n = float(np.linalg.norm(a))
-        if abs(n - 1.0) > ATOL_ALGEBRAIC:
+        if not abs(n - 1.0) <= ATOL_ALGEBRAIC:  # NaN fails
             raise ValueError(f"state vector is not normalized: ||v|| = {n!r}")
     return a
 
@@ -59,21 +59,22 @@ def is_unitary(m, tol: float = ATOL_ALGEBRAIC) -> bool:
     return spectral_norm(a @ a.conj().T - np.eye(a.shape[0])) < tol
 
 
-def hermitian_propagator(h, t: float) -> np.ndarray:
+def hermitian_propagator(h, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition.
 
-    Rejects non-Hermitian input; the resulting matrix is unitary to roundoff.
-    Negative t gives the inverse propagator.
+    Rejects non-Hermitian input and non-finite times; the result is unitary to
+    roundoff, and negative t gives the inverse. t is one time or an array of
+    times, as for `eigen_propagator`.
     """
     a = as_operator(h)
-    if not np.isfinite(t):
+    if not np.isfinite(t).all():
         raise ValueError(f"time must be finite, got {t!r}")
     skew = a - a.conj().T
     # The Frobenius norm bounds the spectral norm from above, so a small one
     # accepts without the eigenvalue problem the spectral norm costs.
-    if np.linalg.norm(skew) >= ATOL_ALGEBRAIC:
+    if not np.linalg.norm(skew) < ATOL_ALGEBRAIC:  # NaN fails
         dev = spectral_norm(skew)
-        if dev >= ATOL_ALGEBRAIC:
+        if not dev < ATOL_ALGEBRAIC:
             raise ValueError(f"matrix is not Hermitian: ||H - H^dag|| = {dev:.3e}")
     w, vecs = np.linalg.eigh(a)
     return eigen_propagator(w, vecs, t)
@@ -119,7 +120,7 @@ def complete_unitary(first: np.ndarray, orientation: str = "column") -> np.ndarr
     v = as_state(first)
     n = v.size
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > ATOL_ALGEBRAIC:
+    if not abs(nrm - 1.0) <= ATOL_ALGEBRAIC:  # NaN fails
         raise ValueError(f"first column must have unit norm, got ||v|| = {nrm!r}")
     if orientation not in ("column", "row"):
         raise ValueError(f"orientation must be 'column' or 'row', got {orientation!r}")

@@ -16,7 +16,7 @@ coefficients up and are numerically ill-conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, inf
 
 import numpy as np
 
@@ -34,7 +34,10 @@ def mp_coefficients(iterations) -> np.ndarray:
     ratios, so scaled copies of a schedule give identical coefficients).
     A singleton gives c = (1,).
     """
-    ell = np.asarray(iterations, dtype=float).reshape(-1)
+    try:
+        ell = np.asarray(iterations, dtype=float).reshape(-1)
+    except OverflowError:
+        raise ValueError(f"iteration count {max(iterations)} overflows a float") from None
     if ell.size == 0:
         raise ValueError("schedule must contain at least one iteration count")
     if np.any(ell <= 0):
@@ -43,12 +46,15 @@ def mp_coefficients(iterations) -> np.ndarray:
         raise ValueError(
             f"iteration counts must be strictly increasing, got {ell.tolist()}"
         )
-    sq = ell * ell
     coeffs = np.ones(ell.size, dtype=float)
-    for q in range(ell.size):
-        for p in range(ell.size):
-            if p != q:
-                coeffs[q] *= sq[q] / (sq[q] - sq[p])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = ell * ell
+        for q in range(ell.size):
+            for p in range(ell.size):
+                if p != q:
+                    coeffs[q] *= sq[q] / (sq[q] - sq[p])
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"coefficients overflow a float for iteration counts up to {ell[-1]:.6g}")
     return coeffs
 
 
@@ -77,7 +83,7 @@ class MpSchedule:
         if any(b <= a for a, b in zip(its, its[1:])):
             raise ValueError(f"iteration counts must be strictly increasing, got {its!r}")
         dev = abs(sum(self.coefficients) - 1.0)
-        if dev > COEFF_SUM_TOL:
+        if not dev <= COEFF_SUM_TOL:  # NaN fails
             raise ValueError(f"coefficients must sum to 1, deviation {dev:.3e}")
         object.__setattr__(self, "iterations", its)
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
@@ -112,16 +118,21 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
             raise ValueError(f"prefactor a must be an integer >= 1, got {a!r}")
         if int(k) != k or k < 1:
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        if int(a).bit_length() + int(k) > 1024:  # a * 2^k >= 2^1024 overflows a float
+            raise ValueError(f"largest iteration count {a} * 2^{int(k)} overflows a float")
         its = tuple(int(a) * 2 ** q for q in range(1, int(k) + 1))
         return MpSchedule(its, tuple(mp_coefficients(its)), kind="modified", param=float(a))
     if kind == "original":
         if gamma is None or k is None:
             raise ValueError("original schedule needs gamma and k")
-        if not (gamma > 0):
-            raise ValueError(f"gamma must be positive, got {gamma!r}")
+        if not 0 < gamma < inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
         if int(k) != k or k < 2:
             raise ValueError(f"k must be an integer >= 2, got {k!r}")
-        tail = int(round(exp(gamma * int(k))))
+        try:
+            tail = int(round(exp(gamma * int(k))))
+        except OverflowError:
+            raise ValueError(f"tail e^(gamma k) = e^{gamma * int(k):g} overflows a float") from None
         if tail <= int(k) - 1:
             raise ValueError(
                 f"rounded tail {tail} collides with the leading ramp 1..{int(k) - 1}; "

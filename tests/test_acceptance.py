@@ -31,7 +31,6 @@ from mptrotter import (
     hermitian_propagator,
     make_schedule,
     mp_coefficients,
-    oaa_iterate,
     optimal_split,
     predicted_probability,
     run_sweep,
@@ -39,9 +38,9 @@ from mptrotter import (
     total,
     trotterize,
 )
+from mptrotter.circuit import ancilla_projector, circuit_matrix, oaa_iterate
 from mptrotter.cli import main
 from mptrotter.experiments import ERROR_FLOOR
-from mptrotter.lcu import _ancilla_projector
 from tests.conftest import haar_unitary, random_state
 
 PSI0 = np.array([np.sqrt(0.3), np.sqrt(0.7), 0.0, 0.0], dtype=complex)
@@ -253,9 +252,10 @@ def test_criterion_07(capsys):
             c[0] = 1.0
         d = int(rng.integers(2, 5))
         circ = build_lcu(c, [haar_unitary(d, rng) for _ in range(k)])
-        proj = _ancilla_projector(circ)
-        pwp = proj @ circ.w @ proj
-        lhs = proj @ (oaa_iterate(circ) @ circ.w) @ proj
+        proj = ancilla_projector(circ)
+        w = circuit_matrix(circ)
+        pwp = proj @ w @ proj
+        lhs = proj @ (oaa_iterate(circ) @ w) @ proj
         rhs = 3.0 * pwp - 4.0 * pwp @ pwp.conj().T @ pwp
         worst = max(worst, spectral_norm(lhs - rhs))
     ok = worst <= 1e-10

@@ -1,25 +1,29 @@
 """Time-array forms of the propagator, product and amplification layers.
 
 Each stacked result must equal the scalar result at every time within 1e-13,
-and a non-finite time anywhere in an array must be rejected.
+and a non-finite time anywhere in an array must be rejected. Amplification is
+also checked against the singular-value form of its Chebyshev polynomial.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev
 
 from mptrotter import (
     HamiltonianDecomposition,
     amplify,
     eigen_propagator,
+    hermitian_propagator,
     make_schedule,
     mp_operator,
     products,
     second_order_step,
     state_errors,
+    total,
     trotterize,
 )
-from tests.conftest import random_hermitian, random_state
+from tests.conftest import haar_unitary, random_hermitian, random_state
 
 TOL = 1e-13
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -39,11 +43,14 @@ def max_dev(a, b) -> float:
 @PROPERTY
 @given(ts=times, seed=seeds, d=st.integers(1, 6))
 def test_eigen_propagator_stack_matches_scalar(ts, seed, d):
-    w, vecs = np.linalg.eigh(random_hermitian(d, np.random.default_rng(seed)))
+    h = random_hermitian(d, np.random.default_rng(seed))
+    w, vecs = np.linalg.eigh(h)
     stack = eigen_propagator(w, vecs, np.array(ts))
-    assert stack.shape == (len(ts), d, d)
-    for t, u in zip(ts, stack):
+    herm = hermitian_propagator(h, np.array(ts))
+    assert stack.shape == herm.shape == (len(ts), d, d)
+    for t, u, v in zip(ts, stack, herm):
         assert max_dev(u, eigen_propagator(w, vecs, t)) <= TOL
+        assert max_dev(v, hermitian_propagator(h, t)) <= TOL
 
 
 @PROPERTY
@@ -81,13 +88,34 @@ def test_amplify_stack_matches_single_blocks(seed, batch, d, n):
         assert max_dev(u, amplify(block, psi, n)) <= TOL
 
 
+@PROPERTY
+@given(seed=seeds, batch=st.integers(0, 4), d=st.integers(1, 5), ancilla=st.integers(2, 4),
+       n=st.integers(0, 4))
+def test_amplify_is_odd_chebyshev_of_singular_values(seed, batch, d, ancilla, n):
+    # qubitization: n rounds keep (-1)^n T_{2n+1}(M) psi = U (-1)^n T_{2n+1}(Sigma) V^dag psi;
+    # corners of Haar unitaries are blocks of unitary circuits, ||M|| <= 1.
+    # batch = 0 is one 2-d block, otherwise a stack of batch blocks
+    rng = np.random.default_rng(seed)
+    blocks = np.stack([haar_unitary(ancilla * d, rng)[:d, :d] for _ in range(max(batch, 1))])
+    if not batch:
+        blocks = blocks[0]
+    psi = random_state(d, rng)
+    u, sigma, vh = np.linalg.svd(blocks)
+    poly = (-1) ** n * Chebyshev.basis(2 * n + 1)(sigma)
+    expected = np.einsum("...ij,...j->...i", u * poly[..., None, :], vh @ psi)
+    got = amplify(blocks, psi, n)
+    assert got.shape == expected.shape == blocks.shape[:-1]
+    assert max_dev(got, expected) <= 1e-12
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_non_finite_time_anywhere_is_rejected(spin_decomp, bad, where):
     ts = np.linspace(0.0, 2.0, 5)
     ts[where] = bad
     sched = make_schedule("modified", a=1, k=2)
-    for call in (lambda: second_order_step(spin_decomp, ts),
+    for call in (lambda: hermitian_propagator(total(spin_decomp), ts),
+                 lambda: second_order_step(spin_decomp, ts),
                  lambda: products(spin_decomp, ts, 4),
                  lambda: mp_operator(spin_decomp, ts, sched),
                  lambda: mp_operator(spin_decomp, ts.reshape(5, 1), sched)):

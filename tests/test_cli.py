@@ -55,6 +55,18 @@ class TestCoeffs:
         assert err.startswith("error:")
         assert "increasing" in err
 
+    @pytest.mark.parametrize("spec, value", [
+        ("original:inf,3", "inf"),
+        ("original:1000,3", "e^3000"),
+        ("modified:1,2000", "2^2000"),
+    ])
+    def test_overflowing_schedule(self, capsys, spec, value):
+        code, out, err = run_cli(capsys, "coeffs", "--schedule", spec)
+        assert code == 1
+        assert out == ""
+        assert one_error_line(err)
+        assert value in err
+
 
 class TestEvolve:
     def test_exact_at_zero(self, capsys):
@@ -177,6 +189,17 @@ class TestConfigErrors:
         assert one_error_line(err)
         assert "'algorithms' must be a list" in err
         assert "unknown algorithm" not in err
+
+    def test_nan_initial_state(self, capsys, tmp_path):
+        # Python's json reads NaN; the sweep must refuse it, not write blank rows
+        path = tmp_path / "cfg.json"
+        path.write_text('{"initial_state": [NaN, 1, 0, 0]}')
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path),
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert one_error_line(err)
+        assert "not normalized" in err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("text, key", [
         ('{"t_grid": [0, null]}', "t_grid"),

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+from inspect import isfunction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mptrotter import (
-    LcuCircuit,
     apply_lcu,
     apply_oaa,
     build_lcu,
@@ -12,13 +16,14 @@ from mptrotter import (
     make_schedule,
     mp_operator,
     oaa_error_report,
-    oaa_iterate,
     optimal_split,
     predicted_probability,
     spectral_norm,
     total,
     trotterize,
 )
+from mptrotter import circuit
+from mptrotter.circuit import circuit_matrix, oaa_iterate
 from tests.conftest import haar_unitary, random_state
 
 
@@ -55,7 +60,7 @@ class TestBuildLcu:
         u = haar_unitary(3, rng)
         circ = build_lcu([1.0], [u])
         assert circ.ancilla_dim == 1
-        assert np.allclose(circ.w, u, atol=1e-14)
+        assert np.allclose(circuit_matrix(circ), u, atol=1e-14)
         out = apply_lcu(circ, random_state(3, rng))
         assert out.success_probability == pytest.approx(1.0, abs=1e-12)
 
@@ -64,8 +69,9 @@ class TestBuildLcu:
         ops = [haar_unitary(2, rng) for _ in range(3)]
         circ = build_lcu([0.5, 0.3, 0.2], ops)
         assert circ.ancilla_dim == 4
-        assert circ.w.shape == (8, 8)
-        assert is_unitary(circ.w)
+        w = circuit_matrix(circ)
+        assert w.shape == (8, 8)
+        assert is_unitary(w)
 
     def test_w_is_unitary_random(self):
         rng = np.random.default_rng(2)
@@ -74,7 +80,7 @@ class TestBuildLcu:
             c[np.argmax(np.abs(c))] += 1.0  # keep at least one away from zero
             ops = [haar_unitary(2, rng) for _ in range(k)]
             circ = build_lcu(c, ops)
-            assert is_unitary(circ.w), k
+            assert is_unitary(circuit_matrix(circ)), k
 
     def test_rejects_count_mismatch(self):
         rng = np.random.default_rng(3)
@@ -261,7 +267,7 @@ class TestOaaErrorReport:
         tot = float(np.sum(np.abs(circ.coeffs)))
         tp = circ.combined_operator() / tot
         d = circ.data_dim
-        one_round = oaa_iterate(circ) @ circ.w
+        one_round = oaa_iterate(circ) @ circuit_matrix(circ)
         block = one_round[:d, :d]
         poly = 3.0 * tp - 4.0 * tp @ tp.conj().T @ tp
         assert spectral_norm(block - poly) < 1e-10
@@ -279,7 +285,7 @@ def random_split(c, rng):
 class TestBlockPath:
     def test_oaa_matches_dense_reference(self):
         # oracle: (-W R W^dag R)^n W on |0> (x) |psi>, ancilla-0 block kept,
-        # from the lazily built circuit matrix
+        # from the dense circuit matrix
         rng = np.random.default_rng(16)
         ks = set()
         for trial in range(48):
@@ -294,7 +300,7 @@ class TestBlockPath:
             split = random_split(c, rng) if trial % 2 else None
             circ = build_lcu(c, ops, split=split)
             g = oaa_iterate(circ)
-            y = circ.w[:, :d] @ psi
+            y = circuit_matrix(circ)[:, :d] @ psi
             for n in range(5):
                 got = apply_oaa(circ, psi, n)
                 assert np.linalg.norm(got.projected_state - y[:d]) < 1e-12, (trial, n)
@@ -309,17 +315,38 @@ class TestBlockPath:
         ops = [haar_unitary(3, rng) for _ in range(3)]
         for split in (None, random_split(c, rng)):
             circ = build_lcu(c, ops, split=split)
-            assert spectral_norm(circ.w[:3, :3] - circ.block) < 1e-12
+            assert spectral_norm(circuit_matrix(circ)[:3, :3] - circ.block) < 1e-12
 
-    def test_fast_path_does_not_build_w(self):
+    def test_fast_path_does_not_build_w(self, monkeypatch):
+        # every public function of the dense reference raises, at every
+        # binding in the package; the block path and the report never need one
+        dense = {name: f for name, f in vars(circuit).items()
+                 if isfunction(f) and f.__module__ == circuit.__name__
+                 and not name.startswith("_")}
+        assert {"circuit_matrix", "oaa_iterate", "ancilla_projector"} <= set(dense)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the block path called the dense circuit")
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "mptrotter":
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in dense.values()):
+                        monkeypatch.setattr(module, attr, forbidden)
         rng = np.random.default_rng(19)
         ops = [haar_unitary(4, rng) for _ in range(5)]
         circ = build_lcu([0.5, -0.2, 0.3, 0.1, 0.3], ops)
         psi = random_state(4, rng)
         apply_lcu(circ, psi)
         apply_oaa(circ, psi, 3)
-        apply_oaa(circ, psi, 2)
-        for name in ("w", "c_matrix", "c_prime_matrix"):
-            assert name not in circ.__dict__
-        assert circ.w.shape == (32, 32)
-        assert "w" in circ.__dict__
+        assert oaa_error_report(circ, psi).identity_residual < 1e-10
+        with pytest.raises(AssertionError, match="dense circuit"):
+            circuit.circuit_matrix(circ)
+
+    def test_package_import_leaves_dense_circuit_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import mptrotter, mptrotter.cli; "
+                "print('mptrotter.circuit' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"

@@ -3,7 +3,11 @@ import pytest
 from conftest import haar_unitary, random_hermitian, random_state, taylor_propagator
 
 from mptrotter import (
+    HamiltonianDecomposition,
+    MpSchedule,
+    build_lcu,
     build_spin_hamiltonian,
+    classical_fidelity,
     complete_unitary,
     hermitian_propagator,
     is_hermitian,
@@ -12,6 +16,7 @@ from mptrotter import (
     spectral_norm,
     total,
 )
+from mptrotter.linalg import as_state
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -171,3 +176,25 @@ class TestKron:
 def test_hermiticity_predicate():
     assert is_hermitian(np.diag([1.0, 2.0]))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_state([NAN, 1.0], normalized=True), "not normalized"),
+    (lambda: complete_unitary(np.array([NAN, 1.0])), "unit norm"),
+    (lambda: build_lcu([0.5, 0.5], [np.eye(2)] * 2,
+                       split=(np.array([NAN, 1.0]), np.array([0.6, 0.8]))), "unit norm"),
+    (lambda: build_lcu([NAN, 1.0], [np.eye(2)] * 2), "finite"),
+    (lambda: MpSchedule((1, 2), (NAN, 1.0)), "sum to 1"),
+    (lambda: classical_fidelity([NAN, 1.0], [0.5, 0.5]), "not normalized"),
+    (lambda: hermitian_propagator(np.diag([NAN, 1.0]), 1.0), "not Hermitian"),
+    (lambda: HamiltonianDecomposition(terms=(np.diag([NAN, 1.0]),)), "not Hermitian"),
+], ids=["as_state", "complete_unitary", "build_lcu-split", "build_lcu-coeff",
+        "MpSchedule", "classical_fidelity", "hermitian_propagator",
+        "HamiltonianDecomposition"])
+def test_nan_fails_norm_and_sum_checks(call, message):
+    # each check is a comparison with a tolerance, which NaN must fail, not pass
+    with pytest.raises(ValueError, match=message):
+        call()
