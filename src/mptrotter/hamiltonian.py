@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ATOL_ALGEBRAIC, as_operator, kron, spectral_norm
+from .linalg import ATOL_ALGEBRAIC, as_operator, eigenpairs, kron, spectral_norm
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -62,12 +62,15 @@ class HamiltonianDecomposition:
         object.__setattr__(self, "terms", coerced)
 
     @cached_property
-    def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
         """(eigenvalues, eigenvectors) of each term, computed on first use.
 
         Every propagator of a term is then a phase scaling of the same basis.
+        The basis is the cheapest `linalg.eigenpairs` finds: None for a
+        diagonal term, whose propagators are its phases on the diagonal; real
+        eigenvectors for a real term; complex ones otherwise.
         """
-        return tuple(np.linalg.eigh(h) for h in self.terms)
+        return tuple(eigenpairs(h) for h in self.terms)
 
     @property
     def dim(self) -> int:

@@ -120,7 +120,11 @@ def optimal_split(coeffs) -> tuple[np.ndarray, np.ndarray]:
     unit-norm; probability under this split is ||sum c_i A_i psi||^2/(sum|c|)^2,
     and no feasible split does better.
     """
-    c = _as_real_coeffs(coeffs)
+    return _optimal_split(_as_real_coeffs(coeffs))
+
+
+def _optimal_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`optimal_split` of coefficients already checked by `_as_real_coeffs`."""
     tot = float(np.sum(np.abs(c)))
     if tot == 0.0:
         raise ValueError("all coefficients are zero")
@@ -182,7 +186,7 @@ def build_lcu(coeffs, branch_ops, split: tuple[np.ndarray, np.ndarray] | None = 
         if a.shape[0] != d:
             raise ValueError(f"branch operator {i} has dimension {a.shape[0]}, expected {d}")
     if split is None:
-        m, m_prime = optimal_split(c)
+        m, m_prime = _optimal_split(c)
     else:
         m = as_state(split[0])
         m_prime = as_state(split[1])

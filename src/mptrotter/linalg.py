@@ -6,6 +6,12 @@ eigendecomposition, which is exact to roundoff for Hermitian generators at any
 dimension, so no scaling-and-squaring is needed. Callers that exponentiate one
 generator at many times keep its eigenpairs and call `eigen_propagator`, which
 takes one time or an array of times.
+
+`eigenpairs` is the one place a matrix is diagonalized, and it picks the
+cheapest basis the matrix allows: the eigenvectors are None for a diagonal
+matrix (its propagators are phases on the diagonal), a real array for a real
+symmetric one (diagonalized and multiplied in real arithmetic), and a complex
+array otherwise.
 """
 from __future__ import annotations
 
@@ -76,18 +82,54 @@ def hermitian_propagator(h, t) -> np.ndarray:
         dev = spectral_norm(skew)
         if not dev < ATOL_ALGEBRAIC:
             raise ValueError(f"matrix is not Hermitian: ||H - H^dag|| = {dev:.3e}")
-    w, vecs = np.linalg.eigh(a)
-    return eigen_propagator(w, vecs, t)
+    return eigen_propagator(*eigenpairs(a), t)
 
 
-def eigen_propagator(w: np.ndarray, vecs: np.ndarray, t) -> np.ndarray:
-    """exp(-i h t) from the eigenvalues w and eigenvector columns vecs of h.
+def eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(w, vecs): eigenvalues and eigenvector columns of a Hermitian matrix h.
+
+    vecs is None when h is diagonal, and w is then its real diagonal in place
+    (not sorted); vecs is real when h is real; otherwise both come from the
+    complex eigendecomposition. h must be a square ndarray already checked to
+    be Hermitian.
+    """
+    if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
+        return np.diagonal(h).real.copy(), None
+    if not h.imag.any():
+        return np.linalg.eigh(h.real)
+    return np.linalg.eigh(h)
+
+
+def phases(w: np.ndarray, t) -> np.ndarray:
+    """exp(-i w t), with the time axes of t in front of the axis of w."""
+    return np.exp(-1j * np.multiply.outer(t, w))
+
+
+def diagonal_matrices(diag: np.ndarray) -> np.ndarray:
+    """The matrices with the given diagonals, along the last axis of diag."""
+    d = diag.shape[-1]
+    out = np.zeros(diag.shape + (d,), dtype=complex)
+    out.reshape(diag.shape[:-1] + (d * d,))[..., ::d + 1] = diag
+    return out
+
+
+def eigen_propagator(w: np.ndarray, vecs: np.ndarray | None, t) -> np.ndarray:
+    """exp(-i h t) from the eigenpairs (w, vecs) of h, as `eigenpairs` gives them.
 
     A scalar t gives one (d, d) matrix; an array of times gives the stack of
     propagators with the time axes in front, (T, d, d) for T times.
     """
-    phases = np.exp(-1j * np.multiply.outer(t, w))
-    return (vecs * phases[..., None, :]) @ vecs.conj().T
+    p = phases(w, t)
+    if vecs is None:
+        return diagonal_matrices(p)
+    if np.isrealobj(vecs):
+        # with V real, the transpose of V diag(p) V^T is one real product: V
+        # times diag(p) V^T read as a real array of (re, im) column pairs. The
+        # product is then formed entry by entry as the split real and imaginary
+        # parts (V diag(Re p)) V^T and (V diag(Im p)) V^T would form it.
+        scaled = np.multiply(p[..., :, None], vecs.T, order="C")
+        return (vecs @ scaled.view(float)).view(complex).swapaxes(-1, -2)
+    return (vecs * p[..., None, :]) @ vecs.conj().T
 
 
 def weighted_sum(weights, operators) -> np.ndarray:

@@ -15,8 +15,9 @@ coefficients up and are numerically ill-conditioned.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import exp, inf
+from math import exp, inf, lgamma, log
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .linalg import as_state, hermitian_propagator, spectral_norm, weighted_sum
 from .trotter import products
 
 COEFF_SUM_TOL = 1e-9
+_LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 def mp_coefficients(iterations) -> np.ndarray:
@@ -49,13 +51,31 @@ def mp_coefficients(iterations) -> np.ndarray:
     coeffs = np.ones(ell.size, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sq = ell * ell
-        for q in range(ell.size):
-            for p in range(ell.size):
-                if p != q:
-                    coeffs[q] *= sq[q] / (sq[q] - sq[p])
+        # one factor L(q)^2 / (L(q)^2 - L(p)^2) per p for every q at once, in
+        # increasing p as the product is written; the p = q factor is 1
+        for p in range(ell.size):
+            factor = sq / (sq - sq[p])
+            factor[p] = 1.0
+            coeffs *= factor
     if not np.isfinite(coeffs).all():
         raise ValueError(f"coefficients overflow a float for iteration counts up to {ell[-1]:.6g}")
     return coeffs
+
+
+def _ramp_overflows(n: int, tail: int) -> bool:
+    """Whether a ramp coefficient of the schedule (1, ..., n, tail) overflows.
+
+    For the ramp, prod_{p != q} |q^2 - p^2| = (n - q)! (n + q)! / (2 q^2), so
+    log|c_q| = 2 (n + 1) log q + log 2 - log (n - q)! - log (n + q)!
+    - log (tail^2 - q^2) costs O(1) per q. The scan starts at the top of the
+    ramp and stops at the first overflow: past n of a few thousand, c_n
+    overflows for every tail that fits in a float, so a long ramp is rejected
+    at its first step.
+    """
+    def log_c(q: int) -> float:
+        return (2 * (n + 1) * log(q) + log(2.0) - lgamma(n - q + 1) - lgamma(n + q + 1)
+                - log(tail - q) - log(tail + q))
+    return any(log_c(q) > _LOG_FLOAT_MAX for q in range(n, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -138,6 +158,8 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
                 f"rounded tail {tail} collides with the leading ramp 1..{int(k) - 1}; "
                 f"increase gamma"
             )
+        if _ramp_overflows(int(k) - 1, tail):
+            raise ValueError(f"coefficients overflow a float for iteration counts up to {tail:.6g}")
         its = tuple(range(1, int(k))) + (tail,)
         return MpSchedule(its, tuple(mp_coefficients(its)), kind="original", param=float(gamma))
     if kind == "explicit":

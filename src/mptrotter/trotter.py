@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import eigen_propagator
+from .linalg import diagonal_matrices, eigen_propagator, phases
 
 
 def second_order_step(decomp: HamiltonianDecomposition, t) -> np.ndarray:
@@ -20,17 +20,26 @@ def second_order_step(decomp: HamiltonianDecomposition, t) -> np.ndarray:
     and its error per step is O(t^3). Exact when all terms commute. The two
     half steps of the last term meet in the middle and are taken as one full
     step; every exponential is a phase scaling of the term's cached
-    eigenbasis. Every time must be finite.
+    eigenbasis. A diagonal term stays a vector of phases that scales the rows
+    and columns of the product, so a product of diagonal terms is a diagonal
+    until the end. Every time must be finite.
     """
     ts = np.asarray(t, dtype=float)
     if not np.isfinite(ts).all():
         raise ValueError(f"time must be finite, got {t!r}")
     *outer, (w, vecs) = decomp.eigenpairs
-    out = eigen_propagator(w, vecs, ts)
+    # out holds the diagonal of the product while `diagonal` is set
+    diagonal = vecs is None
+    out = phases(w, ts) if diagonal else eigen_propagator(w, vecs, ts)
     for w, vecs in reversed(outer):
-        half = eigen_propagator(w, vecs, ts / 2.0)
-        out = half @ out @ half
-    return out
+        if vecs is None:
+            half = phases(w, ts / 2.0)
+            out = half * out * half if diagonal else half[..., :, None] * out * half[..., None, :]
+        else:
+            half = eigen_propagator(w, vecs, ts / 2.0)
+            out = (half * out[..., None, :]) @ half if diagonal else half @ out @ half
+            diagonal = False
+    return diagonal_matrices(out) if diagonal else out
 
 
 def products(decomp: HamiltonianDecomposition, ts, l: int) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Time-array forms of the propagator, product and amplification layers.
+"""Time-array forms of the propagator, product and amplification layers, and
+the structured eigenbases of the propagator and product layers.
 
 Each stacked result must equal the scalar result at every time within 1e-13,
 and a non-finite time anywhere in an array must be rejected. Amplification is
 also checked against the singular-value form of its Chebyshev polynomial.
+Propagators and products of diagonal, real and complex terms must agree with
+the complex eigendecomposition written out here within 1e-12.
 """
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from numpy.polynomial import Chebyshev
 
 from mptrotter import (
     HamiltonianDecomposition,
+    build_spin_hamiltonian,
     amplify,
     eigen_propagator,
     hermitian_propagator,
@@ -23,6 +27,7 @@ from mptrotter import (
     total,
     trotterize,
 )
+from mptrotter.linalg import eigenpairs
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
 TOL = 1e-13
@@ -142,3 +147,124 @@ def test_state_errors_flag_only_vanishing_rows():
     assert errors[2] == pytest.approx(2.0, abs=1e-15)
     one, flag = state_errors(exact[0], outputs[0])
     assert one.shape == () and not flag
+
+
+# --- structured eigenbases -------------------------------------------------
+
+STRUCTURE_TOL = 1e-12
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def complex_eigh_propagator(h, t):
+    """exp(-i h t) through the complex eigendecomposition: (V * phases) @ V^dag."""
+    w, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    phases = np.exp(-1j * np.multiply.outer(t, w))
+    return (vecs * phases[..., None, :]) @ vecs.conj().T
+
+
+def complex_eigh_step(terms, t):
+    """The palindrome H_1/2 ... H_n ... H_1/2 from complex-eigh half steps."""
+    halves = [complex_eigh_propagator(h, np.asarray(t) / 2.0) for h in terms]
+    out = halves[-1] @ halves[-1]
+    for half in reversed(halves[:-1]):
+        out = half @ out @ half
+    return out
+
+
+def structured_hermitian(kind: str, d: int, rng) -> np.ndarray:
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(d)).astype(complex)
+    if kind == "real":
+        a = rng.standard_normal((d, d))
+        return ((a + a.T) / 2.0).astype(complex)
+    return random_hermitian(d, rng)
+
+
+kinds = st.sampled_from(["diagonal", "real", "complex"])
+
+
+@PROPERTY
+@given(kind=kinds, seed=seeds, d=st.integers(1, 16), ts=times, stacked=st.booleans())
+def test_structured_propagator_matches_complex_eigh(kind, seed, d, ts, stacked):
+    h = structured_hermitian(kind, d, np.random.default_rng(seed))
+    w, vecs = eigenpairs(h)
+    if kind == "diagonal" or d == 1:
+        assert vecs is None
+    elif kind == "real":
+        assert vecs.dtype == np.float64
+    t = np.array(ts) if stacked else ts[0]
+    assert max_dev(eigen_propagator(w, vecs, t), complex_eigh_propagator(h, t)) \
+        <= STRUCTURE_TOL
+    assert max_dev(hermitian_propagator(h, t), complex_eigh_propagator(h, t)) \
+        <= STRUCTURE_TOL
+
+
+@pytest.mark.parametrize("layout", ["first", "last", "middle", "all"])
+@pytest.mark.parametrize("t", [0.37, np.linspace(-2.0, 3.0, 6)])
+def test_step_with_diagonal_terms_matches_dense_palindrome(layout, t):
+    rng = np.random.default_rng(11)
+    dense = [structured_hermitian("complex", 6, rng), structured_hermitian("real", 6, rng)]
+    diag = [structured_hermitian("diagonal", 6, rng) for _ in range(3)]
+    terms = {"first": [diag[0], *dense],
+             "last": [*dense, diag[0]],
+             "middle": [dense[0], diag[0], dense[1]],
+             "all": diag}[layout]
+    decomp = HamiltonianDecomposition(terms=tuple(terms))
+    step = second_order_step(decomp, t)
+    assert step.shape == np.shape(t) + (6, 6)
+    assert max_dev(step, complex_eigh_step(terms, t)) <= STRUCTURE_TOL
+    if layout == "all":
+        assert max_dev(step, hermitian_propagator(total(decomp), t)) <= STRUCTURE_TOL
+
+
+def test_ising_split_matches_complex_eigh():
+    # transverse-field Ising chain on 8 qubits: h sum X_i and J sum Z_i Z_{i+1}
+    def site(op, i):
+        out = np.eye(1, dtype=complex)
+        for q in range(8):
+            out = np.kron(out, op if q == i else np.eye(2))
+        return out
+
+    hx = sum(site(SIGMA_X, i) for i in range(8))
+    hzz = sum(site(SIGMA_Z, i) @ site(SIGMA_Z, i + 1) for i in range(7))
+    decomp = HamiltonianDecomposition(terms=(hx, hzz))
+    (_, x_vecs), (_, zz_vecs) = decomp.eigenpairs
+    assert x_vecs.dtype == np.float64 and zz_vecs is None
+    t = 1.3
+    for l in (4, 8, 16, 32):
+        want = np.linalg.matrix_power(complex_eigh_step((hx, hzz), t / l), l)
+        assert max_dev(trotterize(decomp, t, l), want) <= STRUCTURE_TOL, l
+    h = total(decomp)
+    assert max_dev(hermitian_propagator(h, t), complex_eigh_propagator(h, t)) <= STRUCTURE_TOL
+
+
+def test_diagonal_term_is_not_diagonalized(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.dtype)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    decomp = build_spin_hamiltonian()  # H1 real, H2 diagonal
+    second_order_step(decomp, 0.5)
+    hermitian_propagator(decomp.terms[1], 0.5)
+    assert calls == [np.float64]
+    hermitian_propagator(total(decomp), 0.5)
+    assert calls == [np.float64, np.float64]
+    hermitian_propagator(random_hermitian(3, np.random.default_rng(0)), 0.5)
+    assert calls == [np.float64, np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_diagonal_is_rejected(bad):
+    # the Hermitian check of H - H^dag meets inf - inf = nan and fails in the
+    # eigenvalue solver, before any eigenbasis is chosen
+    h = np.diag([1.0, bad, 2.0]).astype(complex)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            hermitian_propagator(h, 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            HamiltonianDecomposition(terms=(h,))

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,17 @@ class TestCoeffs:
         assert out == ""
         assert one_error_line(err)
         assert value in err
+
+    def test_long_original_ramp_fails_before_it_is_built(self, capsys):
+        # the tail e^20 clears the ramp 1..999999, whose coefficients overflow;
+        # the schedule must be rejected without building or combining it
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "coeffs", "--schedule", "original:0.00002,1000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert one_error_line(err)
+        assert "overflow" in err
 
 
 class TestEvolve:

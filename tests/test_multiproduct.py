@@ -49,6 +49,22 @@ class TestCoefficients:
             for q, v in enumerate(c):
                 assert np.sign(v) == (-1.0) ** (k - 1 - q)
 
+    @pytest.mark.parametrize("its", [
+        (4, 8, 16, 32),
+        (2, 4), (2, 4, 8), (2, 4, 8, 16), (2, 4, 8, 16, 32), (2, 4, 8, 16, 32, 64),
+        (1, 2, 20),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 1000),
+    ])
+    def test_bit_identical_to_the_written_product(self, its):
+        # prod_{p != q} L(q)^2 / (L(q)^2 - L(p)^2), one q at a time in increasing p
+        sq = np.asarray(its, dtype=float) ** 2
+        want = np.ones(len(its))
+        for q in range(len(its)):
+            for p in range(len(its)):
+                if p != q:
+                    want[q] *= sq[q] / (sq[q] - sq[p])
+        assert mp_coefficients(its).tolist() == want.tolist()
+
     def test_rejections(self):
         with pytest.raises(ValueError, match="at least one"):
             mp_coefficients([])
@@ -83,6 +99,27 @@ class TestMakeSchedule:
         s = make_schedule("original", gamma=np.log(96.0) / 4.0, k=4)
         assert s.iterations == (1, 2, 3, 96)
         assert s.kind == "original"
+
+    def test_original_rejects_exactly_the_overflowing_ramps(self):
+        # the closed-form bound on the ramp may only reject what the full
+        # product rejects too (some of the others fail the coefficient sum).
+        # At k = 872 and tail 1308 the largest coefficient is e^708.5, just
+        # below the float maximum e^709.8; from k = 873 on the running
+        # product overflows for every tail.
+        def overflows(call):
+            try:
+                call()
+            except ValueError as exc:
+                return "overflow" in str(exc)
+            return False
+
+        for k in (2, 5, 40, 300, 872, 873, 1300, 3000):
+            for tail_over_k in (1.5, 10.0, 1e6, 1e100, 1e300):
+                gamma = np.log(k * tail_over_k) / k
+                tail = int(round(np.exp(gamma * k)))
+                its = list(range(1, k)) + [tail]
+                assert overflows(lambda: make_schedule("original", gamma=gamma, k=k)) \
+                    == overflows(lambda: mp_coefficients(its)), (k, tail_over_k)
 
     def test_original_tail_collision(self):
         # round(e^{0.1 * 2}) = 1 does not exceed the ramp (1,)
