@@ -46,7 +46,6 @@ from .multiproduct import (
     make_schedule,
     mp_coefficients,
     mp_operator,
-    phase_aligned_state_error,
     state_errors,
 )
 from .trotter import products, second_order_step, trotterize
@@ -86,7 +85,6 @@ __all__ = [
     "optimal_split",
     "parse_algorithm",
     "parse_schedule_spec",
-    "phase_aligned_state_error",
     "predicted_probability",
     "products",
     "run_sweep",

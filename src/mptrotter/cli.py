@@ -12,6 +12,7 @@ All domain rejections exit nonzero after a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -27,11 +28,10 @@ from .experiments import (
     load_config,
     parse_schedule_spec,
     run_sweep,
+    sweep_states,
 )
-from .hamiltonian import build_spin_hamiltonian, total
 from .lcu import predicted_probability
-from .linalg import hermitian_propagator
-from .multiproduct import make_schedule, mp_operator, state_errors
+from .multiproduct import state_errors
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,16 +121,14 @@ def _cmd_scaling(args) -> int:
         raise ValueError(f"need at least 4 points, got {args.points}")
     if not (0 < args.tmin < args.tmax):
         raise ValueError(f"need 0 < tmin < tmax, got {args.tmin}, {args.tmax}")
-    sched = make_schedule("modified", a=1, k=args.k)
-    decomp = build_spin_hamiltonian(config.model)
-    psi0 = np.asarray(config.initial_state, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
     ts = np.geomspace(args.tmin, args.tmax, args.points)
-    errs, _ = state_errors(hermitian_propagator(total(decomp), ts) @ psi0,
-                           mp_operator(decomp, ts, sched) @ psi0)
+    config = dataclasses.replace(config, algorithms=(f"mp:modified:1,{args.k}",),
+                                 t_grid=tuple(ts))
+    exact, (kept,) = sweep_states(config)
+    errs, _ = state_errors(exact, kept)
     kept_t, kept_e = drop_floor(ts, errs, args.floor)
-    print(f"schedule L = {sched.iterations}, {len(kept_t)}/{len(ts)} points above "
-          f"floor {args.floor:g}")
+    print(f"schedule L = {config.specs[0].iterations}, {len(kept_t)}/{len(ts)} points "
+          f"above floor {args.floor:g}")
     if len(kept_t) < 4:
         raise ValueError(
             "fewer than 4 points above the numerical floor; the error is too small "

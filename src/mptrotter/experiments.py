@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonian import DEFAULT_PARAMS, SpinModelParams, build_spin_hamiltonian, total
-from .lcu import DEGENERATE_AMPLITUDE, amplify, optimal_split
+from .lcu import amplify, optimal_split
 from .linalg import hermitian_propagator, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import products
@@ -95,8 +95,10 @@ def parse_algorithm(spec: str, default_rounds: int = 1) -> AlgorithmSpec:
     if s == "exact":
         return AlgorithmSpec(spec=s, kind="exact")
     if s.startswith("trotter:"):
-        return AlgorithmSpec(spec=s, kind="trotter",
-                             l=_as_int(s[len("trotter:"):], "iteration count"))
+        l = _as_int(s[len("trotter:"):], "iteration count")
+        if l < 1:
+            raise ValueError(f"iteration count must be positive, got {l}")
+        return AlgorithmSpec(spec=s, kind="trotter", l=l)
     if s.startswith("mp_oaa:"):
         body = s[len("mp_oaa:"):]
         # the whole body may be a schedule (round count defaulted), else the
@@ -285,28 +287,37 @@ def _outputs(algo: AlgorithmSpec, psi0, exact, stacks) -> np.ndarray:
     return amplify(block, psi0, algo.rounds)
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """All (t, algorithm) rows of the sweep, grid-major, algorithms in config order.
+def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(exact, outputs): the exact states and each algorithm's kept states.
 
-    The whole time grid is computed at once: H is diagonalized once per run,
-    each distinct Trotter product is one (T, d, d) stack shared by the
+    exact is (T, d) over the time grid, and outputs holds one unnormalized
+    (T, d) array per algorithm, in config order. H is diagonalized once per
+    run, each distinct Trotter product is one (T, d, d) stack shared by the
     algorithms that use it, and each multi-product algorithm runs its circuit
-    block through one stacked amplification. Post-selected branches with
-    amplitude at or below DEGENERATE_AMPLITUDE give degenerate rows.
+    block through one stacked amplification.
     """
     decomp = build_spin_hamiltonian(config.model)
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     ts = np.asarray(config.t_grid)
     exact = hermitian_propagator(total(decomp), ts) @ psi0
-    p_exact = np.abs(exact) ** 2
-    p_exact = p_exact / p_exact.sum(axis=-1, keepdims=True)
     stacks = {l: products(decomp, ts, l)
               for l in sorted({l for a in config.specs for l in a.iterations})}
+    return exact, [_outputs(algo, psi0, exact, stacks) for algo in config.specs]
+
+
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
+    """All (t, algorithm) rows of the sweep, grid-major, algorithms in config order.
+
+    The states come from `sweep_states`; kept branches that `state_errors`
+    flags as vanishing give degenerate rows.
+    """
+    exact, outputs = sweep_states(config)
+    p_exact = np.abs(exact) ** 2
+    p_exact = p_exact / p_exact.sum(axis=-1, keepdims=True)
     columns = []
-    for algo in config.specs:
-        kept = _outputs(algo, psi0, exact, stacks)
-        errors, degenerate = state_errors(exact, kept, DEGENERATE_AMPLITUDE)
+    for algo, kept in zip(config.specs, outputs):
+        errors, degenerate = state_errors(exact, kept)
         if algo.kind == "exact":  # the reference itself, not a roundoff-sized error
             errors = np.zeros_like(errors)
         norms = np.linalg.norm(kept, axis=-1)
@@ -314,8 +325,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         ok = ~degenerate
         pops = np.abs(kept[ok]) ** 2
         pops = pops / pops.sum(axis=-1, keepdims=True)
-        pop_col = [(None,) * kept.shape[-1]] * len(ts)
-        fid_col = [None] * len(ts)
+        pop_col = [(None,) * kept.shape[-1]] * len(kept)
+        fid_col = [None] * len(kept)
         for i, pop, fid in zip(np.flatnonzero(ok).tolist(), pops.tolist(),
                                classical_fidelity(p_exact[ok], pops).tolist()):
             pop_col[i], fid_col[i] = pop, fid

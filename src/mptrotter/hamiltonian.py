@@ -56,6 +56,8 @@ class HamiltonianDecomposition:
                 raise ValueError(
                     f"term {i} has dimension {h.shape[0]}, expected {dim}"
                 )
+            if not np.isfinite(h).all():
+                raise ValueError(f"term {i} entries must be finite")
             dev = spectral_norm(h - h.conj().T)
             if not dev < ATOL_ALGEBRAIC:  # NaN fails
                 raise ValueError(f"term {i} is not Hermitian: ||H - H^dag|| = {dev:.3e}")

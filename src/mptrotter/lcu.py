@@ -42,10 +42,7 @@ from .linalg import (
     spectral_norm,
     weighted_sum,
 )
-
-# Post-selected amplitudes below this are treated as a degenerate (failed)
-# branch rather than renormalized noise.
-DEGENERATE_AMPLITUDE = 1e-12
+from .multiproduct import DEGENERATE_AMPLITUDE, state_errors
 
 
 @dataclass(frozen=True)
@@ -297,9 +294,10 @@ def oaa_error_report(circuit: LcuCircuit, psi) -> OaaErrorReport:
 
     target = delta_mat @ v
     tnorm = float(np.linalg.norm(target))
-    if amplified.degenerate or tnorm <= DEGENERATE_AMPLITUDE:
+    # a degenerate amplified branch scores NaN through state_errors
+    if tnorm <= DEGENERATE_AMPLITUDE:
         observed = float("nan")
     else:
-        observed = float(np.linalg.norm(amplified.renormalized_state - target / tnorm))
+        observed = float(state_errors(target / tnorm, amplified.projected_state)[0])
     return OaaErrorReport(s=float(s), delta=float(delta), bound=float(bound),
                           identity_residual=float(residual), observed_error=observed)

@@ -68,13 +68,15 @@ def is_unitary(m, tol: float = ATOL_ALGEBRAIC) -> bool:
 def hermitian_propagator(h, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition.
 
-    Rejects non-Hermitian input and non-finite times; the result is unitary to
-    roundoff, and negative t gives the inverse. t is one time or an array of
-    times, as for `eigen_propagator`.
+    Rejects non-finite or non-Hermitian input and non-finite times; the result
+    is unitary to roundoff, and negative t gives the inverse. t is one time or
+    an array of times, as for `eigen_propagator`.
     """
     a = as_operator(h)
     if not np.isfinite(t).all():
         raise ValueError(f"time must be finite, got {t!r}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     skew = a - a.conj().T
     # The Frobenius norm bounds the spectral norm from above, so a small one
     # accepts without the eigenvalue problem the spectral norm costs.

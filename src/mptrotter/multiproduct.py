@@ -16,7 +16,7 @@ coefficients up and are numerically ill-conditioned.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, inf, lgamma, log
 
 import numpy as np
@@ -26,6 +26,9 @@ from .linalg import as_state, hermitian_propagator, spectral_norm, weighted_sum
 from .trotter import products
 
 COEFF_SUM_TOL = 1e-9
+# Output states with norm at or below this are treated as a degenerate
+# (failed) branch rather than renormalized noise.
+DEGENERATE_AMPLITUDE = 1e-12
 _LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
@@ -80,33 +83,31 @@ def _ramp_overflows(n: int, tail: int) -> bool:
 
 @dataclass(frozen=True)
 class MpSchedule:
-    """Iteration counts plus their cancellation coefficients.
+    """Iteration counts plus the cancellation coefficients they fix.
 
     kind records how the schedule was built: "modified" for geometric
     a * 2^q, "original" for (1, ..., k-1, round(e^{gamma k})), "explicit"
     for a user-supplied list. param holds a or gamma where applicable.
+    coefficients are derived from the iteration counts by `mp_coefficients`
+    and must sum to 1 within COEFF_SUM_TOL, which ill-conditioned schedules
+    fail.
     """
 
     iterations: tuple[int, ...]
-    coefficients: tuple[float, ...]
     kind: str = "explicit"
     param: float | None = None
+    coefficients: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         its = tuple(int(x) for x in self.iterations)
         if its != tuple(self.iterations):
             raise ValueError(f"iteration counts must be integers, got {self.iterations!r}")
-        if len(its) != len(self.coefficients):
-            raise ValueError("iterations and coefficients must have equal length")
-        if any(x < 1 for x in its):
-            raise ValueError(f"iteration counts must be >= 1, got {its!r}")
-        if any(b <= a for a, b in zip(its, its[1:])):
-            raise ValueError(f"iteration counts must be strictly increasing, got {its!r}")
-        dev = abs(sum(self.coefficients) - 1.0)
+        coeffs = tuple(mp_coefficients(its).tolist())
+        dev = abs(sum(coeffs) - 1.0)
         if not dev <= COEFF_SUM_TOL:  # NaN fails
             raise ValueError(f"coefficients must sum to 1, deviation {dev:.3e}")
         object.__setattr__(self, "iterations", its)
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def k(self) -> int:
@@ -141,7 +142,7 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
         if int(a).bit_length() + int(k) > 1024:  # a * 2^k >= 2^1024 overflows a float
             raise ValueError(f"largest iteration count {a} * 2^{int(k)} overflows a float")
         its = tuple(int(a) * 2 ** q for q in range(1, int(k) + 1))
-        return MpSchedule(its, tuple(mp_coefficients(its)), kind="modified", param=float(a))
+        return MpSchedule(its, kind="modified", param=float(a))
     if kind == "original":
         if gamma is None or k is None:
             raise ValueError("original schedule needs gamma and k")
@@ -161,12 +162,11 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
         if _ramp_overflows(int(k) - 1, tail):
             raise ValueError(f"coefficients overflow a float for iteration counts up to {tail:.6g}")
         its = tuple(range(1, int(k))) + (tail,)
-        return MpSchedule(its, tuple(mp_coefficients(its)), kind="original", param=float(gamma))
+        return MpSchedule(its, kind="original", param=float(gamma))
     if kind == "explicit":
         if iterations is None:
             raise ValueError("explicit schedule needs the iteration list")
-        its = tuple(int(x) for x in iterations)
-        return MpSchedule(its, tuple(mp_coefficients(its)), kind="explicit")
+        return MpSchedule(tuple(iterations), kind="explicit")
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
@@ -201,36 +201,21 @@ class ErrorReport:
             raise ValueError("error metrics must be nonnegative")
 
 
-def state_errors(exact, outputs, atol: float = 0.0):
+def state_errors(exact, outputs):
     """State errors of outputs against exact states, along the last axis.
 
     Each output is renormalized and compared with its exact state without
     global-phase alignment, so antipodal phases score 2. An output whose norm
-    is at or below atol has no direction: its error is NaN and its degenerate
-    flag is set. Returns (errors, degenerate) with the leading shape of the
-    inputs, as 0-d arrays for single states.
+    is at or below DEGENERATE_AMPLITUDE has no direction: its error is NaN and
+    its degenerate flag is set. Returns (errors, degenerate) with the leading
+    shape of the inputs, as 0-d arrays for single states.
     """
     out = np.asarray(outputs, dtype=complex)
     norms = np.linalg.norm(out, axis=-1)
-    degenerate = norms <= atol
+    degenerate = norms <= DEGENERATE_AMPLITUDE
     safe = np.where(degenerate, 1.0, norms)
     errors = np.linalg.norm(exact - out / safe[..., None], axis=-1)
     return np.where(degenerate, np.nan, errors), degenerate
-
-
-def phase_aligned_state_error(psi, phi) -> float:
-    """min over theta of ||psi - e^{i theta} phi||; diagnostic only.
-
-    The headline state_error metric is deliberately phase-sensitive; this
-    helper exists to tell a pure global-phase discrepancy apart from a real
-    one.
-    """
-    a = as_state(psi)
-    b = as_state(phi)
-    ov = np.vdot(b, a)
-    if abs(ov) > 0:
-        b = b * (ov / abs(ov))
-    return float(np.linalg.norm(a - b))
 
 
 def error_report(decomp: HamiltonianDecomposition, t: float, m,

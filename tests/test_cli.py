@@ -7,9 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mptrotter
+from mptrotter import SweepConfig, drop_floor, fit_order, run_sweep
 from mptrotter.cli import main
 
 
@@ -255,6 +257,13 @@ class TestScaling:
                                "--tmin", "1.0", "--tmax", "3.0")
         assert code == 0
         assert grab(rf"fitted order = {NUM}", out) >= 8.0
+        # the order and kept count are those of the sweep's state_error
+        # column for the same schedule on the same grid
+        ts = tuple(np.geomspace(1.0, 3.0, 13))
+        rows = run_sweep(SweepConfig(t_grid=ts, algorithms=("mp:modified:1,4",)))
+        kept_t, kept_e = drop_floor(ts, [r.state_error for r in rows])
+        assert f"{len(kept_t)}/13 points above floor" in out
+        assert f"fitted order = {fit_order(kept_t, kept_e):.6g}" in out
 
     def test_bad_bounds(self, capsys):
         code, _, err = run_cli(capsys, "scaling", "--k", "2",

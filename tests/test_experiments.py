@@ -161,6 +161,9 @@ class TestParsing:
             parse_algorithm("magic")
         with pytest.raises(ValueError, match="integer"):
             parse_algorithm("trotter:fast")
+        for spec in ("trotter:0", "trotter:-3"):
+            with pytest.raises(ValueError, match="positive"):
+                SweepConfig(algorithms=(spec,))
 
 
 class TestSweepConfig:

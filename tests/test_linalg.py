@@ -4,7 +4,6 @@ from conftest import haar_unitary, random_hermitian, random_state, taylor_propag
 
 from mptrotter import (
     HamiltonianDecomposition,
-    MpSchedule,
     build_lcu,
     build_spin_hamiltonian,
     classical_fidelity,
@@ -187,14 +186,13 @@ NAN = float("nan")
     (lambda: build_lcu([0.5, 0.5], [np.eye(2)] * 2,
                        split=(np.array([NAN, 1.0]), np.array([0.6, 0.8]))), "unit norm"),
     (lambda: build_lcu([NAN, 1.0], [np.eye(2)] * 2), "finite"),
-    (lambda: MpSchedule((1, 2), (NAN, 1.0)), "sum to 1"),
     (lambda: classical_fidelity([NAN, 1.0], [0.5, 0.5]), "not normalized"),
-    (lambda: hermitian_propagator(np.diag([NAN, 1.0]), 1.0), "not Hermitian"),
-    (lambda: HamiltonianDecomposition(terms=(np.diag([NAN, 1.0]),)), "not Hermitian"),
+    (lambda: hermitian_propagator(np.diag([NAN, 1.0]), 1.0), "finite"),
+    (lambda: HamiltonianDecomposition(terms=(np.diag([NAN, 1.0]),)), "finite"),
 ], ids=["as_state", "complete_unitary", "build_lcu-split", "build_lcu-coeff",
-        "MpSchedule", "classical_fidelity", "hermitian_propagator",
-        "HamiltonianDecomposition"])
+        "classical_fidelity", "hermitian_propagator", "HamiltonianDecomposition"])
 def test_nan_fails_norm_and_sum_checks(call, message):
-    # each check is a comparison with a tolerance, which NaN must fail, not pass
+    # each check is a finiteness test or a comparison with a tolerance, which
+    # NaN must fail, not pass
     with pytest.raises(ValueError, match=message):
         call()
