@@ -99,8 +99,11 @@ class MpSchedule:
     coefficients: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        its = tuple(int(x) for x in self.iterations)
-        if its != tuple(self.iterations):
+        try:
+            its = tuple(int(x) for x in self.iterations)
+        except (TypeError, ValueError, OverflowError):  # inf, NaN, non-numeric
+            its = None
+        if its is None or its != tuple(self.iterations):
             raise ValueError(f"iteration counts must be integers, got {self.iterations!r}")
         coeffs = tuple(mp_coefficients(its).tolist())
         dev = abs(sum(coeffs) - 1.0)

@@ -28,6 +28,7 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter.linalg import eigenpairs
+from mptrotter.trotter import SYMMETRIC_MIN_DIM
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
 TOL = 1e-13
@@ -268,3 +269,65 @@ def test_non_finite_diagonal_is_rejected(bad):
             hermitian_propagator(h, 1.0)
         with pytest.raises(ValueError, match="finite"):
             HamiltonianDecomposition(terms=(h,))
+
+
+# --- symmetric products of real splits -------------------------------------
+# A real split at d >= SYMMETRIC_MIN_DIM forms its step as Y Y^T and squares
+# its powers as z z^T (BLAS syrk); every other split must keep the palindrome
+# and numpy's matrix_power bit for bit.
+
+
+def real_split(d: int, real_terms: int, diagonal_at: int, rng) -> HamiltonianDecomposition:
+    terms = [structured_hermitian("real", d, rng) for _ in range(real_terms)]
+    terms.insert(diagonal_at, structured_hermitian("diagonal", d, rng))
+    return HamiltonianDecomposition(terms=tuple(terms))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(seed=seeds, d=st.sampled_from([64, 96, 128]), l=st.sampled_from([1, 2, 3, 5, 8, 96]),
+       real_terms=st.integers(1, 2), diagonal_at=st.integers(0, 2), ts=times,
+       stacked=st.booleans())
+def test_real_split_products_match_complex_eigh(seed, d, l, real_terms, diagonal_at, ts,
+                                                stacked):
+    decomp = real_split(d, real_terms, min(diagonal_at, real_terms),
+                        np.random.default_rng(seed))
+    assert d >= SYMMETRIC_MIN_DIM
+    t = np.array(ts) if stacked else ts[0]
+    want = np.linalg.matrix_power(complex_eigh_step(decomp.terms, np.asarray(t) / l), l)
+    got = products(decomp, t, l)
+    assert got.shape == np.shape(t) + (d, d)
+    assert max_dev(got, want) <= STRUCTURE_TOL
+
+
+@pytest.mark.parametrize("diagonal_at", [0, 1])
+@pytest.mark.parametrize("t", [0.9, np.linspace(-3.0, 4.0, 5)])
+def test_real_split_powers_of_two_are_exactly_symmetric(diagonal_at, t):
+    decomp = real_split(SYMMETRIC_MIN_DIM, 1, diagonal_at, np.random.default_rng(5))
+    for l in (1, 2, 4, 8, 16, 32):
+        p = products(decomp, t, l)
+        assert np.array_equal(p, p.swapaxes(-1, -2)), l
+
+
+@pytest.mark.parametrize("d", [4, 32])
+def test_real_split_below_crossover_is_plain_matrix_power(d):
+    assert d < SYMMETRIC_MIN_DIM
+    decomp = real_split(d, 1, 1, np.random.default_rng(d))
+    ts = np.linspace(-2.0, 5.0, 4)
+    for l in range(1, 101):
+        want = np.linalg.matrix_power(second_order_step(decomp, ts / l), l)
+        assert np.array_equal(products(decomp, ts, l), want), l
+
+
+def test_complex_split_keeps_plain_matrix_power():
+    rng = np.random.default_rng(9)
+    d = SYMMETRIC_MIN_DIM
+    decomp = HamiltonianDecomposition(terms=(structured_hermitian("real", d, rng),
+                                             structured_hermitian("complex", d, rng),
+                                             structured_hermitian("diagonal", d, rng)))
+    assert np.iscomplexobj(decomp.eigenpairs[1][1])
+    ts = np.linspace(-2.0, 5.0, 3)
+    for l in (1, 2, 3, 4, 7, 16, 96):
+        want = np.linalg.matrix_power(second_order_step(decomp, ts / l), l)
+        assert np.array_equal(products(decomp, ts, l), want), l
+    assert max_dev(second_order_step(decomp, ts), complex_eigh_step(decomp.terms, ts)) \
+        <= STRUCTURE_TOL

@@ -151,6 +151,20 @@ class TestMpScheduleValidation:
         with pytest.raises(ValueError, match="integers"):
             make_schedule("explicit", iterations=[1.5, 2.7])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), np.inf,
+                                     "abc", None, 1 + 2j])
+    def test_rejects_non_finite_and_non_numeric_iterations(self, bad):
+        # one message for every entry that is not an integer, whatever int() raises
+        with pytest.raises(ValueError, match="iteration counts must be integers"):
+            make_schedule("explicit", iterations=[1, bad])
+        with pytest.raises(ValueError, match="iteration counts must be integers"):
+            MpSchedule((bad,))
+
+    def test_accepts_integral_counts(self):
+        for its in ([1, 2], [1.0, 2.0], [np.int64(1), np.float64(2.0)], (np.int32(2), 4)):
+            s = make_schedule("explicit", iterations=its)
+            assert s.iterations == (its[0], its[1]) and all(type(x) is int for x in s.iterations)
+
     def test_rejects_bad_coefficient_sum(self):
         # near-equal counts: the closed form loses the sum to cancellation
         with pytest.raises(ValueError, match="sum to 1"):

@@ -1,10 +1,20 @@
 """Extended-precision oracle: the spin model's exact propagator and
-second-order step against 50-digit mpmath matrix exponentials."""
+second-order step, and the second-order step of a 6-qubit transverse-field
+Ising split, against 50-digit mpmath exponentials."""
+from functools import reduce
+
 import mpmath
 import numpy as np
 import pytest
 
-from mptrotter import build_spin_hamiltonian, hermitian_propagator, second_order_step, total
+from mptrotter import (
+    HamiltonianDecomposition,
+    build_spin_hamiltonian,
+    hermitian_propagator,
+    second_order_step,
+    total,
+)
+from mptrotter.trotter import SYMMETRIC_MIN_DIM
 
 TOL = 1e-14
 
@@ -28,4 +38,30 @@ def test_spin_model_against_50_digit_exponentials(t):
         half = mp_expm(h1, t / 2.0)
         step = to_complex(half * mp_expm(h2, t) * half)
     assert np.max(np.abs(hermitian_propagator(total(decomp), t) - exact)) <= TOL
+    assert np.max(np.abs(second_order_step(decomp, t) - step)) <= TOL
+
+
+def test_ising_step_against_50_digit_exponentials():
+    # h sum X_i and J sum Z_i Z_{i+1} on an open chain of 6 qubits (d = 64): a
+    # real split, so the library forms the step as Y Y^T. The oracle's half
+    # step is the Kronecker product of one 2x2 exponential per qubit, and the
+    # ZZ step is a diagonal of phases.
+    n, h, j, t = 6, 0.8, 1.1, 0.7
+    d = 2 ** n
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = 1 - 2 * ((np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1)  # z[m, q] = +-1
+    hx = sum(h * reduce(np.kron, [sx if q == i else np.eye(2) for q in range(n)])
+             for i in range(n))
+    zz = j * np.sum(z[:, :-1] * z[:, 1:], axis=1)
+    decomp = HamiltonianDecomposition(terms=(hx, np.diag(zz)))
+    assert d >= SYMMETRIC_MIN_DIM
+    with mpmath.workdps(50):
+        a = mp_expm(h * sx, t / 2.0)
+        bits = (z < 0).astype(int).tolist()
+        # half[r][c] = prod_q a[r_q, c_q], symmetric like a, so its rows are its columns
+        half = [[mpmath.fprod(a[x, y] for x, y in zip(row, col)) for col in bits]
+                for row in bits]
+        phase = [mpmath.expj(-mpmath.mpf(t) * mpmath.mpf(e)) for e in zz.tolist()]
+        scaled = [[x * p for x, p in zip(row, phase)] for row in half]
+        step = np.array([[complex(mpmath.fdot(row, col)) for col in half] for row in scaled])
     assert np.max(np.abs(second_order_step(decomp, t) - step)) <= TOL
