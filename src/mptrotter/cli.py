@@ -89,9 +89,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_evolve(args) -> int:
     config = _config(args.config)
-    one = SweepConfig(model=config.model, initial_state=config.initial_state,
-                      t_grid=(args.t,), algorithms=(args.algo,),
-                      oaa_rounds=config.oaa_rounds)
+    one = dataclasses.replace(config, t_grid=(args.t,), algorithms=(args.algo,))
     row = run_sweep(one)[0]
     # time and algorithm share the first line; missing cells are left out
     lines = [f"{name} = {cell_text(cell)}"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .hamiltonian import DEFAULT_PARAMS, SpinModelParams, build_spin_hamiltonian, total
 from .lcu import amplify, optimal_split
-from .linalg import hermitian_propagator, weighted_sum
+from .linalg import hermitian_propagator, is_integer, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import products
 
@@ -148,7 +148,7 @@ class SweepConfig:
             raise ValueError("time grid entries must be finite")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if int(self.oaa_rounds) != self.oaa_rounds or self.oaa_rounds < 0:
+        if not is_integer(self.oaa_rounds) or self.oaa_rounds < 0:
             raise ValueError(f"oaa_rounds must be a nonnegative integer, got {self.oaa_rounds!r}")
         object.__setattr__(self, "specs",
                            tuple(parse_algorithm(s, self.oaa_rounds) for s in self.algorithms))

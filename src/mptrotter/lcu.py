@@ -39,6 +39,7 @@ from .linalg import (
     ATOL_ALGEBRAIC,
     as_operator,
     as_state,
+    is_integer,
     spectral_norm,
     weighted_sum,
 )
@@ -252,7 +253,7 @@ def apply_oaa(circuit: LcuCircuit, psi, n: int) -> LcuOutcome:
     post-selection amplitude sin(theta), n rounds move the success probability
     to sin^2((2n+1) theta).
     """
-    if int(n) != n or n < 0:
+    if not is_integer(n) or n < 0:
         raise ValueError(f"round count must be a nonnegative integer, got {n!r}")
     return _project(amplify(circuit.block, _data_state(circuit, psi), int(n)))
 
@@ -265,7 +266,7 @@ def predicted_probability(p: float, n: int) -> float:
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    if int(n) != n or n < 0:
+    if not is_integer(n) or n < 0:
         raise ValueError(f"round count must be a nonnegative integer, got {n!r}")
     return sin((2 * int(n) + 1) * asin(p ** 0.5)) ** 2
 

@@ -19,8 +19,17 @@ import numpy as np
 
 # Tolerance for algebraic identities (unitarity, hermiticity, reconstruction).
 ATOL_ALGEBRAIC = 1e-10
-# Tolerance for spectral quantities (norms, eigenvalue-derived checks).
-ATOL_SPECTRAL = 1e-9
+
+
+def is_integer(x) -> bool:
+    """Whether x is a number with an integer value; False for inf, NaN and text.
+
+    Plain Python, so per-call checks of counts cost no numpy call.
+    """
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def as_operator(m) -> np.ndarray:

@@ -22,7 +22,7 @@ from math import exp, inf, lgamma, log
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition, total
-from .linalg import as_state, hermitian_propagator, spectral_norm, weighted_sum
+from .linalg import as_state, hermitian_propagator, is_integer, spectral_norm, weighted_sum
 from .trotter import products
 
 COEFF_SUM_TOL = 1e-9
@@ -99,12 +99,9 @@ class MpSchedule:
     coefficients: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        try:
-            its = tuple(int(x) for x in self.iterations)
-        except (TypeError, ValueError, OverflowError):  # inf, NaN, non-numeric
-            its = None
-        if its is None or its != tuple(self.iterations):
+        if not all(map(is_integer, self.iterations)):
             raise ValueError(f"iteration counts must be integers, got {self.iterations!r}")
+        its = tuple(int(x) for x in self.iterations)
         coeffs = tuple(mp_coefficients(its).tolist())
         dev = abs(sum(coeffs) - 1.0)
         if not dev <= COEFF_SUM_TOL:  # NaN fails
@@ -138,9 +135,9 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
     if kind == "modified":
         if a is None or k is None:
             raise ValueError("modified schedule needs a and k")
-        if int(a) != a or a < 1:
+        if not is_integer(a) or a < 1:
             raise ValueError(f"prefactor a must be an integer >= 1, got {a!r}")
-        if int(k) != k or k < 1:
+        if not is_integer(k) or k < 1:
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
         if int(a).bit_length() + int(k) > 1024:  # a * 2^k >= 2^1024 overflows a float
             raise ValueError(f"largest iteration count {a} * 2^{int(k)} overflows a float")
@@ -151,7 +148,7 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
             raise ValueError("original schedule needs gamma and k")
         if not 0 < gamma < inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-        if int(k) != k or k < 2:
+        if not is_integer(k) or k < 2:
             raise ValueError(f"k must be an integer >= 2, got {k!r}")
         try:
             tail = int(round(exp(gamma * int(k))))

@@ -4,23 +4,23 @@
 array gives a stack of operators with the time axes in front. `trotterize` is
 the one-time form.
 
-A real split, whose every term is diagonal or has a real eigenbasis, has
-complex symmetric half-step exponentials A_i(t/2), so its step is
-S_1(t) = Y Y^T with Y = A_1(t/2) ... A_m(t/2), and the step and all its powers
-are complex symmetric. From d = SYMMETRIC_MIN_DIM up such a split forms the
-step as Y Y^T and squares its powers as z z^T, products that numpy hands to
-BLAS syrk, which forms one triangle and mirrors it: the results are exactly
-symmetric. Smaller or complex splits take the palindrome and
-`numpy.linalg.matrix_power`.
+The step is S_1(t) = Y(t/2) Y(-t/2)^dag with Y(s) = A_1(s) ... A_m(s), the
+product of the terms' exponentials. A real split, whose every term is
+diagonal or has a real eigenbasis, has complex symmetric A_i(s), so
+Y(-s)^dag = Y(s)^T and its step and all its powers are complex symmetric.
+From d = SYMMETRIC_MIN_DIM up such a split squares its powers as z z^T, a
+product that numpy hands to BLAS syrk, which forms one triangle and mirrors
+it: the results are exactly symmetric. Smaller or complex splits are raised
+by `numpy.linalg.matrix_power`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import diagonal_matrices, eigen_propagator, phases
+from .linalg import diagonal_matrices, eigen_propagator, is_integer, phases
 
-# Smallest dimension whose real splits take the symmetric products. Time of
+# Smallest dimension whose real splits square their powers as z z^T. Time of
 # z @ z.swapaxes(-1, -2) (syrk) over z @ z (gemm) for complex z, one BLAS
 # thread:
 #   (d, d):  d = 8: 1.08, 16: 1.41, 32: 1.24, 64: 0.88, 128: 0.73, 256: 0.69,
@@ -30,70 +30,55 @@ from .linalg import diagonal_matrices, eigen_propagator, phases
 SYMMETRIC_MIN_DIM = 64
 
 
-def _symmetric(decomp: HamiltonianDecomposition) -> bool:
-    """Whether decomp is a real split at or above SYMMETRIC_MIN_DIM."""
-    return decomp.dim >= SYMMETRIC_MIN_DIM and all(
-        vecs is None or np.isrealobj(vecs) for _, vecs in decomp.eigenpairs)
+def _real(decomp: HamiltonianDecomposition) -> bool:
+    """Whether every term of decomp is diagonal or has a real eigenbasis."""
+    return all(vecs is None or np.isrealobj(vecs) for _, vecs in decomp.eigenpairs)
 
 
 def second_order_step(decomp: HamiltonianDecomposition, t) -> np.ndarray:
-    """Palindromic second-order product S_1(t), for one time or a time array.
+    """Symmetric second-order product S_1(t), for one time or a time array.
 
-    Half-step exponentials of the terms are applied left to right and then
-    right to left, so the product is symmetric under t -> -t up to conjugation
-    and its error per step is O(t^3). Exact when all terms commute. The two
-    half steps of the last term meet in the middle and are taken as one full
-    step; every exponential is a phase scaling of the term's cached
-    eigenbasis. A diagonal term stays a vector of phases that scales the rows
-    and columns of the product, so a product of diagonal terms is a diagonal
-    until the end. A real split with a dense term at d >= SYMMETRIC_MIN_DIM
-    is formed as Y Y^T instead (see the module docstring). Every time must be
-    finite.
+    S_1(t) = A_1(t/2) ... A_m(t/2) A_m(t/2) ... A_1(t/2), formed as
+    Y(t/2) Y(-t/2)^dag: one product Y Y^T for a real split, and Y built a
+    second time at -t/2 for a complex one. The step is symmetric under
+    t -> -t up to conjugation, its error per step is O(t^3), and it is exact
+    when all terms commute. Every time must be finite.
     """
     ts = np.asarray(t, dtype=float)
     if not np.isfinite(ts).all():
         raise ValueError(f"time must be finite, got {t!r}")
-    pairs = decomp.eigenpairs
-    if _symmetric(decomp) and any(vecs is not None for _, vecs in pairs):
-        return _symmetric_step(pairs, ts / 2.0)
-    *outer, (w, vecs) = pairs
-    # out holds the diagonal of the product while `diagonal` is set
-    diagonal = vecs is None
-    out = phases(w, ts) if diagonal else eigen_propagator(w, vecs, ts)
-    for w, vecs in reversed(outer):
-        if vecs is None:
-            half = phases(w, ts / 2.0)
-            out = half * out * half if diagonal else half[..., :, None] * out * half[..., None, :]
-        else:
-            half = eigen_propagator(w, vecs, ts / 2.0)
-            out = (half * out[..., None, :]) @ half if diagonal else half @ out @ half
-            diagonal = False
-    return diagonal_matrices(out) if diagonal else out
+    y = _half_product(decomp, ts / 2.0)
+    if y.ndim == ts.ndim + 1:  # every term diagonal: Y is a diagonal, S_1 = Y^2
+        return diagonal_matrices(y * y)
+    if _real(decomp):
+        return y @ y.swapaxes(-1, -2)
+    return y @ _half_product(decomp, -ts / 2.0).conj().swapaxes(-1, -2)
 
 
-def _symmetric_step(pairs, half_ts: np.ndarray) -> np.ndarray:
-    """Y Y^T for Y = A_1 ... A_m, the half-step exponentials of a real split.
+def _half_product(decomp: HamiltonianDecomposition, s: np.ndarray) -> np.ndarray:
+    """Y(s) = A_1(s) ... A_m(s), or the diagonal of Y when every term is diagonal.
 
-    Diagonal terms scale the columns of Y in place, or its rows while no
-    dense term has come; Y Y^T is one syrk product.
+    Each A_i is a phase scaling of the term's cached eigenbasis. A diagonal
+    term is never made a matrix: it scales the columns of Y, or its rows while
+    no dense term has come.
     """
     y = diag = None
-    for w, vecs in pairs:
+    for w, vecs in decomp.eigenpairs:
         if vecs is None:
-            p = phases(w, half_ts)
+            p = phases(w, s)
             if y is not None:
                 y *= p[..., None, :]
             else:
                 diag = p if diag is None else diag * p
         else:
-            half = eigen_propagator(w, vecs, half_ts)
+            a = eigen_propagator(w, vecs, s)
             if y is not None:
-                y = y @ half
+                y = y @ a
             else:
-                y = half
+                y = a
                 if diag is not None:
                     y *= diag[..., :, None]
-    return y @ y.swapaxes(-1, -2)
+    return diag if y is None else y
 
 
 def products(decomp: HamiltonianDecomposition, ts, l: int) -> np.ndarray:
@@ -102,14 +87,14 @@ def products(decomp: HamiltonianDecomposition, ts, l: int) -> np.ndarray:
     A real split at d >= SYMMETRIC_MIN_DIM squares its powers as z z^T (syrk);
     any other split is raised by `numpy.linalg.matrix_power`.
     """
-    if int(l) != l or l < 1:
+    if not is_integer(l) or l < 1:
         raise ValueError(f"iteration count must be a positive integer, got {l!r}")
     n = int(l)
     z = second_order_step(decomp, np.asarray(ts, dtype=float) / n)
     # binary powering (repeated squaring), O(log l) products, raising each
     # matrix of the stack: faster than a plain product loop at every l, l <= 32
     # included, and within 1e-12 of it for the unitary steps used here
-    if not _symmetric(decomp):
+    if decomp.dim < SYMMETRIC_MIN_DIM or not _real(decomp):
         return np.linalg.matrix_power(z, n)
     # matrix_power's order: bits of l from the lowest, result @ z for each set
     # bit; every z is a power of the step, exactly symmetric, and squared by syrk

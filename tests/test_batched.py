@@ -272,9 +272,9 @@ def test_non_finite_diagonal_is_rejected(bad):
 
 
 # --- symmetric products of real splits -------------------------------------
-# A real split at d >= SYMMETRIC_MIN_DIM forms its step as Y Y^T and squares
-# its powers as z z^T (BLAS syrk); every other split must keep the palindrome
-# and numpy's matrix_power bit for bit.
+# Every split forms its step as Y(t/2) Y(-t/2)^dag, a real split as Y Y^T. A
+# real split at d >= SYMMETRIC_MIN_DIM squares its powers as z z^T (BLAS
+# syrk); every other split must be raised by numpy's matrix_power bit for bit.
 
 
 def real_split(d: int, real_terms: int, diagonal_at: int, rng) -> HamiltonianDecomposition:

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +186,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="csv or json"):
             SweepConfig(format="xml")
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, float("inf"), float("-inf"), float("nan"), "2"])
+    def test_rejects_bad_oaa_rounds(self, bad):
+        with pytest.raises(ValueError, match="oaa_rounds must be a nonnegative integer"):
+            SweepConfig(oaa_rounds=bad)
+
     def test_rejects_bad_algorithm_early(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             SweepConfig(algorithms=("exact", "nope"))
@@ -220,6 +227,15 @@ class TestSweepConfig:
         assert cfg.initial_state == (0.6 + 0j, 0.8 + 0j, 0j, 0j)
         assert cfg.t_grid == (0.0, 1.0, 2.0)
         assert cfg.format == "json"
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        path = tmp_path / "cfg.json"
+        path.write_text(block)
+        cfg = load_config(path)
+        assert cfg.initial_state == (0.6 + 0j, 0.8 + 0j, 0j, 0j)
+        assert cfg.algorithms == ("exact", "mp:modified:2,4")
 
     def test_load_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"

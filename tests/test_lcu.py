@@ -192,6 +192,9 @@ class TestOaa:
         circ = build_lcu([1.0], [np.eye(2)])
         with pytest.raises(ValueError, match="nonnegative integer"):
             apply_oaa(circ, np.array([1.0, 0.0]), -1)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="round count must be a nonnegative integer"):
+                apply_oaa(circ, np.array([1.0, 0.0]), bad)
 
 
 class TestPredictedProbability:
@@ -217,6 +220,9 @@ class TestPredictedProbability:
             predicted_probability(-0.1, 1)
         with pytest.raises(ValueError, match="nonnegative integer"):
             predicted_probability(0.5, -1)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="round count must be a nonnegative integer"):
+                predicted_probability(0.5, bad)
 
 
 class TestOaaErrorReport:

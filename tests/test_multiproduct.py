@@ -137,6 +137,13 @@ class TestMakeSchedule:
             make_schedule("modified", k=3)
         with pytest.raises(ValueError, match="integer >= 1"):
             make_schedule("modified", a=0, k=3)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="prefactor a must be an integer >= 1"):
+                make_schedule("modified", a=bad, k=3)
+            with pytest.raises(ValueError, match="k must be an integer >= 1"):
+                make_schedule("modified", a=1, k=bad)
+            with pytest.raises(ValueError, match="k must be an integer >= 2"):
+                make_schedule("original", gamma=1.0, k=bad)
         with pytest.raises(ValueError, match="gamma must be positive"):
             make_schedule("original", gamma=-1.0, k=3)
         with pytest.raises(ValueError, match="needs the iteration list"):

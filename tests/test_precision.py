@@ -1,6 +1,7 @@
 """Extended-precision oracle: the spin model's exact propagator and
-second-order step, and the second-order step of a 6-qubit transverse-field
-Ising split, against 50-digit mpmath exponentials."""
+second-order step, the second-order step of a 6-qubit transverse-field Ising
+split, and the step of a complex split with a diagonal term, against 50-digit
+mpmath exponentials."""
 from functools import reduce
 
 import mpmath
@@ -15,6 +16,7 @@ from mptrotter import (
     total,
 )
 from mptrotter.trotter import SYMMETRIC_MIN_DIM
+from tests.conftest import random_hermitian
 
 TOL = 1e-14
 
@@ -65,3 +67,21 @@ def test_ising_step_against_50_digit_exponentials():
         scaled = [[x * p for x, p in zip(row, phase)] for row in half]
         step = np.array([[complex(mpmath.fdot(row, col)) for col in half] for row in scaled])
     assert np.max(np.abs(second_order_step(decomp, t) - step)) <= TOL
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0, -2.2])
+def test_complex_split_step_against_50_digit_exponentials(t):
+    # a diagonal, a complex and a real term at d = 4: the library builds
+    # Y = A_1 A_2 A_3 at t/2 and at -t/2 and forms Y(t/2) Y(-t/2)^dag. The
+    # terms' norms are about 3, so the phase roundoff of the eigenbasis
+    # exponentials alone passes TOL near |t| = 17
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((4, 4))
+    terms = (np.diag(rng.standard_normal(4)), random_hermitian(4, rng), (a + a.T) / 2.0)
+    decomp = HamiltonianDecomposition(terms=terms)
+    assert [vecs is None for _, vecs in decomp.eigenpairs] == [True, False, False]
+    assert np.iscomplexobj(decomp.eigenpairs[1][1])
+    with mpmath.workdps(50):
+        halves = [mp_expm(h, t / 2.0) for h in terms]
+        step = reduce(lambda x, y: x * y, halves + halves[::-1])
+    assert np.max(np.abs(second_order_step(decomp, t) - to_complex(step))) <= TOL
