@@ -12,7 +12,7 @@ All domain rejections exit nonzero after a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -22,6 +22,7 @@ from .experiments import (
     ERROR_FLOOR,
     SweepConfig,
     cell_text,
+    config_fields,
     drop_floor,
     emit,
     fit_order,
@@ -68,8 +69,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(path: str | None) -> SweepConfig:
-    return load_config(path) if path else SweepConfig()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call to `main`."""
+    return build_parser()
+
+
+def _file_fields(path: str | None) -> dict:
+    """The fields a config file gives a command that replaces its times and algorithms.
+
+    The file is checked first as `sweep` checks it, so it fails with the same
+    error before any command-line value is looked at; algorithms it does not
+    list are not parsed, since they would only be replaced.
+    """
+    if not path:
+        return {}
+    fields = config_fields(path)
+    SweepConfig(**{"algorithms": (), **fields})
+    return fields
 
 
 def _cmd_coeffs(args) -> int:
@@ -88,8 +105,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    config = _config(args.config)
-    one = dataclasses.replace(config, t_grid=(args.t,), algorithms=(args.algo,))
+    fields = _file_fields(args.config)
+    one = SweepConfig(**{**fields, "t_grid": (args.t,), "algorithms": (args.algo,)})
     row = run_sweep(one)[0]
     # time and algorithm share the first line; missing cells are left out
     lines = [f"{name} = {cell_text(cell)}"
@@ -102,7 +119,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config(args.config)
+    config = load_config(args.config) if args.config else SweepConfig()
     out = args.out or config.output_path
     if not out:
         raise ValueError("no output path: pass --out or set 'output' in the config")
@@ -114,14 +131,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    config = _config(args.config)
+    fields = _file_fields(args.config)
     if args.points < 4:
         raise ValueError(f"need at least 4 points, got {args.points}")
     if not (0 < args.tmin < args.tmax):
         raise ValueError(f"need 0 < tmin < tmax, got {args.tmin}, {args.tmax}")
     ts = np.geomspace(args.tmin, args.tmax, args.points)
-    config = dataclasses.replace(config, algorithms=(f"mp:modified:1,{args.k}",),
-                                 t_grid=tuple(ts))
+    config = SweepConfig(**{**fields, "algorithms": (f"mp:modified:1,{args.k}",),
+                            "t_grid": tuple(ts)})
     exact, (kept,) = sweep_states(config)
     errs, _ = state_errors(exact, kept)
     kept_t, kept_e = drop_floor(ts, errs, args.floor)
@@ -146,7 +163,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -19,6 +19,7 @@ comma-separated list like "1,2,3,96".
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,6 +221,16 @@ def load_config(path) -> SweepConfig:
     Every value is type-checked, so a malformed config fails with a
     ValueError naming the key rather than a TypeError deeper down.
     """
+    return SweepConfig(**config_fields(path))
+
+
+def config_fields(path) -> dict:
+    """The SweepConfig keyword arguments a flat JSON config file gives.
+
+    Each value is type-checked as `load_config` describes; the SweepConfig
+    checks are left to its construction. algorithms is present only when the
+    file lists them, so a caller that replaces them never parses the defaults.
+    """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -234,18 +245,20 @@ def load_config(path) -> SweepConfig:
                   for a in _config_value(raw, "initial_state", [], (list,), "a list"))
     grid = tuple(_real(t, "every t_grid entry")
                  for t in _config_value(raw, "t_grid", [], (list,), "a list"))
-    algorithms = _config_value(raw, "algorithms", list(DEFAULT_ALGORITHMS), (list,), "a list")
+    algorithms = _config_value(raw, "algorithms", [], (list,), "a list")
     if not all(isinstance(a, str) for a in algorithms):
         raise ValueError(f"config key 'algorithms' must list strings, got {algorithms!r}")
-    return SweepConfig(
+    fields = dict(
         model=model,
         initial_state=state,
         t_grid=grid,
-        algorithms=tuple(algorithms),
         oaa_rounds=_config_value(raw, "oaa_rounds", 1, (int,), "an integer"),
         output_path=_config_value(raw, "output", None, (str, type(None)), "a path string"),
         format=_config_value(raw, "format", "csv", (str,), "a string"),
     )
+    if "algorithms" in raw:
+        fields["algorithms"] = tuple(algorithms)
+    return fields
 
 
 def classical_fidelity(p, q):
@@ -372,19 +385,43 @@ def cell_text(cell) -> str:
     return "" if cell is None else cell if isinstance(cell, str) else f"{cell:.12g}"
 
 
+# One CSV line of a row with every cell present, in cell_text's spelling
+# ("%.12g" equals f"{x:.12g}"); the algorithm name goes in already quoted.
+_CSV_ROW = ",".join("%s" if name == "algo" else "%.12g" for name in COLUMNS) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer spells it among other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # drop the empty field's "," and the newline
+
+
 def emit(rows, format: str, path) -> None:
     """Write rows as CSV or JSON; CSV floats carry 12 significant digits.
 
     Each row is written from its cells, so a degenerate row keeps its time,
     algorithm and success probability and leaves the other columns empty
-    (CSV) or null (JSON).
+    (CSV) or null (JSON). A CSV row with every cell present is formatted in
+    one step, its algorithm name quoted once per name; the others go through
+    csv.writer cell by cell.
     """
     table = [r.cells() for r in rows]
     if format == "csv":
+        algo = COLUMNS.index("algo")
+        quoted = {}
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(COLUMNS)
-            writer.writerows([cell_text(c) for c in cells] for cells in table)
+            for cells in table:
+                if None in cells:
+                    writer.writerow([cell_text(c) for c in cells])
+                    continue
+                name = cells[algo]
+                if name not in quoted:
+                    quoted[name] = _csv_field(name)
+                cells[algo] = quoted[name]
+                fh.write(_CSV_ROW % tuple(cells))
         return
     if format == "json":
         payload = [dict(zip(COLUMNS, cells)) for cells in table]

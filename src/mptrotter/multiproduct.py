@@ -61,8 +61,31 @@ def mp_coefficients(iterations) -> np.ndarray:
             factor[p] = 1.0
             coeffs *= factor
     if not np.isfinite(coeffs).all():
-        raise ValueError(f"coefficients overflow a float for iteration counts up to {ell[-1]:.6g}")
+        # the running product can overflow on the way to a coefficient that
+        # fits (the p < q factors all exceed 1), so only the closed form decides
+        coeffs = _coefficients_from_logs(ell)
+        if not np.isfinite(coeffs).all():
+            raise ValueError(
+                f"coefficients overflow a float for iteration counts up to {ell[-1]:.6g}")
     return coeffs
+
+
+def _coefficients_from_logs(ell: np.ndarray) -> np.ndarray:
+    """The coefficients from their closed-form log magnitudes and signs.
+
+    log|c_q| = sum_{p != q} 2 log L(q) - log|L(q) - L(p)| - log(L(q) + L(p)),
+    and c_q has one sign flip per p > q. Entries whose magnitude exceeds a
+    float come out infinite or NaN.
+    """
+    log_mag = np.zeros(ell.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_ell = np.log(ell)
+        for p in range(ell.size):
+            term = 2.0 * log_ell - np.log(np.abs(ell - ell[p])) - np.log(ell + ell[p])
+            term[p] = 0.0
+            log_mag += term
+        sign = np.where((ell.size - 1 - np.arange(ell.size)) % 2, -1.0, 1.0)
+        return sign * np.exp(log_mag)
 
 
 def _ramp_overflows(n: int, tail: int) -> bool:

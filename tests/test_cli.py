@@ -276,17 +276,63 @@ class TestScaling:
         assert code == 1
         assert "at least 4 points" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"omega": null}', "'omega' must be a number"),
+        ('{"initial_state": [1, 1, 0, 0]}', "not normalized"),
+        ('{"algorithms": ["warp"]}', "unknown algorithm 'warp'"),
+    ])
+    def test_config_error_comes_before_bad_points(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "scaling", "--config", str(path), "--k", "2",
+                                 "--points", "2")
+        assert code == 1
+        assert out == ""
+        assert one_error_line(err)
+        assert message in err
 
-def test_console_entry_point():
-    # the installed console script when present, else `python -m mptrotter`
-    # with this package first on the import path
-    script = shutil.which("mptrotter")
-    command = [script] if script else [sys.executable, "-m", "mptrotter"]
+
+def package_env() -> dict:
+    """The environment with this package first on the import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(mptrotter.__file__).parent.parent)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_console_entry_point():
+    # the installed console script when present, else `python -m mptrotter`
+    script = shutil.which("mptrotter")
+    command = [script] if script else [sys.executable, "-m", "mptrotter"]
     proc = subprocess.run(command + ["coeffs", "--schedule", "1,2"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert "sum c_q = 1" in proc.stdout
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
+    # main builds its parser once per process; no call may see another's
+    # options, so each must behave as it does in a process of its own
+    out = str(tmp_path / "rows")
+    calls = [
+        ["sweep", "--out", out, "--format", "json"],
+        ["sweep", "--out", out],  # no --format: the config's csv
+        ["scaling"],  # usage error: --k missing
+        ["evolve", "--algo", "mp_oaa:modified:2,4", "--t", "3"],
+        ["scaling", "--k", "3", "--tmin", "1", "--tmax", "3"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = Path(out).read_bytes() if argv[0] == "sweep" else None
+        proc = subprocess.run([sys.executable, "-m", "mptrotter", *argv], capture_output=True,
+                              text=True, env=package_env(), cwd=tmp_path)
+        assert (code, captured.out, captured.err) \
+            == (proc.returncode, proc.stdout, proc.stderr), argv
+        if written is not None:
+            assert Path(out).read_bytes() == written, argv
+    assert Path(out).read_text().startswith("t,algo,")

@@ -209,8 +209,12 @@ class TestSweepConfig:
         run_sweep(config)
         assert len(calls) == 2
         assert cli.main(["evolve", "--algo", "mp:modified:2,4", "--t", "1"]) == 0
-        assert len(calls) == 5  # 2 for the default config, 1 for the cell
+        assert len(calls) == 3  # the cell's own spec; the defaults it replaces are not parsed
         assert "fidelity = " in capsys.readouterr().out
+        del calls[:]
+        assert cli.main(["scaling", "--k", "3", "--tmin", "1", "--tmax", "3"]) == 0
+        assert len(calls) == 1
+        assert "fitted order = " in capsys.readouterr().out
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -450,3 +454,25 @@ class TestEmit:
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="csv or json"):
             emit([], "yaml", tmp_path / "x")
+
+    def test_csv_matches_csv_writer_cell_by_cell(self, tmp_path):
+        # complete rows take the one-step format, the degenerate row the
+        # cell-by-cell path; both must give csv.writer's bytes
+        rows = self.make_rows() + [
+            SweepRow(2.0, "mp:1,2", None, None, None, None, 0.0, float("nan"), None, True),
+            SweepRow(-0.0, "mp:1,2", 0.25, 0.25, 0.25, 0.25, 1e-300, 5e-324, 1e16),
+            SweepRow(1e16, "mp_oaa:1,2,3,96:2", 1.0, 0.0, -0.0, 0.0, 0.5,
+                     float("inf"), 1.0 / 3.0),
+            SweepRow(3, 'say "hi"', 1, 0, 0, 0, 1, 0, 1),
+        ]
+        path = tmp_path / "fast.csv"
+        emit(rows, "csv", path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(experiments.COLUMNS)
+            for row in rows:
+                writer.writerow([experiments.cell_text(c) for c in row.cells()])
+        assert path.read_bytes() == ref.read_bytes()
+        assert '\n-0,"mp:1,2",0.25,0.25,0.25,0.25,1e-300,4.94065645841e-324,1e+16\n' \
+            in path.read_text()

@@ -103,8 +103,7 @@ class TestMakeSchedule:
         # the closed-form bound on the ramp may only reject what the full
         # product rejects too (some of the others fail the coefficient sum).
         # At k = 872 and tail 1308 the largest coefficient is e^708.5, just
-        # below the float maximum e^709.8; from k = 873 on the running
-        # product overflows for every tail.
+        # below the float maximum e^709.8.
         def overflows(call):
             try:
                 call()
@@ -119,6 +118,40 @@ class TestMakeSchedule:
                 its = list(range(1, k)) + [tail]
                 assert overflows(lambda: make_schedule("original", gamma=gamma, k=k)) \
                     == overflows(lambda: mp_coefficients(its)), (k, tail_over_k)
+
+    @staticmethod
+    def log_abs_coefficients(its) -> np.ndarray:
+        # log|c_q| = sum_{p != q} log L(q)^2 - log|L(q)^2 - L(p)^2|, all pairs at once
+        sq = np.asarray(its, dtype=float) ** 2
+        diff = np.abs(sq[:, None] - sq[None, :])
+        np.fill_diagonal(diff, 1.0)
+        terms = np.log(sq)[:, None] - np.log(diff)
+        np.fill_diagonal(terms, 0.0)
+        return terms.sum(axis=1)
+
+    def test_ramp_whose_coefficients_fit_is_not_called_an_overflow(self):
+        # from k = 873 the running product overflows on the way, yet every
+        # coefficient of this ramp fits: the schedule fails the sum instead
+        k = 873
+        gamma = np.log(873e6) / k
+        its = list(range(1, k)) + [int(round(np.exp(gamma * k)))]
+        log_c = self.log_abs_coefficients(its)
+        assert 600 < log_c.max() < np.log(np.finfo(float).max)
+        coeffs = mp_coefficients(its)
+        normal = log_c > np.log(np.finfo(float).tiny)  # the rest underflow toward 0
+        # an absolute error in log|c| is a relative error in c
+        np.testing.assert_allclose(np.log(np.abs(coeffs[normal])), log_c[normal],
+                                   rtol=0, atol=1e-10)
+        signs = (-1.0) ** np.arange(k - 1, -1, -1)
+        assert np.all(np.sign(coeffs[normal]) == signs[normal])
+        with pytest.raises(ValueError, match="must sum to 1"):
+            make_schedule("original", gamma=gamma, k=k)
+
+    def test_explicit_schedule_that_overflows_says_so(self):
+        its = list(range(1, 1500))
+        assert self.log_abs_coefficients(its).max() > np.log(np.finfo(float).max)
+        with pytest.raises(ValueError, match="overflow"):
+            make_schedule("explicit", iterations=its)
 
     def test_original_tail_collision(self):
         # round(e^{0.1 * 2}) = 1 does not exceed the ramp (1,)
