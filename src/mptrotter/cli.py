@@ -134,8 +134,13 @@ def _cmd_scaling(args) -> int:
     fields = _file_fields(args.config)
     if args.points < 4:
         raise ValueError(f"need at least 4 points, got {args.points}")
+    for name, value in (("tmin", args.tmin), ("tmax", args.tmax)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (0 < args.tmin < args.tmax):
         raise ValueError(f"need 0 < tmin < tmax, got {args.tmin}, {args.tmax}")
+    if not 0 <= args.floor < np.inf:  # NaN fails
+        raise ValueError(f"floor must be a finite nonnegative number, got {args.floor}")
     ts = np.geomspace(args.tmin, args.tmax, args.points)
     config = SweepConfig(**{**fields, "algorithms": (f"mp:modified:1,{args.k}",),
                             "t_grid": tuple(ts)})

@@ -19,6 +19,7 @@ comma-separated list like "1,2,3,96".
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -27,11 +28,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import DEFAULT_PARAMS, SpinModelParams, build_spin_hamiltonian, total
+from .hamiltonian import (
+    DEFAULT_PARAMS,
+    HamiltonianDecomposition,
+    SpinModelParams,
+    build_spin_hamiltonian,
+    total,
+)
 from .lcu import amplify, optimal_split
 from .linalg import hermitian_propagator, is_integer, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
-from .trotter import products
+from .trotter import product_stacks
 
 # State errors at or below this are indistinguishable from double-precision
 # roundoff for the problem sizes here; order fits must drop such points.
@@ -300,22 +307,38 @@ def _outputs(algo: AlgorithmSpec, psi0, exact, stacks) -> np.ndarray:
     return amplify(block, psi0, algo.rounds)
 
 
+@functools.lru_cache(maxsize=8)
+def _spin_model(params: SpinModelParams) -> HamiltonianDecomposition:
+    """The spin model's decomposition for params, built and checked once per process.
+
+    Its terms are diagonalized on first use and cached on it, so a sweep that
+    repeats a model within one process (every sweep and scaling call of a
+    session on one config) neither rebuilds nor rediagonalizes it. The memo
+    is private: its decomposition never leaves this module. Parameters that
+    compare equal share an entry; they differ at most in the sign of a zero,
+    which no state depends on.
+    """
+    return build_spin_hamiltonian(params)
+
+
 def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     """(exact, outputs): the exact states and each algorithm's kept states.
 
     exact is (T, d) over the time grid, and outputs holds one unnormalized
-    (T, d) array per algorithm, in config order. H is diagonalized once per
-    run, each distinct Trotter product is one (T, d, d) stack shared by the
-    algorithms that use it, and each multi-product algorithm runs its circuit
-    block through one stacked amplification.
+    (T, d) array per algorithm, in config order. The model is built, checked
+    and term-diagonalized once per process (see `_spin_model`); each run
+    diagonalizes H once for the exact states and forms the steps of every
+    distinct Trotter product in one stacked call, giving one (T, d, d) stack
+    per product shared by the algorithms that use it. Each multi-product
+    algorithm runs its circuit block through one stacked amplification.
     """
-    decomp = build_spin_hamiltonian(config.model)
+    decomp = _spin_model(config.model)
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     ts = np.asarray(config.t_grid)
     exact = hermitian_propagator(total(decomp), ts) @ psi0
-    stacks = {l: products(decomp, ts, l)
-              for l in sorted({l for a in config.specs for l in a.iterations})}
+    stacks = product_stacks(decomp, ts,
+                            sorted({l for a in config.specs for l in a.iterations}))
     return exact, [_outputs(algo, psi0, exact, stacks) for algo in config.specs]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition, total
 from .linalg import as_state, hermitian_propagator, is_integer, spectral_norm, weighted_sum
-from .trotter import products
+from .trotter import product_stacks
 
 COEFF_SUM_TOL = 1e-9
 # Output states with norm at or below this are treated as a degenerate
@@ -197,8 +197,8 @@ def mp_operator(decomp: HamiltonianDecomposition, t,
                 schedule: MpSchedule) -> np.ndarray:
     """The combined operator M(t); generally non-unitary, equals a plain
     iterated product when k = 1. A time array gives a (T, d, d) stack."""
-    return weighted_sum(schedule.coefficients,
-                        [products(decomp, t, l) for l in schedule.iterations])
+    stacks = product_stacks(decomp, t, schedule.iterations)
+    return weighted_sum(schedule.coefficients, [stacks[l] for l in schedule.iterations])
 
 
 @dataclass(frozen=True)

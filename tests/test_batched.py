@@ -28,7 +28,7 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter.linalg import eigenpairs
-from mptrotter.trotter import SYMMETRIC_MIN_DIM
+from mptrotter.trotter import SYMMETRIC_MIN_DIM, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
 TOL = 1e-13
@@ -313,9 +313,11 @@ def test_real_split_below_crossover_is_plain_matrix_power(d):
     assert d < SYMMETRIC_MIN_DIM
     decomp = real_split(d, 1, 1, np.random.default_rng(d))
     ts = np.linspace(-2.0, 5.0, 4)
+    stacks = product_stacks(decomp, ts, range(1, 101))
     for l in range(1, 101):
         want = np.linalg.matrix_power(second_order_step(decomp, ts / l), l)
         assert np.array_equal(products(decomp, ts, l), want), l
+        assert np.array_equal(stacks[l], want), l
 
 
 def test_complex_split_keeps_plain_matrix_power():
@@ -326,8 +328,57 @@ def test_complex_split_keeps_plain_matrix_power():
                                              structured_hermitian("diagonal", d, rng)))
     assert np.iscomplexobj(decomp.eigenpairs[1][1])
     ts = np.linspace(-2.0, 5.0, 3)
-    for l in (1, 2, 3, 4, 7, 16, 96):
+    counts = (1, 2, 3, 4, 7, 16, 96)
+    stacks = product_stacks(decomp, ts, counts)
+    for l in counts:
         want = np.linalg.matrix_power(second_order_step(decomp, ts / l), l)
         assert np.array_equal(products(decomp, ts, l), want), l
+        assert np.array_equal(stacks[l], want), l
     assert max_dev(second_order_step(decomp, ts), complex_eigh_step(decomp.terms, ts)) \
         <= STRUCTURE_TOL
+
+
+def single_count_product(decomp, t, l):
+    """S_1(t/l)^l from the step at t/l alone, raised one count at a time:
+    matrix_power, or the syrk squaring z z^T for a real split at
+    d >= SYMMETRIC_MIN_DIM."""
+    z = second_order_step(decomp, np.asarray(t, dtype=float) / l)
+    if decomp.dim < SYMMETRIC_MIN_DIM or any(np.iscomplexobj(v) for _, v in decomp.eigenpairs):
+        return np.linalg.matrix_power(z, l)
+    result = None
+    while True:
+        l, bit = divmod(l, 2)
+        if bit:
+            result = z if result is None else result @ z
+        if not l:
+            return result
+        z = z @ z.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("t", [0.7, np.linspace(-2.0, 5.0, 4)], ids=["scalar", "array"])
+@pytest.mark.parametrize("split", ["spin", "real", "complex"])
+def test_product_stacks_equal_single_count_products(split, t):
+    # one stacked step for every count gives each count's products bit for bit
+    rng = np.random.default_rng(13)
+    d = SYMMETRIC_MIN_DIM
+    decomp = {
+        "spin": lambda: build_spin_hamiltonian(),
+        "real": lambda: real_split(d, 1, 1, rng),
+        "complex": lambda: HamiltonianDecomposition(terms=(
+            structured_hermitian("complex", d, rng), structured_hermitian("diagonal", d, rng))),
+    }[split]()
+    counts = (1, 2, 3, 5, 96)
+    stacks = product_stacks(decomp, t, counts)
+    assert list(stacks) == list(counts)
+    for l in counts:
+        want = single_count_product(decomp, t, l)
+        assert want.shape == np.shape(t) + (decomp.dim, decomp.dim)
+        assert np.array_equal(stacks[l], want), l
+        assert np.array_equal(products(decomp, t, l), want), l
+
+
+def test_product_stacks_check_every_count_first(spin_decomp):
+    assert product_stacks(spin_decomp, 0.5, ()) == {}
+    for bad in (0, -2, 2.5, np.nan):
+        with pytest.raises(ValueError, match="positive integer"):
+            product_stacks(spin_decomp, np.array([0.5, np.inf]), (4, bad))

@@ -271,6 +271,26 @@ class TestScaling:
         assert code == 1
         assert "tmin < tmax" in err
 
+    @pytest.mark.parametrize("flag, value", [("--tmin", "nan"), ("--tmax", "inf"),
+                                             ("--tmax", "nan"), ("--tmin", "-inf")])
+    def test_non_finite_bound_is_named(self, flag, value):
+        # rejected before the grid is built, so numpy warns about nothing
+        proc = subprocess.run([sys.executable, "-m", "mptrotter", "scaling", "--k", "2",
+                               f"{flag}={value}"], capture_output=True, text=True,
+                              env=package_env())
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert one_error_line(proc.stderr)
+        assert f"{flag[2:]} must be finite" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-13"])
+    def test_bad_floor(self, capsys, value):
+        code, out, err = run_cli(capsys, "scaling", "--k", "2", f"--floor={value}")
+        assert code == 1
+        assert out == ""
+        assert one_error_line(err)
+        assert "floor must be a finite nonnegative number" in err
+
     def test_too_few_points(self, capsys):
         code, _, err = run_cli(capsys, "scaling", "--k", "2", "--points", "3")
         assert code == 1

@@ -22,13 +22,13 @@ from mptrotter import (
     load_config,
     parse_algorithm,
     parse_schedule_spec,
-    products,
     run_sweep,
     total,
     trotterize,
 )
 from mptrotter import cli, experiments
 from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS
+from mptrotter.trotter import product_stacks
 
 
 class TestClassicalFidelity:
@@ -302,6 +302,25 @@ class TestRunSweep:
         expected = float(np.linalg.norm(acc) ** 2) / sched.abs_coefficient_sum() ** 2
         assert row.success_prob == pytest.approx(expected, abs=1e-12)
 
+    def test_repeated_model_is_built_and_diagonalized_once(self, monkeypatch):
+        # a second sweep on one model diagonalizes only the total H, for its
+        # exact states: the model and its term eigenpairs come from the memo
+        experiments._spin_model.cache_clear()
+        builds, eighs = [], []
+        build, eigh = experiments.build_spin_hamiltonian, np.linalg.eigh
+        monkeypatch.setattr(experiments, "build_spin_hamiltonian",
+                            lambda params: builds.append(params) or build(params))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+        config = SweepConfig(t_grid=(0.5, 2.0))
+        first = run_sweep(config)
+        assert builds == [config.model]
+        assert len(eighs) == 2  # the real term H1 and the total H
+        del eighs[:]
+        assert run_sweep(config) == first
+        assert builds == [config.model]
+        (h,) = eighs
+        assert np.array_equal(h, total(build(config.model)).real)
+
     def test_trotter_state_is_renormalized(self):
         cfg = SweepConfig(t_grid=(9.0,), algorithms=("trotter:12",))
         row = run_sweep(cfg)[0]
@@ -370,12 +389,13 @@ class TestSweepOracle:
                              algorithms=("exact", "mp_oaa:modified:2,4:1"))
         ordinary = run_sweep(config)
 
-        def vanishing_at_second_time(decomp, ts, l):
-            out = products(decomp, ts, l).copy()
-            out[1] = 0.0
-            return out
+        def vanishing_at_second_time(decomp, ts, counts):
+            stacks = {l: out.copy() for l, out in product_stacks(decomp, ts, counts).items()}
+            for out in stacks.values():
+                out[1] = 0.0
+            return stacks
 
-        monkeypatch.setattr(experiments, "products", vanishing_at_second_time)
+        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_second_time)
         rows = run_sweep(config)
         bad = [r for r in rows if r.degenerate]
         assert len(bad) == 1
