@@ -75,6 +75,35 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each `--option value` pair whose value is a negative number
+    written as the one token `--option=value`.
+
+    Before Python 3.13, argparse reads a token that starts with '-' as an
+    option unless it looks like -5 or -.5, so `--t -1e-3` and `--floor -inf`
+    were usage errors while `--t -0.001` ran. Every option takes at most one
+    value and no command has positional arguments, so such a token after an
+    option can only be its value.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and arg.startswith("-")
+                and _is_number(arg)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _file_fields(path: str | None) -> dict:
     """The fields a config file gives a command that replaces its times and algorithms.
 
@@ -168,7 +197,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(_attach_negative_numbers(argv))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -14,7 +14,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ATOL_ALGEBRAIC, as_operator, eigenpairs, kron, spectral_norm
+from .linalg import (
+    ATOL_ALGEBRAIC,
+    as_operator,
+    dyadic_row,
+    eigenpairs,
+    kron,
+    spectral_norm,
+    walsh_transform,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -58,7 +66,11 @@ class HamiltonianDecomposition:
                 )
             if not np.isfinite(h).all():
                 raise ValueError(f"term {i} entries must be finite")
-            dev = spectral_norm(h - h.conj().T)
+            g = dyadic_row(h)
+            # a dyadic term's H - H^dag is the dyadic matrix of the row 2i Im g,
+            # whose norm is its largest Walsh coefficient: 0 exactly for real g
+            dev = (spectral_norm(h - h.conj().T) if g is None
+                   else 2.0 * float(np.abs(walsh_transform(g.imag)).max()))
             if not dev < ATOL_ALGEBRAIC:  # NaN fails
                 raise ValueError(f"term {i} is not Hermitian: ||H - H^dag|| = {dev:.3e}")
         object.__setattr__(self, "terms", coerced)
@@ -69,8 +81,10 @@ class HamiltonianDecomposition:
 
         Every propagator of a term is then a phase scaling of the same basis.
         The basis is the cheapest `linalg.eigenpairs` finds: None for a
-        diagonal term, whose propagators are its phases on the diagonal; real
-        eigenvectors for a real term; complex ones otherwise.
+        diagonal term, whose propagators are its phases on the diagonal; the
+        marker `linalg.WALSH` for a dyadic term (a sum of X-strings), whose
+        propagators come from its Walsh spectrum; real eigenvectors for a real
+        term; complex ones otherwise.
         """
         return tuple(eigenpairs(h) for h in self.terms)
 

@@ -9,9 +9,17 @@ takes one time or an array of times.
 
 `eigenpairs` is the one place a matrix is diagonalized, and it picks the
 cheapest basis the matrix allows: the eigenvectors are None for a diagonal
-matrix (its propagators are phases on the diagonal), a real array for a real
-symmetric one (diagonalized and multiplied in real arithmetic), and a complex
-array otherwise.
+matrix (its propagators are phases on the diagonal), the marker WALSH for a
+dyadic one, a real array for a real symmetric one (diagonalized and multiplied
+in real arithmetic), and a complex array otherwise.
+
+A matrix h of dimension d = 2^n is dyadic when h[i, j] = g[i ^ j] for every
+i, j, with g = h[0]; every combination of X-strings (tensor products of Pauli
+X and identities) is one. The Walsh-Hadamard matrix W[i, k] = (-1)^|i & k|,
+with |m| the number of 1 bits of m, diagonalizes it: h = W diag(W g) W / d.
+So its spectrum is the transform W g, its propagator is
+exp(-i h t)[i, j] = f[i ^ j] with f = W exp(-i t W g) / d, and W is never
+formed: the transform takes O(d log d) and the gather O(d^2).
 """
 from __future__ import annotations
 
@@ -19,6 +27,10 @@ import numpy as np
 
 # Tolerance for algebraic identities (unitarity, hermiticity, reconstruction).
 ATOL_ALGEBRAIC = 1e-10
+
+# The eigenvector slot of a dyadic matrix's eigenpairs: its eigenvectors are
+# the columns of the Walsh-Hadamard matrix, which is never formed.
+WALSH = "walsh"
 
 
 def is_integer(x) -> bool:
@@ -96,16 +108,58 @@ def hermitian_propagator(h, t) -> np.ndarray:
     return eigen_propagator(*eigenpairs(a), t)
 
 
-def eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def xor_index(d: int) -> np.ndarray:
+    """The (d, d) array of i ^ j."""
+    i = np.arange(d)
+    return np.bitwise_xor.outer(i, i)
+
+
+def walsh_transform(a: np.ndarray) -> np.ndarray:
+    """W a along the last axis of a, whose length d is a power of two.
+
+    W[i, k] = (-1)^|i & k| is the unnormalized Walsh-Hadamard matrix (W W = d I);
+    the transform is log2(d) butterfly passes of sums and differences.
+    """
+    shape = a.shape
+    d = shape[-1]
+    h = d // 2
+    while h:
+        x = a.reshape(shape[:-1] + (d // (2 * h), 2, h))
+        a = np.empty_like(x)
+        np.add(x[..., 0, :], x[..., 1, :], out=a[..., 0, :])
+        np.subtract(x[..., 0, :], x[..., 1, :], out=a[..., 1, :])
+        h //= 2
+    return a.reshape(shape)
+
+
+def dyadic_row(h: np.ndarray) -> np.ndarray | None:
+    """g = h[0] when h[i, j] = g[i ^ j] exactly for every i, j; None otherwise.
+
+    Such an h is dyadic, and its dimension is a power of two above 1. Its
+    diagonal is g[0] throughout, so most other matrices are rejected in O(d)
+    before the O(d^2) comparison.
+    """
+    d = h.shape[0]
+    if d < 2 or d & (d - 1) or not (np.diagonal(h) == h[0, 0]).all():
+        return None
+    g = h[0]
+    return g if np.array_equal(h, g[xor_index(d)]) else None
+
+
+def eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | str | None]:
     """(w, vecs): eigenvalues and eigenvector columns of a Hermitian matrix h.
 
     vecs is None when h is diagonal, and w is then its real diagonal in place
-    (not sorted); vecs is real when h is real; otherwise both come from the
-    complex eigendecomposition. h must be a square ndarray already checked to
-    be Hermitian.
+    (not sorted); vecs is WALSH when h is dyadic with a real row g, and w is
+    then the Walsh spectrum W g (not sorted); vecs is real when h is real;
+    otherwise both come from the complex eigendecomposition. h must be a
+    square ndarray already checked to be Hermitian.
     """
     if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
         return np.diagonal(h).real.copy(), None
+    g = dyadic_row(h)
+    if g is not None and not g.imag.any():
+        return walsh_transform(g.real), WALSH
     if not h.imag.any():
         return np.linalg.eigh(h.real)
     return np.linalg.eigh(h)
@@ -124,7 +178,7 @@ def diagonal_matrices(diag: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigen_propagator(w: np.ndarray, vecs: np.ndarray | None, t) -> np.ndarray:
+def eigen_propagator(w: np.ndarray, vecs: np.ndarray | str | None, t) -> np.ndarray:
     """exp(-i h t) from the eigenpairs (w, vecs) of h, as `eigenpairs` gives them.
 
     A scalar t gives one (d, d) matrix; an array of times gives the stack of
@@ -133,6 +187,11 @@ def eigen_propagator(w: np.ndarray, vecs: np.ndarray | None, t) -> np.ndarray:
     p = phases(w, t)
     if vecs is None:
         return diagonal_matrices(p)
+    if vecs is WALSH:
+        # W diag(p) W / d is dyadic: entry (i, j) is f[i ^ j] with f = W p / d,
+        # so the propagator is exactly complex symmetric
+        d = p.shape[-1]
+        return (walsh_transform(p) / d)[..., xor_index(d)]
     if np.isrealobj(vecs):
         # with V real, the transpose of V diag(p) V^T is one real product: V
         # times diag(p) V^T read as a real array of (re, im) column pairs. The

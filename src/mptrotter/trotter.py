@@ -7,7 +7,7 @@ iteration counts from one stacked step.
 
 The step is S_1(t) = Y(t/2) Y(-t/2)^dag with Y(s) = A_1(s) ... A_m(s), the
 product of the terms' exponentials. A real split, whose every term is
-diagonal or has a real eigenbasis, has complex symmetric A_i(s), so
+diagonal, dyadic or has a real eigenbasis, has complex symmetric A_i(s), so
 Y(-s)^dag = Y(s)^T and its step and all its powers are complex symmetric.
 From d = SYMMETRIC_MIN_DIM up such a split squares its powers as z z^T, a
 product that numpy hands to BLAS syrk, which forms one triangle and mirrors
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import diagonal_matrices, eigen_propagator, is_integer, phases
+from .linalg import WALSH, diagonal_matrices, eigen_propagator, is_integer, phases
 
 # Smallest dimension whose real splits square their powers as z z^T. Time of
 # z @ z.swapaxes(-1, -2) (syrk) over z @ z (gemm) for complex z, one BLAS
@@ -32,8 +32,9 @@ SYMMETRIC_MIN_DIM = 64
 
 
 def _real(decomp: HamiltonianDecomposition) -> bool:
-    """Whether every term of decomp is diagonal or has a real eigenbasis."""
-    return all(vecs is None or np.isrealobj(vecs) for _, vecs in decomp.eigenpairs)
+    """Whether every term of decomp is diagonal, dyadic or has a real eigenbasis."""
+    return all(vecs is None or vecs is WALSH or np.isrealobj(vecs)
+               for _, vecs in decomp.eigenpairs)
 
 
 def second_order_step(decomp: HamiltonianDecomposition, t) -> np.ndarray:
@@ -59,7 +60,8 @@ def second_order_step(decomp: HamiltonianDecomposition, t) -> np.ndarray:
 def _half_product(decomp: HamiltonianDecomposition, s: np.ndarray) -> np.ndarray:
     """Y(s) = A_1(s) ... A_m(s), or the diagonal of Y when every term is diagonal.
 
-    Each A_i is a phase scaling of the term's cached eigenbasis. A diagonal
+    Each A_i is a phase scaling of the term's cached eigenbasis, or for a
+    dyadic term a gather from the transform of its phases. A diagonal
     term is never made a matrix: it scales the columns of Y, or its rows while
     no dense term has come.
     """

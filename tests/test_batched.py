@@ -4,8 +4,8 @@ the structured eigenbases of the propagator and product layers.
 Each stacked result must equal the scalar result at every time within 1e-13,
 and a non-finite time anywhere in an array must be rejected. Amplification is
 also checked against the singular-value form of its Chebyshev polynomial.
-Propagators and products of diagonal, real and complex terms must agree with
-the complex eigendecomposition written out here within 1e-12.
+Propagators and products of diagonal, dyadic, real and complex terms must
+agree with the complex eigendecomposition written out here within 1e-12.
 """
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from mptrotter import (
     total,
     trotterize,
 )
-from mptrotter.linalg import eigenpairs
+from mptrotter.linalg import WALSH, eigenpairs, xor_index
 from mptrotter.trotter import SYMMETRIC_MIN_DIM, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
@@ -177,22 +177,28 @@ def complex_eigh_step(terms, t):
 def structured_hermitian(kind: str, d: int, rng) -> np.ndarray:
     if kind == "diagonal":
         return np.diag(rng.standard_normal(d)).astype(complex)
+    if kind == "dyadic":  # h[i, j] = g[i ^ j] with g real; d a power of two
+        return rng.standard_normal(d)[xor_index(d)].astype(complex)
     if kind == "real":
         a = rng.standard_normal((d, d))
         return ((a + a.T) / 2.0).astype(complex)
     return random_hermitian(d, rng)
 
 
-kinds = st.sampled_from(["diagonal", "real", "complex"])
+kinds = st.sampled_from(["diagonal", "dyadic", "real", "complex"])
 
 
 @PROPERTY
 @given(kind=kinds, seed=seeds, d=st.integers(1, 16), ts=times, stacked=st.booleans())
 def test_structured_propagator_matches_complex_eigh(kind, seed, d, ts, stacked):
+    if kind == "dyadic":
+        d = 1 << (d.bit_length() - 1)  # the power of two at or below d
     h = structured_hermitian(kind, d, np.random.default_rng(seed))
     w, vecs = eigenpairs(h)
     if kind == "diagonal" or d == 1:
         assert vecs is None
+    elif kind == "dyadic":
+        assert vecs is WALSH
     elif kind == "real":
         assert vecs.dtype == np.float64
     t = np.array(ts) if stacked else ts[0]
@@ -232,7 +238,7 @@ def test_ising_split_matches_complex_eigh():
     hzz = sum(site(SIGMA_Z, i) @ site(SIGMA_Z, i + 1) for i in range(7))
     decomp = HamiltonianDecomposition(terms=(hx, hzz))
     (_, x_vecs), (_, zz_vecs) = decomp.eigenpairs
-    assert x_vecs.dtype == np.float64 and zz_vecs is None
+    assert x_vecs is WALSH and zz_vecs is None
     t = 1.3
     for l in (4, 8, 16, 32):
         want = np.linalg.matrix_power(complex_eigh_step((hx, hzz), t / l), l)
@@ -258,6 +264,44 @@ def test_diagonal_term_is_not_diagonalized(monkeypatch):
     assert calls == [np.float64, np.float64]
     hermitian_propagator(random_hermitian(3, np.random.default_rng(0)), 0.5)
     assert calls == [np.float64, np.float64, np.complex128]
+
+
+def test_ising_split_is_not_diagonalized(monkeypatch):
+    # the field term is dyadic and the ZZ term diagonal: neither calls eigh
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.dtype) or eigh(a))
+    n = 6
+    hx = sum(np.kron(np.kron(np.eye(2 ** i), SIGMA_X), np.eye(2 ** (n - 1 - i)))
+             for i in range(n))
+    z = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+    decomp = HamiltonianDecomposition(terms=(hx, np.diag(np.sum(z[:, :-1] * z[:, 1:], axis=1))))
+    assert [vecs for _, vecs in decomp.eigenpairs] == [WALSH, None]
+    second_order_step(decomp, np.linspace(-1.0, 2.0, 3))
+    assert calls == []
+
+
+def test_near_dyadic_matrices_take_the_dense_path():
+    rng = np.random.default_rng(17)
+    h = structured_hermitian("dyadic", 8, rng)
+    # symmetric with a constant diagonal, but h[1, 2] != h[0, 3]
+    h[1, 2] = h[2, 1] = h[1, 2] + 0.5
+    w, vecs = eigenpairs(h)
+    assert vecs.dtype == np.float64
+    assert max_dev(eigen_propagator(w, vecs, 0.8), complex_eigh_propagator(h, 0.8)) \
+        <= STRUCTURE_TOL
+    # a constant diagonal at a dimension that is not a power of two
+    h = np.full((6, 6), 0.25) + np.diag(np.full(6, 0.75))
+    assert eigenpairs(h.astype(complex))[1].dtype == np.float64
+
+
+def test_dyadic_pattern_with_complex_row_is_rejected():
+    g = np.array([1.0, 0.5j, 0.2, 0.0])
+    h = g[xor_index(4)]  # h[0, 1] = h[1, 0] = 0.5j: not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HamiltonianDecomposition(terms=(h,))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_propagator(h, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -104,6 +104,14 @@ class TestEvolve:
         assert code == 0
         assert grab(rf"success_prob = {NUM}", out) > 0.99
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1.0e-3"])
+    def test_negative_time_in_exponent_notation(self, capsys, value):
+        # argparse before Python 3.13 takes -1e-3 for an option, not a value
+        want = run_cli(capsys, "evolve", "--t", "-0.001", "--algo", "exact")
+        assert want[0] == 0 and want[2] == ""
+        assert run_cli(capsys, "evolve", "--t", value, "--algo", "exact") == want
+        assert run_cli(capsys, "evolve", "--algo", "exact", "--t", value) == want
+
     def test_bad_algo(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "--algo", "warp", "--t", "1")
         assert code == 1
@@ -290,6 +298,19 @@ class TestScaling:
         assert out == ""
         assert one_error_line(err)
         assert "floor must be a finite nonnegative number" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--floor", "-1e-13", "floor must be a finite nonnegative number, got -1e-13"),
+        ("--tmin", "-1e-3", "need 0 < tmin < tmax, got -0.001, 0.4"),
+        ("--tmax", "-1e-3", "need 0 < tmin < tmax, got 0.05, -0.001"),
+        ("--tmin", "-inf", "tmin must be finite, got -inf"),
+    ])
+    def test_negative_value_as_separate_token(self, capsys, flag, value, message):
+        # the domain check's one error line, not an argparse usage message
+        code, out, err = run_cli(capsys, "scaling", "--k", "2", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_too_few_points(self, capsys):
         code, _, err = run_cli(capsys, "scaling", "--k", "2", "--points", "3")

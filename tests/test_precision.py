@@ -1,7 +1,7 @@
 """Extended-precision oracle: the spin model's exact propagator and
-second-order step, the second-order step of a 6-qubit transverse-field Ising
-split, and the step of a complex split with a diagonal term, against 50-digit
-mpmath exponentials."""
+second-order step, the propagator of a dyadic sum of X-strings, the
+second-order step of a 6-qubit transverse-field Ising split, and the step of a
+complex split with a diagonal term, against 50-digit mpmath exponentials."""
 from functools import reduce
 
 import mpmath
@@ -15,6 +15,7 @@ from mptrotter import (
     second_order_step,
     total,
 )
+from mptrotter.linalg import WALSH, eigen_propagator, eigenpairs
 from mptrotter.trotter import SYMMETRIC_MIN_DIM
 from tests.conftest import random_hermitian
 
@@ -43,9 +44,25 @@ def test_spin_model_against_50_digit_exponentials(t):
     assert np.max(np.abs(second_order_step(decomp, t) - step)) <= TOL
 
 
+@pytest.mark.parametrize("t", [0.9, np.array([-2.5, 0.3, 4.0])], ids=["scalar", "stacked"])
+def test_dyadic_propagator_against_50_digit_exponentials(t):
+    # X_1 + 0.3 X_1 X_2 + 0.7 X_3 on 3 qubits: h[i, j] = g[i ^ j], exponentiated
+    # from its Walsh spectrum with no basis matrix
+    x, i2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    h = (reduce(np.kron, [x, i2, i2]) + 0.3 * reduce(np.kron, [x, x, i2])
+         + 0.7 * reduce(np.kron, [i2, i2, x]))
+    w, vecs = eigenpairs(h.astype(complex))
+    assert vecs is WALSH
+    for got in (eigen_propagator(w, vecs, t), hermitian_propagator(h, t)):
+        assert got.shape == np.shape(t) + (8, 8)
+        for tk, u in zip(np.atleast_1d(t), got.reshape(-1, 8, 8)):
+            assert np.max(np.abs(u - to_complex(mp_expm(h, tk)))) <= TOL
+
+
 def test_ising_step_against_50_digit_exponentials():
     # h sum X_i and J sum Z_i Z_{i+1} on an open chain of 6 qubits (d = 64): a
-    # real split, so the library forms the step as Y Y^T. The oracle's half
+    # real split of a dyadic and a diagonal term, so the library forms the step
+    # as Y Y^T with no basis matrix at all. The oracle's half
     # step is the Kronecker product of one 2x2 exponential per qubit, and the
     # ZZ step is a diagonal of phases.
     n, h, j, t = 6, 0.8, 1.1, 0.7
@@ -57,6 +74,7 @@ def test_ising_step_against_50_digit_exponentials():
     zz = j * np.sum(z[:, :-1] * z[:, 1:], axis=1)
     decomp = HamiltonianDecomposition(terms=(hx, np.diag(zz)))
     assert d >= SYMMETRIC_MIN_DIM
+    assert decomp.eigenpairs[0][1] is WALSH and decomp.eigenpairs[1][1] is None
     with mpmath.workdps(50):
         a = mp_expm(h * sx, t / 2.0)
         bits = (z < 0).astype(int).tolist()
