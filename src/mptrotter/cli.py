@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file (optional)")
     p.add_argument("--algo", required=True,
                    help="exact | trotter:<l> | mp:<schedule> | mp_oaa:<schedule>[:<rounds>]")
-    p.add_argument("--t", required=True, type=float, help="evolution time")
+    p.add_argument("--t", required=True, help="evolution time")
 
     p = sub.add_parser("sweep", help="run the full time sweep")
     p.add_argument("--config", default=None, help="JSON config file (optional)")
@@ -60,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="fit the state-error convergence order")
     p.add_argument("--config", default=None, help="JSON config file (optional)")
-    p.add_argument("--k", required=True, type=int, help="number of product terms")
-    p.add_argument("--tmin", type=float, default=0.05)
-    p.add_argument("--tmax", type=float, default=0.4)
-    p.add_argument("--points", type=int, default=13)
-    p.add_argument("--floor", type=float, default=ERROR_FLOOR,
+    p.add_argument("--k", required=True, help="number of product terms")
+    p.add_argument("--tmin", default=0.05)
+    p.add_argument("--tmax", default=0.4)
+    p.add_argument("--points", default=13)
+    p.add_argument("--floor", default=ERROR_FLOOR,
                    help="drop errors at or below this before fitting")
     return parser
 
@@ -104,6 +104,23 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
     return out
 
 
+def _numbers(args, kind, *names) -> list:
+    """The values of the options `names` of args, converted by kind (float or int).
+
+    Numeric options are read as text and converted here, so a malformed one
+    is a domain error naming the option, not an argparse usage message.
+    """
+    out = []
+    for name in names:
+        text = getattr(args, name)
+        try:
+            out.append(kind(text))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{name} must be {noun}, got {text!r}") from None
+    return out
+
+
 def _file_fields(path: str | None) -> dict:
     """The fields a config file gives a command that replaces its times and algorithms.
 
@@ -135,7 +152,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_evolve(args) -> int:
     fields = _file_fields(args.config)
-    one = SweepConfig(**{**fields, "t_grid": (args.t,), "algorithms": (args.algo,)})
+    (t,) = _numbers(args, float, "t")
+    one = SweepConfig(**{**fields, "t_grid": (t,), "algorithms": (args.algo,)})
     row = run_sweep(one)[0]
     # time and algorithm share the first line; missing cells are left out
     lines = [f"{name} = {cell_text(cell)}"
@@ -161,23 +179,25 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_scaling(args) -> int:
     fields = _file_fields(args.config)
-    if args.points < 4:
-        raise ValueError(f"need at least 4 points, got {args.points}")
-    for name, value in (("tmin", args.tmin), ("tmax", args.tmax)):
+    k, points = _numbers(args, int, "k", "points")
+    tmin, tmax, floor = _numbers(args, float, "tmin", "tmax", "floor")
+    if points < 4:
+        raise ValueError(f"need at least 4 points, got {points}")
+    for name, value in (("tmin", tmin), ("tmax", tmax)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if not (0 < args.tmin < args.tmax):
-        raise ValueError(f"need 0 < tmin < tmax, got {args.tmin}, {args.tmax}")
-    if not 0 <= args.floor < np.inf:  # NaN fails
-        raise ValueError(f"floor must be a finite nonnegative number, got {args.floor}")
-    ts = np.geomspace(args.tmin, args.tmax, args.points)
-    config = SweepConfig(**{**fields, "algorithms": (f"mp:modified:1,{args.k}",),
+    if not (0 < tmin < tmax):
+        raise ValueError(f"need 0 < tmin < tmax, got {tmin}, {tmax}")
+    if not 0 <= floor < np.inf:  # NaN fails
+        raise ValueError(f"floor must be a finite nonnegative number, got {floor}")
+    ts = np.geomspace(tmin, tmax, points)
+    config = SweepConfig(**{**fields, "algorithms": (f"mp:modified:1,{k}",),
                             "t_grid": tuple(ts)})
     exact, (kept,) = sweep_states(config)
     errs, _ = state_errors(exact, kept)
-    kept_t, kept_e = drop_floor(ts, errs, args.floor)
+    kept_t, kept_e = drop_floor(ts, errs, floor)
     print(f"schedule L = {config.specs[0].iterations}, {len(kept_t)}/{len(ts)} points "
-          f"above floor {args.floor:g}")
+          f"above floor {floor:g}")
     if len(kept_t) < 4:
         raise ValueError(
             "fewer than 4 points above the numerical floor; the error is too small "

@@ -6,6 +6,11 @@ delta, hyperfine-coupled to a nuclear spin: the electron part acts as
 projects onto the excited electron state and weighs the nuclear levels with
 energies e1, e2. Basis order is electron (x) nuclear: |00>, |01>, |10>, |11>,
 so |10> means electron excited, nuclear ground.
+
+A decomposition whose terms are all centrosymmetric (the global spin-flip
+symmetry that both terms of a transverse-field Ising split have) has
+`sectors`: two half-size decompositions whose products `linalg.centro_join`
+joins to the products of the whole split. Each term keeps its structure there.
 """
 from __future__ import annotations
 
@@ -17,8 +22,10 @@ import numpy as np
 from .linalg import (
     ATOL_ALGEBRAIC,
     as_operator,
+    centro_blocks,
     dyadic_row,
     eigenpairs,
+    is_diagonal,
     kron,
     spectral_norm,
     walsh_transform,
@@ -88,12 +95,36 @@ class HamiltonianDecomposition:
         """
         return tuple(eigenpairs(h) for h in self.terms)
 
+    @cached_property
+    def sectors(self) -> tuple[HamiltonianDecomposition, HamiltonianDecomposition] | None:
+        """The (plus, minus) sector decompositions, computed on first use.
+
+        Term i of the plus (minus) sector is the first (second) block
+        `linalg.centro_blocks` gives for term i. None unless every term is
+        centrosymmetric and at least one is not diagonal: a diagonal split
+        gains nothing from the split. The blocks are Hermitian when the terms
+        are, so the sectors are not validated again.
+        """
+        if all(is_diagonal(h) for h in self.terms):
+            return None
+        blocks = [centro_blocks(h) for h in self.terms]
+        if None in blocks:
+            return None
+        return tuple(_unchecked(half) for half in zip(*blocks))
+
     @property
     def dim(self) -> int:
         return self.terms[0].shape[0]
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _unchecked(terms: tuple[np.ndarray, ...]) -> HamiltonianDecomposition:
+    """A decomposition of terms already known to be valid, built without checks."""
+    out = object.__new__(HamiltonianDecomposition)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 def build_spin_hamiltonian(params: SpinModelParams = DEFAULT_PARAMS) -> HamiltonianDecomposition:

@@ -13,22 +13,28 @@ From d = SYMMETRIC_MIN_DIM up such a split squares its powers as z z^T, a
 product that numpy hands to BLAS syrk, which forms one triangle and mirrors
 it: the results are exactly symmetric. Smaller or complex splits are raised
 by `numpy.linalg.matrix_power`.
+
+From d = SYMMETRIC_MIN_DIM up, a split with `sectors` (every term
+centrosymmetric, as both terms of a transverse-field Ising split are) is
+stepped and raised in its two half-size sectors by these same rules, and each
+count's pair of stacks is joined once by `linalg.centro_join`: a quarter of
+the flops of every matrix product. The join keeps the exact symmetry of a
+real split's powers.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import WALSH, diagonal_matrices, eigen_propagator, is_integer, phases
-
-# Smallest dimension whose real splits square their powers as z z^T. Time of
-# z @ z.swapaxes(-1, -2) (syrk) over z @ z (gemm) for complex z, one BLAS
-# thread:
-#   (d, d):  d = 8: 1.08, 16: 1.41, 32: 1.24, 64: 0.88, 128: 0.73, 256: 0.69,
-#            512: 0.60;
-#   stacks:  (61, 4, 4): 1.17, (61, 16, 16): 2.2, (61, 32, 32): 1.30,
-#            (61, 64, 64): 0.99, (8, 128, 128): 0.80, (4, 256, 256): 0.68.
-SYMMETRIC_MIN_DIM = 64
+from .linalg import (
+    SYMMETRIC_MIN_DIM,
+    WALSH,
+    centro_join,
+    diagonal_matrices,
+    eigen_propagator,
+    is_integer,
+    phases,
+)
 
 
 def _real(decomp: HamiltonianDecomposition) -> bool:
@@ -88,7 +94,8 @@ def products(decomp: HamiltonianDecomposition, ts, l: int) -> np.ndarray:
     """S_1(t/l)^l for every time in ts: a (T, d, d) stack for T times.
 
     A real split at d >= SYMMETRIC_MIN_DIM squares its powers as z z^T (syrk);
-    any other split is raised by `numpy.linalg.matrix_power`.
+    any other split is raised by `numpy.linalg.matrix_power`. A split with
+    sectors at d >= SYMMETRIC_MIN_DIM is raised in each sector by these rules.
     """
     return product_stacks(decomp, ts, (l,))[l]
 
@@ -107,6 +114,9 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
     if not counts:
         return {}
     ts = np.asarray(ts, dtype=float)
+    if decomp.dim >= SYMMETRIC_MIN_DIM and decomp.sectors is not None:
+        plus, minus = (product_stacks(half, ts, counts) for half in decomp.sectors)
+        return {l: centro_join(plus[l], minus[l]) for l in counts}
     if len(counts) == 1:
         # one count is stepped at ts / l itself: a stack of one, and holding
         # its step while it is raised, made the d = 256 OAA cell of the

@@ -185,6 +185,14 @@ def structured_hermitian(kind: str, d: int, rng) -> np.ndarray:
     return random_hermitian(d, rng)
 
 
+def ising_split(n: int) -> HamiltonianDecomposition:
+    """h sum X_i and sum Z_i Z_{i+1} on an open chain of n qubits."""
+    hx = sum(np.kron(np.kron(np.eye(2 ** i), SIGMA_X), np.eye(2 ** (n - 1 - i)))
+             for i in range(n))
+    z = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+    return HamiltonianDecomposition(terms=(hx, np.diag(np.sum(z[:, :-1] * z[:, 1:], axis=1))))
+
+
 kinds = st.sampled_from(["diagonal", "dyadic", "real", "complex"])
 
 
@@ -271,11 +279,7 @@ def test_ising_split_is_not_diagonalized(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.dtype) or eigh(a))
-    n = 6
-    hx = sum(np.kron(np.kron(np.eye(2 ** i), SIGMA_X), np.eye(2 ** (n - 1 - i)))
-             for i in range(n))
-    z = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
-    decomp = HamiltonianDecomposition(terms=(hx, np.diag(np.sum(z[:, :-1] * z[:, 1:], axis=1))))
+    decomp = ising_split(6)
     assert [vecs for _, vecs in decomp.eigenpairs] == [WALSH, None]
     second_order_step(decomp, np.linspace(-1.0, 2.0, 3))
     assert calls == []
@@ -426,3 +430,80 @@ def test_product_stacks_check_every_count_first(spin_decomp):
     for bad in (0, -2, 2.5, np.nan):
         with pytest.raises(ValueError, match="positive integer"):
             product_stacks(spin_decomp, np.array([0.5, np.inf]), (4, bad))
+
+
+# --- symmetry sectors of centrosymmetric splits ----------------------------
+# A split whose every term is centrosymmetric, h[i, j] = h[d-1-i, d-1-j], is
+# stepped and raised in its two half-size sectors from d = SYMMETRIC_MIN_DIM
+# up, and so is the propagator of such a matrix that is neither diagonal nor
+# dyadic. Each sector keeps its terms' structure.
+
+
+def centrosymmetric(kind: str, d: int, rng) -> np.ndarray:
+    h = structured_hermitian(kind, d, rng)
+    return (h + h[::-1, ::-1]) / 2.0
+
+
+SECTOR_BASIS = {"diagonal": lambda v: v is None, "dyadic": lambda v: v is WALSH,
+                "real": lambda v: v.dtype == np.float64,
+                "complex": lambda v: v.dtype == np.complex128}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(term_kinds=st.lists(kinds, min_size=1, max_size=3), seed=seeds,
+       d=st.sampled_from([8, 64, 128]), l=st.sampled_from([1, 2, 3, 8]), ts=times,
+       stacked=st.booleans())
+def test_centrosymmetric_split_matches_complex_eigh(term_kinds, seed, d, l, ts, stacked):
+    rng = np.random.default_rng(seed)
+    decomp = HamiltonianDecomposition(
+        terms=tuple(centrosymmetric(kind, d, rng) for kind in term_kinds))
+    if all(kind == "diagonal" for kind in term_kinds):
+        assert decomp.sectors is None
+    else:
+        for sector in decomp.sectors:
+            assert sector.dim == d // 2
+            for kind, (_, vecs) in zip(term_kinds, sector.eigenpairs):
+                assert SECTOR_BASIS[kind](vecs), kind
+    t = np.array(ts) if stacked else ts[0]
+    want = np.linalg.matrix_power(complex_eigh_step(decomp.terms, np.asarray(t) / l), l)
+    got = products(decomp, t, l)
+    assert got.shape == np.shape(t) + (d, d)
+    assert max_dev(got, want) <= STRUCTURE_TOL
+    h = total(decomp)
+    assert max_dev(hermitian_propagator(h, t), complex_eigh_propagator(h, t)) \
+        <= STRUCTURE_TOL
+
+
+def test_ising_sectors_call_no_eigh_and_the_exact_propagator_two_halves(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append((a.dtype, a.shape)) or eigh(a))
+    decomp = ising_split(8)
+    assert [[vecs for _, vecs in sector.eigenpairs] for sector in decomp.sectors] \
+        == [[WALSH, None], [WALSH, None]]
+    products(decomp, 1.3, 8)
+    product_stacks(decomp, np.linspace(0.0, 3.0, 4), (4, 8, 16, 32))
+    assert calls == []
+    hermitian_propagator(total(decomp), np.array([0.4, 1.3]))
+    assert calls == [(np.float64, (128, 128))] * 2
+
+
+@pytest.mark.parametrize("t", [1.3, np.linspace(-3.0, 4.0, 5)])
+def test_ising_powers_of_two_are_exactly_symmetric(t):
+    decomp = ising_split(8)
+    assert decomp.sectors is not None
+    for l in (1, 2, 4, 8, 16, 32):
+        p = products(decomp, t, l)
+        assert np.array_equal(p, p.swapaxes(-1, -2)), l
+
+
+def test_sectors_need_every_term_centrosymmetric():
+    rng = np.random.default_rng(21)
+    d = SYMMETRIC_MIN_DIM
+    centro, other = centrosymmetric("real", d, rng), structured_hermitian("real", d, rng)
+    assert HamiltonianDecomposition(terms=(centro, other)).sectors is None
+    assert HamiltonianDecomposition(terms=(centro,)).sectors is not None
+    assert build_spin_hamiltonian().sectors is None
+    # an odd dimension has no sectors
+    assert HamiltonianDecomposition(terms=(np.ones((5, 5)),)).sectors is None

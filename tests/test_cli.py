@@ -333,6 +333,31 @@ class TestScaling:
         assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--algo", "exact", "--t", "abc"], "t must be a number, got 'abc'"),
+    (["scaling", "--k", "2.5"], "k must be an integer, got '2.5'"),
+    (["scaling", "--k", "-1e3"], "k must be an integer, got '-1e3'"),
+    (["scaling", "--k", "2", "--points", "3.5"], "points must be an integer, got '3.5'"),
+    (["scaling", "--k", "2", "--tmin", "x"], "tmin must be a number, got 'x'"),
+    (["scaling", "--k", "2", "--floor="], "floor must be a number, got ''"),
+])
+def test_malformed_number_is_one_error_line(capsys, argv, message):
+    # options are read as text and converted by the command, so a malformed
+    # number is the command's one error line, not argparse's usage message
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--algo", "exact"], ["scaling"]])
+def test_missing_required_number_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+
+
 def package_env() -> dict:
     """The environment with this package first on the import path."""
     env = dict(os.environ)

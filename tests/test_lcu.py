@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptrotter import (
     apply_lcu,
@@ -52,6 +54,27 @@ class TestOptimalSplit:
     def test_rejects_complex(self):
         with pytest.raises(ValueError, match="must be real"):
             optimal_split([1.0 + 0.5j])
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 8), d=st.integers(2, 8))
+    def test_no_random_feasible_split_beats_optimal(self, seed, k, d):
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-1.0, 1.5, size=k)
+        if np.max(np.abs(c)) < 1e-3:
+            c[0] = 1.0
+        ops = [haar_unitary(d, rng) for _ in range(k)]
+        psi = random_state(d, rng)
+        best = apply_lcu(build_lcu(c, ops), psi).success_probability
+        for _ in range(20):
+            # unit-norm m, m' with m_i m'_i = c_i / z for a random weight vector r
+            r = rng.dirichlet(np.ones(k))
+            r = (r + 1e-4) / (1.0 + k * 1e-4)
+            m = np.sqrt(r) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=k))
+            z = np.sqrt(np.sum(c ** 2 / r))
+            split = (m, c / (z * m))
+            prob = apply_lcu(build_lcu(c, ops, split=split), psi).success_probability
+            assert prob <= best + 1e-12
 
 
 class TestBuildLcu:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptrotter import (
     ErrorReport,
@@ -63,6 +65,18 @@ class TestCoefficients:
                 if p != q:
                     want[q] *= sq[q] / (sq[q] - sq[p])
         assert mp_coefficients(its).tolist() == want.tolist()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(its=st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=8, unique=True))
+    def test_moment_conditions_random_schedules(self, its):
+        # the combination cancels the error terms t^(2j) / L_q^(2j) for
+        # j = 1..k-1: sum_q c_q L_q^(-2j) = 0 up to roundoff of its terms
+        its = sorted(its)
+        c = mp_coefficients(its)
+        inv_sq = np.asarray(its, dtype=float) ** -2.0
+        for j in range(1, len(its)):
+            terms = c * inv_sq ** j
+            assert abs(terms.sum()) <= 1e-12 * np.abs(terms).sum(), (its, j)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="at least one"):

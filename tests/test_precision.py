@@ -1,7 +1,8 @@
 """Extended-precision oracle: the spin model's exact propagator and
 second-order step, the propagator of a dyadic sum of X-strings, the
-second-order step of a 6-qubit transverse-field Ising split, and the step of a
-complex split with a diagonal term, against 50-digit mpmath exponentials."""
+second-order step of a 6-qubit transverse-field Ising split and its square,
+and the step of a complex split with a diagonal term, against 50-digit mpmath
+exponentials."""
 from functools import reduce
 
 import mpmath
@@ -12,6 +13,7 @@ from mptrotter import (
     HamiltonianDecomposition,
     build_spin_hamiltonian,
     hermitian_propagator,
+    products,
     second_order_step,
     total,
 )
@@ -62,7 +64,8 @@ def test_dyadic_propagator_against_50_digit_exponentials(t):
 def test_ising_step_against_50_digit_exponentials():
     # h sum X_i and J sum Z_i Z_{i+1} on an open chain of 6 qubits (d = 64): a
     # real split of a dyadic and a diagonal term, so the library forms the step
-    # as Y Y^T with no basis matrix at all. The oracle's half
+    # as Y Y^T with no basis matrix at all, and its products in the two
+    # sectors of the global spin flip. The oracle's half
     # step is the Kronecker product of one 2x2 exponential per qubit, and the
     # ZZ step is a diagonal of phases.
     n, h, j, t = 6, 0.8, 1.1, 0.7
@@ -83,8 +86,18 @@ def test_ising_step_against_50_digit_exponentials():
                 for row in bits]
         phase = [mpmath.expj(-mpmath.mpf(t) * mpmath.mpf(e)) for e in zz.tolist()]
         scaled = [[x * p for x, p in zip(row, phase)] for row in half]
-        step = np.array([[complex(mpmath.fdot(row, col)) for col in half] for row in scaled])
+        step = [[mpmath.fdot(row, col) for col in half] for row in scaled]
+        # the step is symmetric too, so its rows are its columns, and so is
+        # its square: one triangle is formed and mirrored
+        squared = np.zeros((d, d), dtype=complex)
+        for r in range(d):
+            for c in range(r, d):
+                squared[r, c] = squared[c, r] = complex(mpmath.fdot(step[r], step[c]))
+        step = np.array([[complex(x) for x in row] for row in step])
     assert np.max(np.abs(second_order_step(decomp, t) - step)) <= TOL
+    # two steps of t, formed in the two 32 x 32 symmetry sectors and joined
+    assert decomp.sectors is not None
+    assert np.max(np.abs(products(decomp, 2.0 * t, 2) - squared)) <= TOL
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 3.0, -2.2])
