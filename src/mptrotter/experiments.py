@@ -326,11 +326,14 @@ def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
 
     exact is (T, d) over the time grid, and outputs holds one unnormalized
     (T, d) array per algorithm, in config order. The model is built, checked
-    and term-diagonalized once per process (see `_spin_model`); each run
-    diagonalizes H once for the exact states and forms the steps of every
-    distinct Trotter product in one stacked call, giving one (T, d, d) stack
-    per product shared by the algorithms that use it. Each multi-product
-    algorithm runs its circuit block through one stacked amplification.
+    and term-diagonalized once per process (see `_spin_model`). Its total H
+    gives the exact states through `hermitian_propagator`, which keeps the
+    spectrum of a matrix that comes a second time in a row: repeated runs on
+    one model diagonalize H twice per process, not once per run. Each run
+    forms the steps of every distinct Trotter product in one stacked call,
+    giving one (T, d, d) stack per product shared by the algorithms that use
+    it. Each multi-product algorithm runs its circuit block through one
+    stacked amplification.
     """
     decomp = _spin_model(config.model)
     psi0 = np.asarray(config.initial_state, dtype=complex)

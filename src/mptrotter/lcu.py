@@ -234,7 +234,13 @@ def amplify(block, psi, n: int) -> np.ndarray:
         block_dag = block.conj().swapaxes(-1, -2)
         prev = -u
         for _ in range(n):
-            u, prev = -2.0 * (2.0 * (block @ (block_dag @ u)) - u) - prev, u
+            # -4 x + 2 u - prev, in place: the same numbers as
+            # -2 (2 x - u) - prev, since scaling by a power of two is exact
+            x = block @ (block_dag @ u)
+            x *= -4.0
+            x += 2.0 * u
+            x -= prev
+            u, prev = x, u
     return u[..., 0] if stacked else u
 
 

@@ -5,7 +5,12 @@ ndarrays; nothing here mutates its inputs. Matrix exponentials go through an
 eigendecomposition, which is exact to roundoff for Hermitian generators at any
 dimension, so no scaling-and-squaring is needed. Callers that exponentiate one
 generator at many times keep its eigenpairs and call `eigen_propagator`, which
-takes one time or an array of times.
+takes one time or an array of times. `hermitian_propagator` keeps them itself
+for the matrix that comes back: it remembers the last matrix it validated by a
+SHA-256 digest of its entries, keeps that matrix's spectra once it comes a
+second time in a row, and from then on neither validates nor diagonalizes it
+again. So the total H of a model is diagonalized twice per process, not once
+per call, while a matrix used once leaves only its 32-byte digest behind.
 
 `eigenpairs` is the one place a matrix is diagonalized, and it picks the
 cheapest basis the matrix allows: the eigenvectors are None for a diagonal
@@ -34,6 +39,8 @@ The split keeps structure: a diagonal h gives the diagonal blocks diag(D[:n]),
 and a dyadic row g gives the dyadic rows g[:n] +- g[::-1][:n].
 """
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -117,16 +124,44 @@ def is_unitary(m, tol: float = ATOL_ALGEBRAIC) -> bool:
     return spectral_norm(a @ a.conj().T - np.eye(a.shape[0])) < tol
 
 
+# (key, spectra) of the last matrix `hermitian_propagator` validated; spectra
+# is None until that matrix comes a second time in a row.
+_last: tuple = (None, None)
+
+
 def hermitian_propagator(h, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition.
 
     Rejects non-finite or non-Hermitian input and non-finite times; the result
     is unitary to roundoff, and negative t gives the inverse. t is one time or
     an array of times, as for `eigen_propagator`.
+
+    The last matrix that passed validation is remembered by its shape and the
+    SHA-256 digest of its complex entries, so any changed bit is another
+    matrix. Its spectra are kept only when it comes a second time in a row
+    (a matrix used once would otherwise hold O(d^2) memory for nothing); while
+    it keeps coming back it is neither validated nor diagonalized again, and
+    the result is bit for bit that of a fresh call.
     """
+    global _last
     a = as_operator(h)
     if not np.isfinite(t).all():
         raise ValueError(f"time must be finite, got {t!r}")
+    key = (a.shape, hashlib.sha256(np.ascontiguousarray(a)).digest())
+    # one read and one write of the memo: a concurrent caller can cost a
+    # diagonalization, but never pair a key with another matrix's spectra
+    last_key, spectra = _last
+    if key != last_key:
+        _check_hermitian(a)
+    if key != last_key or spectra is None:
+        spectra = _spectra(a)
+        _last = (key, spectra if key == last_key else None)
+    props = [eigen_propagator(w, vecs, t) for w, vecs in spectra]
+    return centro_join(*props) if len(props) == 2 else props[0]
+
+
+def _check_hermitian(a: np.ndarray) -> None:
+    """Reject a matrix with a non-finite entry or a skew part of norm >= ATOL_ALGEBRAIC."""
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     skew = a - a.conj().T
@@ -136,11 +171,19 @@ def hermitian_propagator(h, t) -> np.ndarray:
         dev = spectral_norm(skew)
         if not dev < ATOL_ALGEBRAIC:
             raise ValueError(f"matrix is not Hermitian: ||H - H^dag|| = {dev:.3e}")
+
+
+def _spectra(a: np.ndarray) -> tuple:
+    """The eigenpairs of the Hermitian a, or of its two sector blocks.
+
+    A centrosymmetric a of dimension >= SYMMETRIC_MIN_DIM that is neither
+    diagonal nor dyadic gives the (plus, minus) pair of `centro_blocks`.
+    """
     if a.shape[0] >= SYMMETRIC_MIN_DIM and not is_diagonal(a) and dyadic_row(a) is None:
         blocks = centro_blocks(a)
         if blocks is not None:
-            return centro_join(*(eigen_propagator(*eigenpairs(b), t) for b in blocks))
-    return eigen_propagator(*eigenpairs(a), t)
+            return tuple(eigenpairs(b) for b in blocks)
+    return (eigenpairs(a),)
 
 
 def is_diagonal(h: np.ndarray) -> bool:
@@ -178,13 +221,15 @@ def centro_join(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     the same leading axes. Symmetric sector matrices give an exactly
     symmetric result.
     """
-    s, dif = (plus + minus) / 2.0, (plus - minus) / 2.0
-    n = s.shape[-1]
-    out = np.empty(s.shape[:-2] + (2 * n, 2 * n), dtype=s.dtype)
-    out[..., :n, :n] = s
-    out[..., :n, n:] = dif[..., :, ::-1]
-    out[..., n:, :n] = dif[..., ::-1, :]
-    out[..., n:, n:] = s[..., ::-1, ::-1]
+    n = plus.shape[-1]
+    out = np.empty(plus.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(plus, minus))
+    # the top half [S, D J] is formed in place, and the bottom half
+    # [J D, J S J] is that half reversed along both axes
+    top = out[..., :n, :]
+    np.add(plus, minus, out=top[..., :n])
+    np.subtract(plus, minus, out=top[..., n:][..., ::-1])
+    top *= 0.5
+    out[..., n:, :] = top[..., ::-1, ::-1]
     return out
 
 
@@ -290,7 +335,7 @@ def weighted_sum(weights, operators) -> np.ndarray:
     """
     out = np.zeros_like(operators[0], dtype=complex)
     for w, a in zip(weights, operators):
-        out = out + w * a
+        out += w * a
     return out
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mptrotter import build_spin_hamiltonian
+from mptrotter import build_spin_hamiltonian, linalg
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -36,6 +36,13 @@ def taylor_propagator(h: np.ndarray, t: float, pieces: int = 16, terms: int = 40
         term = term @ a / n
         out = out + term
     return np.linalg.matrix_power(out, pieces)
+
+
+@pytest.fixture(autouse=True)
+def forget_last_hamiltonian(monkeypatch):
+    """Start every test with an empty `hermitian_propagator` memo, so a count of
+    diagonalizations does not depend on which tests ran before."""
+    monkeypatch.setattr(linalg, "_last", (None, None))
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ Each stacked result must equal the scalar result at every time within 1e-13,
 and a non-finite time anywhere in an array must be rejected. Amplification is
 also checked against the singular-value form of its Chebyshev polynomial.
 Propagators and products of diagonal, dyadic, real and complex terms must
-agree with the complex eigendecomposition written out here within 1e-12.
+agree with the complex eigendecomposition written out here within 1e-12, and
+a propagator from remembered spectra must equal a fresh one bit for bit.
 """
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mptrotter import (
     total,
     trotterize,
 )
+from mptrotter import linalg
 from mptrotter.linalg import WALSH, eigenpairs, xor_index
 from mptrotter.trotter import SYMMETRIC_MIN_DIM, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
@@ -507,3 +509,113 @@ def test_sectors_need_every_term_centrosymmetric():
     assert build_spin_hamiltonian().sectors is None
     # an odd dimension has no sectors
     assert HamiltonianDecomposition(terms=(np.ones((5, 5)),)).sectors is None
+
+
+# --- the spectrum memo of hermitian_propagator -------------------------------
+# The last matrix validated is remembered by its digest, and its spectra are
+# kept from its second call in a row; every hit must give the fresh result bit
+# for bit, and no input may skip a check it would fail.
+
+MEMO_MATRICES = {
+    "complex": lambda d, rng: structured_hermitian("complex", d, rng),
+    "real": lambda d, rng: structured_hermitian("real", d, rng),
+    "diagonal": lambda d, rng: structured_hermitian("diagonal", d, rng),
+    "dyadic": lambda d, rng: structured_hermitian("dyadic", d, rng),
+    "centro-real": lambda d, rng: centrosymmetric("real", d, rng),
+    "centro-complex": lambda d, rng: centrosymmetric("complex", d, rng),
+}
+MEMO_TIMES = (0.7, np.linspace(-2.0, 3.0, 5))
+
+
+def fresh_propagator(monkeypatch, h, t):
+    """hermitian_propagator(h, t) with nothing remembered; the memo is left empty."""
+    monkeypatch.setattr(linalg, "_last", (None, None))
+    out = hermitian_propagator(h, t)
+    monkeypatch.setattr(linalg, "_last", (None, None))
+    return out
+
+
+def counted_eigh(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+@pytest.mark.parametrize("kind, d", [(kind, d) for kind in MEMO_MATRICES
+                                     for d in (3, 4, 64, 256)
+                                     if not (kind == "dyadic" and d == 3)])
+def test_remembered_spectra_give_the_fresh_propagator_bit_for_bit(monkeypatch, kind, d):
+    h = MEMO_MATRICES[kind](d, np.random.default_rng(d))
+    want = [fresh_propagator(monkeypatch, h, t) for t in MEMO_TIMES]
+    hermitian_propagator(h, 0.1)
+    hermitian_propagator(h, 0.2)
+    assert linalg._last[1] is not None
+    for t, u in zip(MEMO_TIMES, want):
+        got = hermitian_propagator(h.copy(), t)
+        assert got.shape == u.shape and got.tobytes() == u.tobytes()
+
+
+def test_spectra_are_kept_from_the_second_call_in_a_row(monkeypatch):
+    calls = counted_eigh(monkeypatch)
+    h = total(ising_split(8))  # two 128 x 128 sectors
+    for _ in range(2):
+        hermitian_propagator(h, 1.3)
+    assert calls == [(128, 128)] * 4
+    # the same entries in another layout or dtype are the same matrix
+    hermitian_propagator(np.asfortranarray(h.real), 1.3)
+    hermitian_propagator(total(ising_split(8)), np.array([0.4, 1.3]))
+    assert len(calls) == 4
+
+
+def test_alternating_matrices_keep_no_spectra(monkeypatch):
+    calls = counted_eigh(monkeypatch)
+    rng = np.random.default_rng(31)
+    a, b = random_hermitian(5, rng), random_hermitian(5, rng)
+    for h in (a, b, a, b, a):
+        hermitian_propagator(h, 0.5)
+        assert linalg._last[1] is None
+    assert len(calls) == 5
+    hermitian_propagator(a, 0.5)
+    hermitian_propagator(a, 0.5)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "matrix entries must be finite"),
+    (np.inf, "matrix entries must be finite"),
+    (0.5, "matrix is not Hermitian: "),
+    (1e-9, "matrix is not Hermitian: "),
+])
+@pytest.mark.parametrize("d", [4, 64])
+def test_bad_matrix_is_rejected_after_a_good_one_is_remembered(entry, message, d):
+    h = centrosymmetric("real", d, np.random.default_rng(7))
+    want = hermitian_propagator(h, 0.5)
+    for _ in range(2):
+        hermitian_propagator(h, 0.5)
+    bad = h.copy()
+    bad[0, 1] += entry
+    with pytest.raises(ValueError, match=message):
+        hermitian_propagator(bad, 0.5)
+    with pytest.raises(ValueError, match="time must be finite"):
+        hermitian_propagator(h, np.inf)
+    # a rejected matrix leaves the memo as it was
+    assert linalg._last[1] is not None
+    assert hermitian_propagator(h, 0.5).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "diagonal", "dyadic", "centro-real"])
+def test_mutating_a_matrix_or_a_result_changes_no_later_result(monkeypatch, kind):
+    h = MEMO_MATRICES[kind](64, np.random.default_rng(5))
+    original = h.copy()
+    want = fresh_propagator(monkeypatch, h, 0.9)
+    for _ in range(4):
+        u = hermitian_propagator(h, 0.9)
+        assert u.tobytes() == want.tobytes()
+        u[...] = 0.0
+    h[0, 0] += 1.0
+    changed = fresh_propagator(monkeypatch, h.copy(), 0.9)
+    for _ in range(3):
+        assert hermitian_propagator(h, 0.9).tobytes() == changed.tobytes()
+    h[...] = original
+    assert hermitian_propagator(h, 0.9).tobytes() == want.tobytes()

@@ -304,7 +304,8 @@ class TestRunSweep:
 
     def test_repeated_model_is_built_and_diagonalized_once(self, monkeypatch):
         # a second sweep on one model diagonalizes only the total H, for its
-        # exact states: the model and its term eigenpairs come from the memo
+        # exact states: the model and its term eigenpairs come from the memo;
+        # from the third on, `hermitian_propagator` keeps the spectrum of H too
         experiments._spin_model.cache_clear()
         builds, eighs = [], []
         build, eigh = experiments.build_spin_hamiltonian, np.linalg.eigh
@@ -320,6 +321,9 @@ class TestRunSweep:
         assert builds == [config.model]
         (h,) = eighs
         assert np.array_equal(h, total(build(config.model)).real)
+        del eighs[:]
+        assert run_sweep(config) == first
+        assert eighs == []
 
     def test_trotter_state_is_renormalized(self):
         cfg = SweepConfig(t_grid=(9.0,), algorithms=("trotter:12",))
