@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -334,46 +335,124 @@ def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     giving one (T, d, d) stack per product shared by the algorithms that use
     it. Each multi-product algorithm runs its circuit block through one
     stacked amplification.
+
+    Products of about 2**60 steps and more overflow double precision. They
+    are formed with numpy's overflow warnings off, and an algorithm whose
+    kept states or their norms are not finite is rejected with a ValueError
+    naming it.
     """
     decomp = _spin_model(config.model)
     psi0 = np.asarray(config.initial_state, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     ts = np.asarray(config.t_grid)
     exact = hermitian_propagator(total(decomp), ts) @ psi0
-    stacks = product_stacks(decomp, ts,
-                            sorted({l for a in config.specs for l in a.iterations}))
-    return exact, [_outputs(algo, psi0, exact, stacks) for algo in config.specs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = product_stacks(decomp, ts,
+                                sorted({l for a in config.specs for l in a.iterations}))
+        outputs = [_outputs(algo, psi0, exact, stacks) for algo in config.specs]
+        for algo, kept in zip(config.specs, outputs):
+            # a NaN or infinite entry makes its norm NaN or infinite too
+            if not np.isfinite(np.linalg.norm(kept, axis=-1)).all():
+                raise ValueError(
+                    f"algorithm {algo.spec!r} overflows double precision: its kept "
+                    f"states or their norms are not finite (largest iteration "
+                    f"count {max(algo.iterations)})")
+    return exact, outputs
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
+class SweepTable(Sequence):
+    """The rows of a sweep, held column by column.
+
+    Row i is the (t, algorithm) cell i: grid-major, algorithms in config
+    order. t, success_prob, state_error and fidelity are float arrays,
+    degenerate a bool array, algo a tuple of specs, and populations one
+    (rows, d) block; a degenerate row has NaN populations, state error and
+    fidelity. As a sequence the table gives `SweepRow`s, built on first
+    access: indexing gives one row, slicing and `+` a list of rows, and it
+    compares equal to a table or list of equal rows.
+    """
+
+    def __init__(self, t, algo, populations, success_prob, state_error, fidelity,
+                 degenerate) -> None:
+        self.t, self.algo, self.populations = t, algo, populations
+        self.success_prob, self.state_error = success_prob, state_error
+        self.fidelity, self.degenerate = fidelity, degenerate
+
+    @classmethod
+    def from_rows(cls, rows) -> SweepTable:
+        """The table of an iterable of SweepRows; None cells become NaN."""
+        rows = list(rows)
+        cells = np.array([(r.t, r.p00, r.p01, r.p10, r.p11, r.success_prob,
+                           r.state_error, r.fidelity) for r in rows],
+                         dtype=float).reshape(-1, 8)
+        return cls(t=cells[:, 0], algo=tuple(r.algo for r in rows),
+                   populations=cells[:, 1:5], success_prob=cells[:, 5],
+                   state_error=cells[:, 6], fidelity=cells[:, 7],
+                   degenerate=np.array([r.degenerate for r in rows], dtype=bool))
+
+    @functools.cached_property
+    def _rows(self) -> tuple[SweepRow, ...]:
+        """Every row, built on first access and kept, so repeated reads give
+        the same row objects."""
+        missing = (None,) * self.populations.shape[-1]
+        return tuple(SweepRow(t, algo, *(missing if flag else pops), prob, error,
+                              None if flag else fid, flag)
+                     for t, algo, pops, prob, error, fid, flag in zip(
+                         self.t.tolist(), self.algo, self.populations.tolist(),
+                         self.success_prob.tolist(), self.state_error.tolist(),
+                         self.fidelity.tolist(), self.degenerate.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.algo)
+
+    def __getitem__(self, index):
+        got = self._rows[index]
+        return list(got) if isinstance(index, slice) else got
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __add__(self, other):
+        return list(self) + other
+
+    def __eq__(self, other):
+        if isinstance(other, (SweepTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def run_sweep(config: SweepConfig) -> SweepTable:
     """All (t, algorithm) rows of the sweep, grid-major, algorithms in config order.
 
-    The states come from `sweep_states`; kept branches that `state_errors`
-    flags as vanishing give degenerate rows.
+    The states come from `sweep_states` and are scored in one stacked pass
+    over the (T, A, d) kept states; kept branches that `state_errors` flags
+    as vanishing give degenerate rows.
     """
     exact, outputs = sweep_states(config)
+    specs = config.specs
+    kept = (np.stack(outputs, axis=1) if outputs
+            else np.zeros((len(exact), 0, exact.shape[-1]), dtype=complex))
+    errors, degenerate = state_errors(exact[:, None], kept)
+    # the reference itself, not a roundoff-sized error
+    errors[:, [algo.kind == "exact" for algo in specs]] = 0.0
+    norms = np.linalg.norm(kept, axis=-1)
+    prob = np.where([algo.schedule is not None for algo in specs], norms * norms, 1.0)
     p_exact = np.abs(exact) ** 2
     p_exact = p_exact / p_exact.sum(axis=-1, keepdims=True)
-    columns = []
-    for algo, kept in zip(config.specs, outputs):
-        errors, degenerate = state_errors(exact, kept)
-        if algo.kind == "exact":  # the reference itself, not a roundoff-sized error
-            errors = np.zeros_like(errors)
-        norms = np.linalg.norm(kept, axis=-1)
-        prob = norms * norms if algo.schedule else np.ones_like(norms)
-        ok = ~degenerate
-        pops = np.abs(kept[ok]) ** 2
-        pops = pops / pops.sum(axis=-1, keepdims=True)
-        pop_col = [(None,) * kept.shape[-1]] * len(kept)
-        fid_col = [None] * len(kept)
-        for i, pop, fid in zip(np.flatnonzero(ok).tolist(), pops.tolist(),
-                               classical_fidelity(p_exact[ok], pops).tolist()):
-            pop_col[i], fid_col[i] = pop, fid
-        columns.append((algo.spec, pop_col, prob.tolist(), errors.tolist(), fid_col,
-                        degenerate.tolist()))
-    return [SweepRow(t, spec, *pop_col[i], prob[i], errors[i], fid_col[i], flags[i])
-            for i, t in enumerate(config.t_grid)
-            for spec, pop_col, prob, errors, fid_col, flags in columns]
+    ok = ~degenerate
+    pops = np.full(kept.shape, np.nan)
+    fid = np.full(ok.shape, np.nan)
+    kept_pops = np.abs(kept[ok]) ** 2
+    kept_pops /= kept_pops.sum(axis=-1, keepdims=True)
+    pops[ok] = kept_pops
+    # each kept cell against the exact distribution at its time
+    fid[ok] = classical_fidelity(p_exact[np.nonzero(ok)[0]], kept_pops)
+    times, algos, dim = kept.shape
+    return SweepTable(t=np.repeat(np.asarray(config.t_grid), algos),
+                      algo=tuple(algo.spec for algo in specs) * times,
+                      populations=pops.reshape(-1, dim), success_prob=prob.reshape(-1),
+                      state_error=errors.reshape(-1), fidelity=fid.reshape(-1),
+                      degenerate=degenerate.reshape(-1))
 
 
 def fit_order(t_grid, errors) -> float:
@@ -416,41 +495,46 @@ def cell_text(cell) -> str:
 _CSV_ROW = ",".join("%s" if name == "algo" else "%.12g" for name in COLUMNS) + "\n"
 
 
-def _csv_field(text: str) -> str:
-    """text as csv.writer spells it among other fields of a row."""
+def _csv_line(cells) -> str:
+    """One line of cells as csv.writer spells it."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]  # drop the empty field's "," and the newline
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 def emit(rows, format: str, path) -> None:
     """Write rows as CSV or JSON; CSV floats carry 12 significant digits.
 
-    Each row is written from its cells, so a degenerate row keeps its time,
-    algorithm and success probability and leaves the other columns empty
-    (CSV) or null (JSON). A CSV row with every cell present is formatted in
-    one step, its algorithm name quoted once per name; the others go through
-    csv.writer cell by cell.
+    rows is a `SweepTable`, or any iterable of SweepRows, which is made into
+    one first; either way the table is written straight from its columns,
+    in one write. A NaN or None cell is written empty (CSV) or null (JSON),
+    so a degenerate row keeps its time, algorithm and success probability
+    only. A CSV row with every cell present is formatted in one step, its
+    algorithm name quoted once per name; the others go through csv.writer.
     """
-    table = [r.cells() for r in rows]
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {format!r}")
+    table = rows if isinstance(rows, SweepTable) else SweepTable.from_rows(rows)
+    columns = [  # in COLUMNS order
+        table.t.tolist(), table.algo, *table.populations.T.tolist(),
+        table.success_prob.tolist(), table.state_error.tolist(), table.fidelity.tolist()]
+    blank = np.isnan(np.column_stack([table.t, table.populations, table.success_prob,
+                                      table.state_error, table.fidelity])).any(axis=1)
+    # the cells of each row with a blank, None where NaN (NaN != NaN)
+    incomplete = {i: [None if col[i] != col[i] else col[i] for col in columns]
+                  for i in np.flatnonzero(blank).tolist()}
     if format == "csv":
-        algo = COLUMNS.index("algo")
-        quoted = {}
+        # each name as csv.writer spells it among other fields: the line of
+        # [name, ""] without the empty field's "," and the newline
+        quoted = {name: _csv_line([name, ""])[:-2] for name in set(table.algo)}
+        lines = [_CSV_ROW % cells for cells in
+                 zip(columns[0], [quoted[name] for name in table.algo], *columns[2:])]
+        for i, cells in incomplete.items():
+            lines[i] = _csv_line([cell_text(c) for c in cells])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(COLUMNS)
-            for cells in table:
-                if None in cells:
-                    writer.writerow([cell_text(c) for c in cells])
-                    continue
-                name = cells[algo]
-                if name not in quoted:
-                    quoted[name] = _csv_field(name)
-                cells[algo] = quoted[name]
-                fh.write(_CSV_ROW % tuple(cells))
+            fh.write(CSV_HEADER + "\n" + "".join(lines))
         return
-    if format == "json":
-        payload = [dict(zip(COLUMNS, cells)) for cells in table]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-        return
-    raise ValueError(f"format must be csv or json, got {format!r}")
+    records = [dict(zip(COLUMNS, cells)) for cells in zip(*columns)]
+    for i, cells in incomplete.items():
+        records[i] = dict(zip(COLUMNS, cells))
+    Path(path).write_text(json.dumps(records, indent=2) + "\n")

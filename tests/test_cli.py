@@ -402,3 +402,22 @@ def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
         if written is not None:
             assert Path(out).read_bytes() == written, argv
     assert Path(out).read_text().startswith("t,algo,")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["evolve", "--algo", "mp:modified:1,60", "--t", "1"], 2 ** 60),
+    (["evolve", "--algo", f"trotter:{2 ** 62}", "--t", "1"], 2 ** 62),
+    (["scaling", "--k", "60"], 2 ** 60),
+    (["scaling", "--k", "100"], 2 ** 100),
+], ids=["mp-k60", "trotter-2e62", "scaling-k60", "scaling-k100"])
+def test_overflowing_products_are_one_error_line(capsys, argv, count):
+    # in-process, the warnings filter of the test run raises a leaked numpy
+    # RuntimeWarning; the subprocess shows what a user sees
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert one_error_line(err)
+    assert "overflows double precision" in err
+    assert f"largest iteration count {count})" in err
+    proc = subprocess.run([sys.executable, "-m", "mptrotter", *argv], capture_output=True,
+                          text=True, env=package_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

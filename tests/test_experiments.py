@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptrotter import (
     SweepConfig,
@@ -27,7 +29,8 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter import cli, experiments
-from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS
+from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS, sweep_states
+from mptrotter.multiproduct import state_errors
 from mptrotter.trotter import product_stacks
 
 
@@ -371,6 +374,20 @@ MIXED_ALGORITHMS = ("exact", "trotter:1", "mp:original:1.0,3", "mp:1,2,3,96",
 MIXED_STATE = (0.5, 0.5j, -0.5, complex(0.3, 0.4))
 
 
+# With `vanishing_at_second_time` in place of `product_stacks`, the one
+# multi-product cell at t = 1.0 is degenerate.
+DEGENERATE_CONFIG = SweepConfig(t_grid=(0.5, 1.0, 1.5),
+                                algorithms=("exact", "mp_oaa:modified:2,4:1"))
+
+
+def vanishing_at_second_time(decomp, ts, counts):
+    """product_stacks with every product zeroed at the second time."""
+    stacks = {l: out.copy() for l, out in product_stacks(decomp, ts, counts).items()}
+    for out in stacks.values():
+        out[1] = 0.0
+    return stacks
+
+
 class TestSweepOracle:
     @pytest.mark.parametrize("config", [
         SweepConfig(),
@@ -389,16 +406,8 @@ class TestSweepOracle:
             assert np.max(np.abs(np.array(got) - np.array(w[2:]))) <= 1e-12, r
 
     def test_vanishing_block_gives_one_degenerate_row(self, monkeypatch):
-        config = SweepConfig(t_grid=(0.5, 1.0, 1.5),
-                             algorithms=("exact", "mp_oaa:modified:2,4:1"))
+        config = DEGENERATE_CONFIG
         ordinary = run_sweep(config)
-
-        def vanishing_at_second_time(decomp, ts, counts):
-            stacks = {l: out.copy() for l, out in product_stacks(decomp, ts, counts).items()}
-            for out in stacks.values():
-                out[1] = 0.0
-            return stacks
-
         monkeypatch.setattr(experiments, "product_stacks", vanishing_at_second_time)
         rows = run_sweep(config)
         bad = [r for r in rows if r.degenerate]
@@ -410,6 +419,111 @@ class TestSweepOracle:
         assert row.success_prob == 0.0
         assert [r for r in rows if r is not row] == [r for r in ordinary if r.t != 1.0
                                                     or r.algo == "exact"]
+
+
+def scored_one_algorithm_at_a_time(config):
+    """(populations, success_prob, state_error, fidelity, degenerate) of each
+    algorithm, from its `sweep_states` output alone: the per-algorithm
+    reference for `run_sweep`'s stacked scoring. Degenerate cells are NaN."""
+    exact, outputs = sweep_states(config)
+    p_exact = np.abs(exact) ** 2
+    p_exact = p_exact / p_exact.sum(axis=-1, keepdims=True)
+    for algo, kept in zip(config.specs, outputs):
+        errors, degenerate = state_errors(exact, kept)
+        if algo.kind == "exact":
+            errors = np.zeros_like(errors)
+        norms = np.linalg.norm(kept, axis=-1)
+        prob = norms * norms if algo.schedule else np.ones_like(norms)
+        ok = ~degenerate
+        pops = np.full(kept.shape, np.nan)
+        fid = np.full(len(kept), np.nan)
+        kept_pops = np.abs(kept[ok]) ** 2
+        pops[ok] = kept_pops / kept_pops.sum(axis=-1, keepdims=True)
+        fid[ok] = classical_fidelity(p_exact[ok], pops[ok])
+        yield pops, prob, errors, fid, degenerate
+
+
+def assert_scored_as_reference(config):
+    table = run_sweep(config)
+    times, algos = len(config.t_grid), len(config.specs)
+    assert len(table) == times * algos
+    assert table.algo == tuple(config.algorithms) * times
+    assert np.array_equal(table.t, np.repeat(config.t_grid, algos))
+    got = (table.populations.reshape(times, algos, len(config.initial_state)),
+           *(col.reshape(times, algos) for col in (table.success_prob, table.state_error,
+                                                   table.fidelity, table.degenerate)))
+    for a, want in enumerate(scored_one_algorithm_at_a_time(config)):
+        for column, expected in zip(got, want):
+            assert np.array_equal(column[:, a], expected, equal_nan=True)
+
+
+grids = st.lists(st.just(0.0) | st.floats(-60.0, 60.0, allow_nan=False), max_size=20)
+
+
+class TestStackedScoring:
+    def test_default_sweep(self):
+        assert_scored_as_reference(SweepConfig())
+
+    def test_degenerate_cell(self, monkeypatch):
+        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_second_time)
+        assert_scored_as_reference(DEGENERATE_CONFIG)
+        flags = run_sweep(DEGENERATE_CONFIG).degenerate.tolist()
+        assert flags == [False, False, False, True, False, False]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ts=grids, chosen=st.sets(st.sampled_from(DEFAULT_ALGORITHMS)))
+    def test_drawn_grid_and_algorithms(self, ts, chosen):
+        # an empty grid is the default one
+        assert_scored_as_reference(SweepConfig(
+            t_grid=tuple(ts), algorithms=tuple(a for a in DEFAULT_ALGORITHMS if a in chosen)))
+
+
+class TestSweepTable:
+    def test_sequence_of_rows(self):
+        config = SweepConfig(t_grid=(0.0, 1.0, 2.0))
+        table = run_sweep(config)
+        rows = list(table)
+        assert len(table) == len(rows) == 3 * len(DEFAULT_ALGORITHMS)
+        assert all(type(r) is SweepRow for r in rows)
+        assert table[0] == rows[0] and table[-1] == rows[-1]
+        assert table[:4] == rows[:4] and type(table[:4]) is list
+        assert [r.algo for r in table[:4]] == list(DEFAULT_ALGORITHMS)
+        assert table[0] is table[0]  # rows are built once
+        with pytest.raises(IndexError):
+            table[len(rows)]
+        (row,) = run_sweep(SweepConfig(t_grid=(1.0,), algorithms=("mp:1,2",)))
+        assert (row.t, row.algo) == (1.0, "mp:1,2")
+        assert run_sweep(config) == table == rows
+        assert run_sweep(SweepConfig(t_grid=(0.0, 1.0, 2.5))) != table
+        assert table + [row] == rows + [row]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("config", [
+        SweepConfig(),
+        SweepConfig(t_grid=(0.0, 1.0, 2.0, 5.0),
+                    algorithms=("exact", "mp:1,2", "mp_oaa:1,2,3,96:2", "trotter:3",
+                                "mp_oaa:original:1.0,3")),
+        SweepConfig(algorithms=()),
+    ], ids=["default", "mixed", "no-algorithms"])
+    def test_table_and_row_list_write_same_bytes(self, tmp_path, config, fmt):
+        table = run_sweep(config)
+        emit(table, fmt, tmp_path / "table")
+        emit(list(table), fmt, tmp_path / "rows")
+        written = (tmp_path / "table").read_bytes()
+        assert written == (tmp_path / "rows").read_bytes()
+        if not config.algorithms:
+            assert written.decode() == (CSV_HEADER + "\n" if fmt == "csv" else "[]\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_degenerate_table_and_row_list_write_same_bytes(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_second_time)
+        table = run_sweep(DEGENERATE_CONFIG)
+        emit(table, fmt, tmp_path / "table")
+        emit(list(table), fmt, tmp_path / "rows")
+        written = (tmp_path / "table").read_text()
+        assert written == (tmp_path / "rows").read_text()
+        if fmt == "csv":
+            assert written.splitlines()[4] == '1,"mp_oaa:modified:2,4:1",,,,,0,,'
 
 
 class TestEmit:
