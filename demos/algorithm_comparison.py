@@ -13,16 +13,16 @@ ALGOS = (
 
 cfg = SweepConfig(t_grid=tuple(float(t) for t in (5, 10, 15, 20, 25, 30)),
                   algorithms=ALGOS)
-rows = run_sweep(cfg)
+table = run_sweep(cfg)
 
 print("state error against exact evolution")
 print("   t   trotter:96     mp:1,2,3,96    mp:modified:2,4")
 for t in cfg.t_grid:
-    errs = [r.state_error for r in rows if r.t == t]
+    errs = table.state_error[table.t == t]
     print(f"  {t:4.0f}  {errs[0]:.6e}   {errs[1]:.6e}   {errs[2]:.6e}")
 
 print()
 print("the same rows, classical fidelity of the populations")
 for t in cfg.t_grid:
-    fids = [r.fidelity for r in rows if r.t == t]
+    fids = table.fidelity[table.t == t]
     print(f"  t = {t:4.0f}   " + "   ".join(f"{f:.9f}" for f in fids))

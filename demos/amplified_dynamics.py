@@ -17,20 +17,16 @@ def main():
         t_grid=tuple(float(t) for t in np.arange(0.0, 31.0, 5.0)),
         algorithms=("exact", "mp:modified:2,4", "mp_oaa:modified:2,4:1"),
     )
-    rows = run_sweep(cfg)
-    by_t = {}
-    for r in rows:
-        by_t.setdefault(r.t, {})[r.algo] = r
+    table = run_sweep(cfg)
+    exact, mp, oaa = (np.asarray(table.algo) == algo for algo in cfg.algorithms)
+    p00 = table.populations[:, 0]
 
     print("   t    p00(exact)  p00(circuit)  success   success+1 round")
-    for t, group in by_t.items():
-        exact = group["exact"]
-        mp = group["mp:modified:2,4"]
-        oaa = group["mp_oaa:modified:2,4:1"]
-        print(f"  {t:4.0f}   {exact.p00:.8f}  {mp.p00:.8f}    "
-              f"{mp.success_prob:.6f}  {oaa.success_prob:.6f}")
+    for t, p_exact, p_mp, s_mp, s_oaa in zip(table.t[exact], p00[exact], p00[mp],
+                                            table.success_prob[mp], table.success_prob[oaa]):
+        print(f"  {t:4.0f}   {p_exact:.8f}  {p_mp:.8f}    {s_mp:.6f}  {s_oaa:.6f}")
 
-    worst = max(g["mp:modified:2,4"].state_error for g in by_t.values())
+    worst = table.state_error[mp].max()
     print(f"\nworst circuit state error on this grid: {worst:.3e}")
     print("success probabilities barely move with t: they are set by the")
     print("coefficient mass of the schedule, not by the dynamics.")

@@ -18,7 +18,7 @@ print("multi-product state-error orders (theory: 2k + 1)")
 for k, (lo, hi) in windows.items():
     cfg = SweepConfig(t_grid=tuple(np.geomspace(lo, hi, 13)),
                       algorithms=(f"mp:modified:1,{k}",))
-    kept_t, kept_e = drop_floor(cfg.t_grid, [r.state_error for r in run_sweep(cfg)])
+    kept_t, kept_e = drop_floor(cfg.t_grid, run_sweep(cfg).state_error)
     slope = fit_order(kept_t, kept_e)
     print(f"  k = {k}  L = {cfg.specs[0].iterations}  window [{lo}, {hi}]"
           f"  slope = {slope:.3f}  ({len(kept_t)}/{len(cfg.t_grid)} points used)")
@@ -27,4 +27,4 @@ print()
 print("plain second-order product, error vs iteration count at t = 10")
 ls = [12, 24, 48, 96]
 cfg = SweepConfig(t_grid=(10.0,), algorithms=tuple(f"trotter:{l}" for l in ls))
-print(f"  slope = {fit_order(ls, [r.state_error for r in run_sweep(cfg)]):.3f}  (theory -2)")
+print(f"  slope = {fit_order(ls, run_sweep(cfg).state_error):.3f}  (theory -2)")

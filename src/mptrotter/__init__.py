@@ -3,7 +3,7 @@ amplification for small dense quantum systems."""
 
 from .experiments import (
     SweepConfig,
-    SweepRow,
+    SweepTable,
     classical_fidelity,
     default_t_grid,
     drop_floor,
@@ -59,7 +59,7 @@ __all__ = [
     "MpSchedule",
     "SpinModelParams",
     "SweepConfig",
-    "SweepRow",
+    "SweepTable",
     "amplify",
     "apply_lcu",
     "apply_oaa",

@@ -154,13 +154,13 @@ def _cmd_evolve(args) -> int:
     fields = _file_fields(args.config)
     (t,) = _numbers(args, float, "t")
     one = SweepConfig(**{**fields, "t_grid": (t,), "algorithms": (args.algo,)})
-    row = run_sweep(one)[0]
-    # time and algorithm share the first line; missing cells are left out
+    table = run_sweep(one)
+    # time and algorithm share the first line; NaN cells are left out
     lines = [f"{name} = {cell_text(cell)}"
-             for name, cell in zip(COLUMNS, row.cells()) if cell is not None]
+             for name, (cell,) in zip(COLUMNS, table.columns()) if cell == cell]
     print("  ".join(lines[:2]))
     print("\n".join(lines[2:]))
-    if row.degenerate:
+    if table.degenerate[0]:
         print("degenerate post-selection: populations undefined")
     return 0
 
@@ -171,9 +171,9 @@ def _cmd_sweep(args) -> int:
     if not out:
         raise ValueError("no output path: pass --out or set 'output' in the config")
     fmt = args.format or config.format
-    rows = run_sweep(config)
-    emit(rows, fmt, out)
-    print(f"wrote {len(rows)} rows to {out} ({fmt})")
+    table = run_sweep(config)
+    emit(table, fmt, out)
+    print(f"wrote {len(table)} rows to {out} ({fmt})")
     return 0
 
 
@@ -204,6 +204,11 @@ def _cmd_scaling(args) -> int:
             "to measure in double precision on this window, widen [tmin, tmax]"
         )
     slope = fit_order(kept_t, kept_e)
+    if not slope > 0:  # truncation error grows with t; a flat or falling one is roundoff
+        raise ValueError(
+            f"fitted order {slope:.6g} is not positive; the error on this window is "
+            "roundoff, not truncation error, move [tmin, tmax] to larger times"
+        )
     print(f"fitted order = {slope:.6g}")
     return 0
 

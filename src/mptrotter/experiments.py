@@ -22,10 +22,8 @@ import csv
 import functools
 import io
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -166,30 +164,9 @@ class SweepConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
 
-class SweepRow(NamedTuple):
-    """One (t, algorithm) result of a sweep.
-
-    The fields before `degenerate` are the output columns, in order. A
-    degenerate row has None populations and fidelity and a NaN state error.
-    """
-
-    t: float
-    algo: str
-    p00: float | None
-    p01: float | None
-    p10: float | None
-    p11: float | None
-    success_prob: float
-    state_error: float
-    fidelity: float | None
-    degenerate: bool = False
-
-    def cells(self) -> list:
-        """The output columns in order, None where a value is None or NaN."""
-        return [None if v != v else v for v in self[:len(COLUMNS)]]  # NaN != NaN
-
-
-COLUMNS = SweepRow._fields[:SweepRow._fields.index("degenerate")]
+# The output columns of a sweep, in order.
+COLUMNS = ("t", "algo", "p00", "p01", "p10", "p11", "success_prob", "state_error",
+           "fidelity")
 CSV_HEADER = ",".join(COLUMNS)
 
 
@@ -198,12 +175,11 @@ CONFIG_KEYS = ("omega", "delta", "e1", "e2", "initial_state", "t_grid",
 
 
 def _parse_amplitude(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 \
-            and all(isinstance(x, (int, float)) for x in entry):
-        return complex(entry[0], entry[1])
-    raise ValueError(f"amplitudes must be numbers or [re, im] pairs, got {entry!r}")
+    """A bare number or an [re, im] pair; JSON true/false are no numbers."""
+    pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+        raise ValueError(f"amplitudes must be numbers or [re, im] pairs, got {entry!r}")
+    return complex(*pair)
 
 
 def _config_value(raw: dict, key: str, default, types: tuple, what: str):
@@ -360,16 +336,14 @@ def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     return exact, outputs
 
 
-class SweepTable(Sequence):
-    """The rows of a sweep, held column by column.
+class SweepTable:
+    """The result of a sweep, held column by column.
 
-    Row i is the (t, algorithm) cell i: grid-major, algorithms in config
-    order. t, success_prob, state_error and fidelity are float arrays,
+    Entry i of each column is the (t, algorithm) cell i: grid-major,
+    algorithms in config order. t, success_prob, state_error and fidelity are float arrays,
     degenerate a bool array, algo a tuple of specs, and populations one
-    (rows, d) block; a degenerate row has NaN populations, state error and
-    fidelity. As a sequence the table gives `SweepRow`s, built on first
-    access: indexing gives one row, slicing and `+` a list of rows, and it
-    compares equal to a table or list of equal rows.
+    (cells, d) block; a degenerate cell has NaN populations, state error and
+    fidelity.
     """
 
     def __init__(self, t, algo, populations, success_prob, state_error, fidelity,
@@ -378,55 +352,22 @@ class SweepTable(Sequence):
         self.success_prob, self.state_error = success_prob, state_error
         self.fidelity, self.degenerate = fidelity, degenerate
 
-    @classmethod
-    def from_rows(cls, rows) -> SweepTable:
-        """The table of an iterable of SweepRows; None cells become NaN."""
-        rows = list(rows)
-        cells = np.array([(r.t, r.p00, r.p01, r.p10, r.p11, r.success_prob,
-                           r.state_error, r.fidelity) for r in rows],
-                         dtype=float).reshape(-1, 8)
-        return cls(t=cells[:, 0], algo=tuple(r.algo for r in rows),
-                   populations=cells[:, 1:5], success_prob=cells[:, 5],
-                   state_error=cells[:, 6], fidelity=cells[:, 7],
-                   degenerate=np.array([r.degenerate for r in rows], dtype=bool))
-
-    @functools.cached_property
-    def _rows(self) -> tuple[SweepRow, ...]:
-        """Every row, built on first access and kept, so repeated reads give
-        the same row objects."""
-        missing = (None,) * self.populations.shape[-1]
-        return tuple(SweepRow(t, algo, *(missing if flag else pops), prob, error,
-                              None if flag else fid, flag)
-                     for t, algo, pops, prob, error, fid, flag in zip(
-                         self.t.tolist(), self.algo, self.populations.tolist(),
-                         self.success_prob.tolist(), self.state_error.tolist(),
-                         self.fidelity.tolist(), self.degenerate.tolist()))
-
     def __len__(self) -> int:
         return len(self.algo)
 
-    def __getitem__(self, index):
-        got = self._rows[index]
-        return list(got) if isinstance(index, slice) else got
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __add__(self, other):
-        return list(self) + other
-
-    def __eq__(self, other):
-        if isinstance(other, (SweepTable, list)):
-            return list(self) == list(other)
-        return NotImplemented
+    def columns(self) -> list[list]:
+        """The output columns in COLUMNS order as Python lists, NaN kept."""
+        return [self.t.tolist(), list(self.algo), *self.populations.T.tolist(),
+                self.success_prob.tolist(), self.state_error.tolist(),
+                self.fidelity.tolist()]
 
 
 def run_sweep(config: SweepConfig) -> SweepTable:
-    """All (t, algorithm) rows of the sweep, grid-major, algorithms in config order.
+    """All (t, algorithm) cells of the sweep, grid-major, algorithms in config order.
 
     The states come from `sweep_states` and are scored in one stacked pass
     over the (T, A, d) kept states; kept branches that `state_errors` flags
-    as vanishing give degenerate rows.
+    as vanishing give degenerate cells.
     """
     exact, outputs = sweep_states(config)
     specs = config.specs
@@ -502,22 +443,18 @@ def _csv_line(cells) -> str:
     return buf.getvalue()
 
 
-def emit(rows, format: str, path) -> None:
-    """Write rows as CSV or JSON; CSV floats carry 12 significant digits.
+def emit(table: SweepTable, format: str, path) -> None:
+    """Write a sweep's table as CSV or JSON, in one write; CSV floats carry 12
+    significant digits.
 
-    rows is a `SweepTable`, or any iterable of SweepRows, which is made into
-    one first; either way the table is written straight from its columns,
-    in one write. A NaN or None cell is written empty (CSV) or null (JSON),
-    so a degenerate row keeps its time, algorithm and success probability
-    only. A CSV row with every cell present is formatted in one step, its
-    algorithm name quoted once per name; the others go through csv.writer.
+    A NaN cell is written empty (CSV) or null (JSON), so a degenerate row
+    keeps its time, algorithm and success probability only. A CSV row with
+    every cell present is formatted in one step, its algorithm name quoted
+    once per name; the others go through csv.writer.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {format!r}")
-    table = rows if isinstance(rows, SweepTable) else SweepTable.from_rows(rows)
-    columns = [  # in COLUMNS order
-        table.t.tolist(), table.algo, *table.populations.T.tolist(),
-        table.success_prob.tolist(), table.state_error.tolist(), table.fidelity.tolist()]
+    columns = table.columns()
     blank = np.isnan(np.column_stack([table.t, table.populations, table.success_prob,
                                       table.state_error, table.fidelity])).any(axis=1)
     # the cells of each row with a blank, None where NaN (NaN != NaN)

@@ -85,9 +85,8 @@ def test_criterion_01(capsys):
     amplified = grab(rf"one-round amplified probability = {num}", out)
     amplitude = np.sqrt(amplified)
     law = predicted_probability(prob, 1)
-    (row,) = run_sweep(SweepConfig(t_grid=(1.0,),
-                                   algorithms=("mp_oaa:modified:1,7:1",)))
-    circuit = row.success_prob
+    (circuit,) = run_sweep(SweepConfig(t_grid=(1.0,),
+                                       algorithms=("mp_oaa:modified:1,7:1",))).success_prob
     ok_mass = abs(mass - 1.969) <= 0.001
     ok_prob = abs(prob - 0.2579) <= 0.0005
     ok_amp = abs(amplitude - 0.9996) <= 0.0002
@@ -175,10 +174,9 @@ def test_criterion_04(capsys):
     ts = tuple(float(t) for t in range(5, 31))
     cfg = SweepConfig(t_grid=ts,
                       algorithms=("trotter:96", "mp:1,2,3,96", "mp:modified:2,4"))
-    rows = run_sweep(cfg)
-    errs = {}
-    for r in rows:
-        errs.setdefault(r.algo, []).append(r.state_error)
+    table = run_sweep(cfg)
+    errs = {algo: table.state_error[np.asarray(table.algo) == algo]
+            for algo in cfg.algorithms}
     bad = [t for i, t in enumerate(ts)
            if not (errs["mp:modified:2,4"][i] < errs["trotter:96"][i]
                    and errs["mp:modified:2,4"][i] < errs["mp:1,2,3,96"][i])]
@@ -298,14 +296,15 @@ def test_criterion_08(capsys):
 
 
 def test_criterion_09(capsys):
-    rows = [r for r in run_sweep(SweepConfig()) if 0.0 < r.t <= 30.0]
-    mp = [r for r in rows if r.algo == "mp:modified:2,4"]
-    oaa = [r for r in rows if r.algo == "mp_oaa:modified:2,4:1"]
-    assert len(mp) == 30 and len(oaa) == 30
-    mp_lo = min(r.success_prob for r in mp)
-    mp_hi = max(r.success_prob for r in mp)
-    oaa_lo = min(r.success_prob for r in oaa)
-    fid_lo = min(min(r.fidelity for r in mp), min(r.fidelity for r in oaa))
+    table = run_sweep(SweepConfig())
+    window = (0.0 < table.t) & (table.t <= 30.0)
+    mp = window & (np.asarray(table.algo) == "mp:modified:2,4")
+    oaa = window & (np.asarray(table.algo) == "mp_oaa:modified:2,4:1")
+    assert mp.sum() == 30 and oaa.sum() == 30
+    mp_lo = table.success_prob[mp].min()
+    mp_hi = table.success_prob[mp].max()
+    oaa_lo = table.success_prob[oaa].min()
+    fid_lo = table.fidelity[mp | oaa].min()
     ok = 0.25 <= mp_lo and mp_hi <= 0.27 and oaa_lo >= 0.995 and fid_lo >= 0.996
     report(capsys, 9, ok,
            f"t in (0, 30]: plain success probability in [{mp_lo:.6f}, {mp_hi:.6f}] "

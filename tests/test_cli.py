@@ -258,6 +258,15 @@ class TestScaling:
         assert "0/13 points above floor" in out
         assert "fewer than 4 points above the numerical floor" in err
 
+    @pytest.mark.parametrize("k", ["14", "41"])
+    def test_roundoff_fit_is_one_error_line(self, capsys, k):
+        # a truncation error grows with t, so a fit that falls is roundoff
+        code, out, err = run_cli(capsys, "scaling", "--k", k)
+        assert code == 1
+        assert out.startswith("schedule L = ") and "fitted order" not in out
+        assert one_error_line(err)
+        assert grab(rf"fitted order {NUM} is not positive", err) <= 0
+
     def test_four_terms_on_wider_window(self, capsys):
         # the same schedule shows its genuine order once t is large enough
         # for the leading error term to clear the floor
@@ -268,8 +277,8 @@ class TestScaling:
         # the order and kept count are those of the sweep's state_error
         # column for the same schedule on the same grid
         ts = tuple(np.geomspace(1.0, 3.0, 13))
-        rows = run_sweep(SweepConfig(t_grid=ts, algorithms=("mp:modified:1,4",)))
-        kept_t, kept_e = drop_floor(ts, [r.state_error for r in rows])
+        table = run_sweep(SweepConfig(t_grid=ts, algorithms=("mp:modified:1,4",)))
+        kept_t, kept_e = drop_floor(ts, table.state_error)
         assert f"{len(kept_t)}/13 points above floor" in out
         assert f"fitted order = {fit_order(kept_t, kept_e):.6g}" in out
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from mptrotter import (
     SweepConfig,
-    SweepRow,
+    SweepTable,
     apply_lcu,
     apply_oaa,
     build_lcu,
@@ -262,48 +263,56 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="re, im"):
             load_config(path)
 
+    @pytest.mark.parametrize("amplitude", [True, [True, 0]], ids=["bare", "pair"])
+    def test_load_config_rejects_boolean_amplitude(self, tmp_path, amplitude):
+        # JSON true is no number, as for every other numeric key
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"initial_state": [amplitude, 0, 0, 0]}))
+        with pytest.raises(ValueError, match="re, im"):
+            load_config(path)
+
 
 class TestRunSweep:
     def test_row_layout_and_zero_time(self):
         cfg = SweepConfig(t_grid=(0.0, 7.0))
-        rows = run_sweep(cfg)
-        assert len(rows) == 2 * len(DEFAULT_ALGORITHMS)
-        assert [r.algo for r in rows[:4]] == list(DEFAULT_ALGORITHMS)
-        for r in rows[:4]:
-            # populations of the initial state, whatever the algorithm
-            assert r.p00 == pytest.approx(0.3, abs=1e-12)
-            assert r.p01 == pytest.approx(0.7, abs=1e-12)
-            assert r.state_error < 1e-12
-            assert r.fidelity == pytest.approx(1.0, abs=1e-12)
-        by_algo = {r.algo: r for r in rows[:4]}
-        assert by_algo["exact"].success_prob == 1.0
-        assert by_algo["trotter:96"].success_prob == 1.0
+        table = run_sweep(cfg)
+        assert len(table) == 2 * len(DEFAULT_ALGORITHMS)
+        assert table.algo[:4] == DEFAULT_ALGORITHMS
+        zero = table.t == 0.0
+        assert zero.tolist() == [True] * 4 + [False] * 4
+        # populations of the initial state, whatever the algorithm
+        assert np.abs(table.populations[zero, 0] - 0.3).max() <= 1e-12
+        assert np.abs(table.populations[zero, 1] - 0.7).max() <= 1e-12
+        assert table.state_error[zero].max() < 1e-12
+        assert np.abs(table.fidelity[zero] - 1.0).max() <= 1e-12
+        prob = dict(zip(table.algo[:4], table.success_prob[zero].tolist()))
+        assert prob["exact"] == 1.0
+        assert prob["trotter:96"] == 1.0
         # post-selection keeps its honest odds even at t = 0
-        assert by_algo["mp:modified:2,4"].success_prob == pytest.approx(
-            0.263294363342274, abs=1e-12)
-        assert by_algo["mp_oaa:modified:2,4:1"].success_prob == pytest.approx(
-            0.997916713193, abs=1e-9)
+        assert prob["mp:modified:2,4"] == pytest.approx(0.263294363342274, abs=1e-12)
+        assert prob["mp_oaa:modified:2,4:1"] == pytest.approx(0.997916713193, abs=1e-9)
 
     def test_populations_normalized(self):
         cfg = SweepConfig(t_grid=(3.0, 11.0, 27.0))
-        for r in run_sweep(cfg):
-            assert not r.degenerate
-            assert r.p00 + r.p01 + r.p10 + r.p11 == pytest.approx(1.0, abs=1e-9)
-            assert 0.0 <= r.success_prob <= 1.0 + 1e-12
-            assert r.fidelity <= 1.0
+        table = run_sweep(cfg)
+        assert not table.degenerate.any()
+        assert np.abs(table.populations.sum(axis=1) - 1.0).max() <= 1e-9
+        assert (0.0 <= table.success_prob).all()
+        assert (table.success_prob <= 1.0 + 1e-12).all()
+        assert (table.fidelity <= 1.0).all()
 
     def test_mp_success_against_direct_sum(self, psi0):
         # oracle: ||sum c_i S^{L_i}(t/L_i) psi||^2 / (sum|c|)^2
         t = 7.0
         cfg = SweepConfig(t_grid=(t,), algorithms=("mp:modified:2,4",))
-        row = run_sweep(cfg)[0]
+        (prob,) = run_sweep(cfg).success_prob
         decomp = build_spin_hamiltonian()
         sched = parse_schedule_spec("modified:2,4")
         acc = np.zeros(4, dtype=complex)
         for c, l in zip(sched.coefficients, sched.iterations):
             acc = acc + c * (trotterize(decomp, t, l) @ psi0)
         expected = float(np.linalg.norm(acc) ** 2) / sched.abs_coefficient_sum() ** 2
-        assert row.success_prob == pytest.approx(expected, abs=1e-12)
+        assert prob == pytest.approx(expected, abs=1e-12)
 
     def test_repeated_model_is_built_and_diagonalized_once(self, monkeypatch):
         # a second sweep on one model diagonalizes only the total H, for its
@@ -320,19 +329,28 @@ class TestRunSweep:
         assert builds == [config.model]
         assert len(eighs) == 2  # the real term H1 and the total H
         del eighs[:]
-        assert run_sweep(config) == first
+        assert_same_cells(run_sweep(config), first)
         assert builds == [config.model]
         (h,) = eighs
         assert np.array_equal(h, total(build(config.model)).real)
         del eighs[:]
-        assert run_sweep(config) == first
+        assert_same_cells(run_sweep(config), first)
         assert eighs == []
 
     def test_trotter_state_is_renormalized(self):
         cfg = SweepConfig(t_grid=(9.0,), algorithms=("trotter:12",))
-        row = run_sweep(cfg)[0]
-        assert row.p00 + row.p01 + row.p10 + row.p11 == pytest.approx(1.0, abs=1e-12)
-        assert row.success_prob == 1.0
+        table = run_sweep(cfg)
+        assert table.populations.sum() == pytest.approx(1.0, abs=1e-12)
+        assert table.success_prob.tolist() == [1.0]
+
+
+def assert_same_cells(table, other, keep=slice(None)):
+    """The cells `keep` of two sweep tables are equal, NaN equal to NaN."""
+    assert np.asarray(table.algo)[keep].tolist() == np.asarray(other.algo)[keep].tolist()
+    for name in ("t", "populations", "success_prob", "state_error", "fidelity",
+                 "degenerate"):
+        assert np.array_equal(getattr(table, name)[keep], getattr(other, name)[keep],
+                              equal_nan=True), name
 
 
 def reference_rows(config):
@@ -374,17 +392,17 @@ MIXED_ALGORITHMS = ("exact", "trotter:1", "mp:original:1.0,3", "mp:1,2,3,96",
 MIXED_STATE = (0.5, 0.5j, -0.5, complex(0.3, 0.4))
 
 
-# With `vanishing_at_second_time` in place of `product_stacks`, the one
+# With `vanishing_at_time_one` in place of `product_stacks`, the one
 # multi-product cell at t = 1.0 is degenerate.
 DEGENERATE_CONFIG = SweepConfig(t_grid=(0.5, 1.0, 1.5),
                                 algorithms=("exact", "mp_oaa:modified:2,4:1"))
 
 
-def vanishing_at_second_time(decomp, ts, counts):
-    """product_stacks with every product zeroed at the second time."""
+def vanishing_at_time_one(decomp, ts, counts):
+    """product_stacks with every product zeroed at t = 1.0."""
     stacks = {l: out.copy() for l, out in product_stacks(decomp, ts, counts).items()}
     for out in stacks.values():
-        out[1] = 0.0
+        out[np.asarray(ts) == 1.0] = 0.0
     return stacks
 
 
@@ -397,28 +415,36 @@ class TestSweepOracle:
                     t_grid=(1.3,)),
     ], ids=["default", "mixed-grid", "single-time"])
     def test_matches_scalar_reference(self, config):
-        rows = run_sweep(config)
+        table = run_sweep(config)
         want = reference_rows(config)
-        assert [(r.t, r.algo) for r in rows] == [w[:2] for w in want]
-        for r, w in zip(rows, want):
-            got = (r.p00, r.p01, r.p10, r.p11, r.success_prob, r.state_error, r.fidelity)
-            assert not r.degenerate
-            assert np.max(np.abs(np.array(got) - np.array(w[2:]))) <= 1e-12, r
+        assert list(zip(table.t.tolist(), table.algo)) == [w[:2] for w in want]
+        assert not table.degenerate.any()
+        got = np.column_stack([table.populations, table.success_prob, table.state_error,
+                               table.fidelity])
+        gap = np.max(np.abs(got - np.array([w[2:] for w in want])), axis=1)
+        assert (gap <= 1e-12).all(), gap
 
     def test_vanishing_block_gives_one_degenerate_row(self, monkeypatch):
         config = DEGENERATE_CONFIG
         ordinary = run_sweep(config)
-        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_second_time)
-        rows = run_sweep(config)
-        bad = [r for r in rows if r.degenerate]
-        assert len(bad) == 1
-        (row,) = bad
-        assert (row.t, row.algo) == (1.0, "mp_oaa:modified:2,4:1")
-        assert (row.p00, row.p01, row.p10, row.p11, row.fidelity) == (None,) * 5
-        assert np.isnan(row.state_error)
-        assert row.success_prob == 0.0
-        assert [r for r in rows if r is not row] == [r for r in ordinary if r.t != 1.0
-                                                    or r.algo == "exact"]
+        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_time_one)
+        table = run_sweep(config)
+        (i,) = np.flatnonzero(table.degenerate)
+        assert (table.t[i], table.algo[i]) == (1.0, "mp_oaa:modified:2,4:1")
+        assert np.isnan(table.populations[i]).all() and np.isnan(table.fidelity[i])
+        assert np.isnan(table.state_error[i])
+        assert table.success_prob[i] == 0.0
+        assert_same_cells(table, ordinary, np.arange(len(table)) != i)
+
+    def test_evolve_prints_degenerate_cell(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_time_one)
+        assert cli.main(["evolve", "--algo", "mp_oaa:modified:2,4:1", "--t", "1"]) == 0
+        # no population, error or fidelity line
+        assert capsys.readouterr().out.splitlines() == [
+            "t = 1  algo = mp_oaa:modified:2,4:1",
+            "success_prob = 0",
+            "degenerate post-selection: populations undefined",
+        ]
 
 
 def scored_one_algorithm_at_a_time(config):
@@ -465,7 +491,7 @@ class TestStackedScoring:
         assert_scored_as_reference(SweepConfig())
 
     def test_degenerate_cell(self, monkeypatch):
-        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_second_time)
+        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_time_one)
         assert_scored_as_reference(DEGENERATE_CONFIG)
         flags = run_sweep(DEGENERATE_CONFIG).degenerate.tolist()
         assert flags == [False, False, False, True, False, False]
@@ -478,24 +504,112 @@ class TestStackedScoring:
             t_grid=tuple(ts), algorithms=tuple(a for a in DEFAULT_ALGORITHMS if a in chosen)))
 
 
-class TestSweepTable:
-    def test_sequence_of_rows(self):
-        config = SweepConfig(t_grid=(0.0, 1.0, 2.0))
-        table = run_sweep(config)
-        rows = list(table)
-        assert len(table) == len(rows) == 3 * len(DEFAULT_ALGORITHMS)
-        assert all(type(r) is SweepRow for r in rows)
-        assert table[0] == rows[0] and table[-1] == rows[-1]
-        assert table[:4] == rows[:4] and type(table[:4]) is list
-        assert [r.algo for r in table[:4]] == list(DEFAULT_ALGORITHMS)
-        assert table[0] is table[0]  # rows are built once
-        with pytest.raises(IndexError):
-            table[len(rows)]
-        (row,) = run_sweep(SweepConfig(t_grid=(1.0,), algorithms=("mp:1,2",)))
-        assert (row.t, row.algo) == (1.0, "mp:1,2")
-        assert run_sweep(config) == table == rows
-        assert run_sweep(SweepConfig(t_grid=(0.0, 1.0, 2.5))) != table
-        assert table + [row] == rows + [row]
+def table_of(cells):
+    """A SweepTable of hand-made (t, algo, p00, p01, p10, p11, success_prob,
+    state_error, fidelity) cells; a cell with a NaN state error is degenerate."""
+    t, algo, *numbers = zip(*cells)
+    p00, p01, p10, p11, prob, error, fid = np.array(numbers, dtype=float)
+    return SweepTable(np.array(t, dtype=float), algo, np.column_stack([p00, p01, p10, p11]),
+                      prob, error, fid, np.isnan(error))
+
+
+def reference_text(table, fmt):
+    """What emit writes, built cell by cell with csv.writer or json.dumps; a
+    NaN cell is None."""
+    cells = [[None if c != c else c for c in row] for row in zip(*table.columns())]
+    if fmt == "json":
+        records = [dict(zip(experiments.COLUMNS, row)) for row in cells]
+        return json.dumps(records, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(experiments.COLUMNS)
+    writer.writerows([experiments.cell_text(c) for c in row] for row in cells)
+    return buf.getvalue()
+
+
+class TestEmit:
+    def make_table(self):
+        cfg = SweepConfig(t_grid=(0.0, 5.0))
+        return run_sweep(cfg)
+
+    def test_csv_shape_and_round_trip(self, tmp_path):
+        table = self.make_table()
+        path = tmp_path / "out.csv"
+        emit(table, "csv", path)
+        text = path.read_text()
+        lines = text.splitlines()
+        assert lines[0] == CSV_HEADER
+        parsed = list(csv.DictReader(text.splitlines()))
+        assert len(parsed) == len(table)
+        for rec, t, algo, prob, p00 in zip(parsed, table.t, table.algo, table.success_prob,
+                                           table.populations[:, 0]):
+            assert rec["algo"] == algo
+            assert float(rec["t"]) == t
+            assert float(rec["success_prob"]) == pytest.approx(prob, rel=1e-11)
+            assert float(rec["p00"]) == pytest.approx(p00, rel=1e-11)
+
+    def test_csv_quotes_algo_commas(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit(self.make_table(), "csv", path)
+        assert '"mp:modified:2,4"' in path.read_text()
+
+    def test_empty_rows_header_only(self, tmp_path):
+        table = run_sweep(SweepConfig(algorithms=()))
+        assert len(table) == 0
+        emit(table, "csv", tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text() == CSV_HEADER + "\n"
+        emit(table, "json", tmp_path / "empty.json")
+        assert (tmp_path / "empty.json").read_text() == "[]\n"
+
+    def test_json_valid_and_complete(self, tmp_path):
+        table = self.make_table()
+        path = tmp_path / "out.json"
+        emit(table, "json", path)
+        payload = json.loads(path.read_text())
+        assert len(payload) == len(table)
+        assert all(list(rec) == CSV_HEADER.split(",") for rec in payload)
+        assert payload[0]["algo"] == table.algo[0]
+        assert payload[0]["success_prob"] == table.success_prob[0]
+
+    def test_degenerate_row_fields(self, tmp_path):
+        nan = float("nan")
+        table = table_of([(1.0, "mp:1,2", nan, nan, nan, nan, 0.0, nan, nan)])
+        cpath = tmp_path / "d.csv"
+        emit(table, "csv", cpath)
+        assert cpath.read_text().splitlines()[1] == '1,"mp:1,2",,,,,0,,'
+        jpath = tmp_path / "d.json"
+        emit(table, "json", jpath)
+        rec = json.loads(jpath.read_text())[0]
+        assert (rec["p00"], rec["p01"], rec["p10"], rec["p11"]) == (None,) * 4
+        assert rec["state_error"] is None
+        assert rec["fidelity"] is None
+
+    def test_deterministic_bytes(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        emit(self.make_table(), "csv", a)
+        emit(self.make_table(), "csv", b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_rejects_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="csv or json"):
+            emit(self.make_table(), "yaml", tmp_path / "x")
+
+    def test_csv_matches_csv_writer_cell_by_cell(self, tmp_path):
+        # complete rows take the one-step format, the degenerate row the
+        # cell-by-cell path; both must give csv.writer's bytes
+        nan = float("nan")
+        table = table_of(list(zip(*self.make_table().columns())) + [
+            (2.0, "mp:1,2", nan, nan, nan, nan, 0.0, nan, nan),
+            (-0.0, "mp:1,2", 0.25, 0.25, 0.25, 0.25, 1e-300, 5e-324, 1e16),
+            (1e16, "mp_oaa:1,2,3,96:2", 1.0, 0.0, -0.0, 0.0, 0.5, float("inf"), 1.0 / 3.0),
+            (3, 'say "hi"', 1, 0, 0, 0, 1, 0, 1),
+        ])
+        path = tmp_path / "fast.csv"
+        emit(table, "csv", path)
+        assert path.read_text() == reference_text(table, "csv")
+        assert '\n-0,"mp:1,2",0.25,0.25,0.25,0.25,1e-300,4.94065645841e-324,1e+16\n' \
+            in path.read_text()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("config", [
@@ -505,112 +619,17 @@ class TestSweepTable:
                                 "mp_oaa:original:1.0,3")),
         SweepConfig(algorithms=()),
     ], ids=["default", "mixed", "no-algorithms"])
-    def test_table_and_row_list_write_same_bytes(self, tmp_path, config, fmt):
+    def test_writes_reference_bytes(self, tmp_path, config, fmt):
         table = run_sweep(config)
-        emit(table, fmt, tmp_path / "table")
-        emit(list(table), fmt, tmp_path / "rows")
-        written = (tmp_path / "table").read_bytes()
-        assert written == (tmp_path / "rows").read_bytes()
-        if not config.algorithms:
-            assert written.decode() == (CSV_HEADER + "\n" if fmt == "csv" else "[]\n")
+        emit(table, fmt, tmp_path / "out")
+        assert (tmp_path / "out").read_text() == reference_text(table, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_degenerate_table_and_row_list_write_same_bytes(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_second_time)
+    def test_degenerate_sweep_bytes(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(experiments, "product_stacks", vanishing_at_time_one)
         table = run_sweep(DEGENERATE_CONFIG)
-        emit(table, fmt, tmp_path / "table")
-        emit(list(table), fmt, tmp_path / "rows")
-        written = (tmp_path / "table").read_text()
-        assert written == (tmp_path / "rows").read_text()
+        emit(table, fmt, tmp_path / "out")
+        written = (tmp_path / "out").read_text()
+        assert written == reference_text(table, fmt)
         if fmt == "csv":
             assert written.splitlines()[4] == '1,"mp_oaa:modified:2,4:1",,,,,0,,'
-
-
-class TestEmit:
-    def make_rows(self):
-        cfg = SweepConfig(t_grid=(0.0, 5.0))
-        return run_sweep(cfg)
-
-    def test_csv_shape_and_round_trip(self, tmp_path):
-        rows = self.make_rows()
-        path = tmp_path / "out.csv"
-        emit(rows, "csv", path)
-        text = path.read_text()
-        lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
-        parsed = list(csv.DictReader(text.splitlines()))
-        assert len(parsed) == len(rows)
-        for rec, row in zip(parsed, rows):
-            assert rec["algo"] == row.algo
-            assert float(rec["t"]) == row.t
-            assert float(rec["success_prob"]) == pytest.approx(row.success_prob, rel=1e-11)
-            assert float(rec["p00"]) == pytest.approx(row.p00, rel=1e-11)
-
-    def test_csv_quotes_algo_commas(self, tmp_path):
-        rows = self.make_rows()
-        path = tmp_path / "out.csv"
-        emit(rows, "csv", path)
-        assert '"mp:modified:2,4"' in path.read_text()
-
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit([], "csv", path)
-        assert path.read_text() == CSV_HEADER + "\n"
-
-    def test_json_valid_and_complete(self, tmp_path):
-        rows = self.make_rows()
-        path = tmp_path / "out.json"
-        emit(rows, "json", path)
-        payload = json.loads(path.read_text())
-        assert len(payload) == len(rows)
-        assert all(list(rec) == CSV_HEADER.split(",") for rec in payload)
-        assert payload[0]["algo"] == rows[0].algo
-        assert payload[0]["success_prob"] == rows[0].success_prob
-
-    def test_degenerate_row_fields(self, tmp_path):
-        row = SweepRow(t=1.0, algo="mp:1,2", p00=None, p01=None, p10=None,
-                       p11=None, success_prob=0.0, state_error=float("nan"),
-                       fidelity=None, degenerate=True)
-        cpath = tmp_path / "d.csv"
-        emit([row], "csv", cpath)
-        assert cpath.read_text().splitlines()[1] == '1,"mp:1,2",,,,,0,,'
-        jpath = tmp_path / "d.json"
-        emit([row], "json", jpath)
-        rec = json.loads(jpath.read_text())[0]
-        assert (rec["p00"], rec["p01"], rec["p10"], rec["p11"]) == (None,) * 4
-        assert rec["state_error"] is None
-        assert rec["fidelity"] is None
-
-    def test_deterministic_bytes(self, tmp_path):
-        rows = self.make_rows()
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        emit(rows, "csv", a)
-        emit(self.make_rows(), "csv", b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="csv or json"):
-            emit([], "yaml", tmp_path / "x")
-
-    def test_csv_matches_csv_writer_cell_by_cell(self, tmp_path):
-        # complete rows take the one-step format, the degenerate row the
-        # cell-by-cell path; both must give csv.writer's bytes
-        rows = self.make_rows() + [
-            SweepRow(2.0, "mp:1,2", None, None, None, None, 0.0, float("nan"), None, True),
-            SweepRow(-0.0, "mp:1,2", 0.25, 0.25, 0.25, 0.25, 1e-300, 5e-324, 1e16),
-            SweepRow(1e16, "mp_oaa:1,2,3,96:2", 1.0, 0.0, -0.0, 0.0, 0.5,
-                     float("inf"), 1.0 / 3.0),
-            SweepRow(3, 'say "hi"', 1, 0, 0, 0, 1, 0, 1),
-        ]
-        path = tmp_path / "fast.csv"
-        emit(rows, "csv", path)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(experiments.COLUMNS)
-            for row in rows:
-                writer.writerow([experiments.cell_text(c) for c in row.cells()])
-        assert path.read_bytes() == ref.read_bytes()
-        assert '\n-0,"mp:1,2",0.25,0.25,0.25,0.25,1e-300,4.94065645841e-324,1e+16\n' \
-            in path.read_text()
