@@ -48,7 +48,7 @@ from .multiproduct import (
     mp_operator,
     state_errors,
 )
-from .trotter import products, second_order_step, trotterize
+from .trotter import second_order_step, trotterize
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "parse_algorithm",
     "parse_schedule_spec",
     "predicted_probability",
-    "products",
     "run_sweep",
     "second_order_step",
     "spectral_norm",

@@ -54,9 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the full time sweep")
     p.add_argument("--config", default=None, help="JSON config file (optional)")
-    p.add_argument("--out", default=None, help="output path (overrides config)")
-    p.add_argument("--format", default=None, choices=("csv", "json"),
-                   help="output format (overrides config)")
+    p.add_argument("--out", default=None, help="output path")
+    p.add_argument("--format", default="csv", help="csv or json")
 
     p = sub.add_parser("scaling", help="fit the state-error convergence order")
     p.add_argument("--config", default=None, help="JSON config file (optional)")
@@ -167,13 +166,11 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config) if args.config else SweepConfig()
-    out = args.out or config.output_path
-    if not out:
-        raise ValueError("no output path: pass --out or set 'output' in the config")
-    fmt = args.format or config.format
+    if not args.out:
+        raise ValueError("no output path: pass --out")
     table = run_sweep(config)
-    emit(table, fmt, out)
-    print(f"wrote {len(table)} rows to {out} ({fmt})")
+    emit(table, args.format, args.out)
+    print(f"wrote {len(table)} rows to {args.out} ({args.format})")
     return 0
 
 
@@ -190,7 +187,10 @@ def _cmd_scaling(args) -> int:
         raise ValueError(f"need 0 < tmin < tmax, got {tmin}, {tmax}")
     if not 0 <= floor < np.inf:  # NaN fails
         raise ValueError(f"floor must be a finite nonnegative number, got {floor}")
-    ts = np.geomspace(tmin, tmax, points)
+    try:
+        ts = np.geomspace(tmin, tmax, points)
+    except OverflowError:
+        raise ValueError(f"points {points} overflows a float") from None
     config = SweepConfig(**{**fields, "algorithms": (f"mp:modified:1,{k}",),
                             "t_grid": tuple(ts)})
     exact, (kept,) = sweep_states(config)
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_attach_negative_numbers(argv))
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

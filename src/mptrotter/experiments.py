@@ -11,7 +11,7 @@ Algorithm specs are strings:
     exact                    eigendecomposition propagator
     trotter:<l>              iterated second-order product, l iterations
     mp:<schedule>            multi-product via the simulated LCU circuit
-    mp_oaa:<schedule>[:<n>]  same, followed by n amplification rounds
+    mp_oaa:<schedule>[:<n>]  same, followed by n amplification rounds (default 1)
 
 and schedules are "modified:a,k", "original:gamma,k", or an explicit
 comma-separated list like "1,2,3,96".
@@ -35,7 +35,7 @@ from .hamiltonian import (
     total,
 )
 from .lcu import amplify, optimal_split
-from .linalg import hermitian_propagator, is_integer, weighted_sum
+from .linalg import hermitian_propagator, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import product_stacks
 
@@ -97,7 +97,7 @@ class AlgorithmSpec:
         return self.schedule.iterations if self.schedule else ()
 
 
-def parse_algorithm(spec: str, default_rounds: int = 1) -> AlgorithmSpec:
+def parse_algorithm(spec: str) -> AlgorithmSpec:
     s = spec.strip()
     if s == "exact":
         return AlgorithmSpec(spec=s, kind="exact")
@@ -105,15 +105,18 @@ def parse_algorithm(spec: str, default_rounds: int = 1) -> AlgorithmSpec:
         l = _as_int(s[len("trotter:"):], "iteration count")
         if l < 1:
             raise ValueError(f"iteration count must be positive, got {l}")
+        try:
+            float(l)
+        except OverflowError:
+            raise ValueError(f"iteration count {l} overflows a float") from None
         return AlgorithmSpec(spec=s, kind="trotter", l=l)
     if s.startswith("mp_oaa:"):
         body = s[len("mp_oaa:"):]
-        # the whole body may be a schedule (round count defaulted), else the
-        # last :-field is the round count
+        # the whole body may be a schedule (one round), else the last
+        # :-field is the round count
         try:
             return AlgorithmSpec(spec=s, kind="mp_oaa",
-                                 schedule=parse_schedule_spec(body),
-                                 rounds=default_rounds)
+                                 schedule=parse_schedule_spec(body), rounds=1)
         except ValueError:
             head, sep, tail = body.rpartition(":")
             if not sep:
@@ -137,9 +140,6 @@ class SweepConfig:
     initial_state: tuple[complex, ...] = ()
     t_grid: tuple[float, ...] = ()
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
-    oaa_rounds: int = 1
-    output_path: str | None = None
-    format: str = "csv"
     specs: tuple[AlgorithmSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -153,12 +153,7 @@ class SweepConfig:
         grid = tuple(float(t) for t in self.t_grid) or default_t_grid()
         if not all(np.isfinite(grid)):
             raise ValueError("time grid entries must be finite")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if not is_integer(self.oaa_rounds) or self.oaa_rounds < 0:
-            raise ValueError(f"oaa_rounds must be a nonnegative integer, got {self.oaa_rounds!r}")
-        object.__setattr__(self, "specs",
-                           tuple(parse_algorithm(s, self.oaa_rounds) for s in self.algorithms))
+        object.__setattr__(self, "specs", tuple(parse_algorithm(s) for s in self.algorithms))
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -170,8 +165,7 @@ COLUMNS = ("t", "algo", "p00", "p01", "p10", "p11", "success_prob", "state_error
 CSV_HEADER = ",".join(COLUMNS)
 
 
-CONFIG_KEYS = ("omega", "delta", "e1", "e2", "initial_state", "t_grid",
-               "algorithms", "oaa_rounds", "output", "format")
+CONFIG_KEYS = ("omega", "delta", "e1", "e2", "initial_state", "t_grid", "algorithms")
 
 
 def _parse_amplitude(entry) -> complex:
@@ -179,24 +173,25 @@ def _parse_amplitude(entry) -> complex:
     pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
         raise ValueError(f"amplitudes must be numbers or [re, im] pairs, got {entry!r}")
-    return complex(*pair)
+    return complex(*(_real(x, "every initial_state amplitude") for x in pair))
 
 
-def _config_value(raw: dict, key: str, default, types: tuple, what: str):
-    """raw[key] (or the default), rejected unless an instance of types.
-
-    JSON true/false never pass as numbers.
-    """
-    val = raw.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, types):
-        raise ValueError(f"config key {key!r} must be {what}, got {val!r}")
+def _config_list(raw: dict, key: str) -> list:
+    """raw[key], or an empty list when the key is absent; rejected unless a list."""
+    val = raw.get(key, [])
+    if not isinstance(val, list):
+        raise ValueError(f"config key {key!r} must be a list, got {val!r}")
     return val
 
 
 def _real(val, what: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValueError(f"{what} must be a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ValueError(f"{what} must fit in a float, got a {len(str(abs(val)))}-digit "
+                         "integer") from None
 
 
 def load_config(path) -> SweepConfig:
@@ -225,21 +220,12 @@ def config_fields(path) -> dict:
         name: _real(raw.get(name, getattr(DEFAULT_PARAMS, name)), f"config key {name!r}")
         for name in ("omega", "delta", "e1", "e2")
     })
-    state = tuple(_parse_amplitude(a)
-                  for a in _config_value(raw, "initial_state", [], (list,), "a list"))
-    grid = tuple(_real(t, "every t_grid entry")
-                 for t in _config_value(raw, "t_grid", [], (list,), "a list"))
-    algorithms = _config_value(raw, "algorithms", [], (list,), "a list")
+    state = tuple(_parse_amplitude(a) for a in _config_list(raw, "initial_state"))
+    grid = tuple(_real(t, "every t_grid entry") for t in _config_list(raw, "t_grid"))
+    algorithms = _config_list(raw, "algorithms")
     if not all(isinstance(a, str) for a in algorithms):
         raise ValueError(f"config key 'algorithms' must list strings, got {algorithms!r}")
-    fields = dict(
-        model=model,
-        initial_state=state,
-        t_grid=grid,
-        oaa_rounds=_config_value(raw, "oaa_rounds", 1, (int,), "an integer"),
-        output_path=_config_value(raw, "output", None, (str, type(None)), "a path string"),
-        format=_config_value(raw, "format", "csv", (str,), "a string"),
-    )
+    fields = dict(model=model, initial_state=state, t_grid=grid)
     if "algorithms" in raw:
         fields["algorithms"] = tuple(algorithms)
     return fields

@@ -1,9 +1,9 @@
 """Second-order symmetric product formulas and their iterated powers.
 
-`second_order_step` and `products` take one time or an array of times; an
-array gives a stack of operators with the time axes in front. `trotterize` is
-the one-time form, and `product_stacks` forms the products of several
-iteration counts from one stacked step.
+`second_order_step` and `trotterize` take one time or an array of times; an
+array gives a stack of operators with the time axes in front.
+`product_stacks` forms the products of several iteration counts from one
+stacked step, and `trotterize` is its one-count case.
 
 The step is S_1(t) = Y(t/2) Y(-t/2)^dag with Y(s) = A_1(s) ... A_m(s), the
 product of the terms' exponentials. A real split, whose every term is
@@ -90,23 +90,15 @@ def _half_product(decomp: HamiltonianDecomposition, s: np.ndarray) -> np.ndarray
     return diag if y is None else y
 
 
-def products(decomp: HamiltonianDecomposition, ts, l: int) -> np.ndarray:
-    """S_1(t/l)^l for every time in ts: a (T, d, d) stack for T times.
-
-    A real split at d >= SYMMETRIC_MIN_DIM squares its powers as z z^T (syrk);
-    any other split is raised by `numpy.linalg.matrix_power`. A split with
-    sectors at d >= SYMMETRIC_MIN_DIM is raised in each sector by these rules.
-    """
-    return product_stacks(decomp, ts, (l,))[l]
-
-
 def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
     """{l: S_1(t/l)^l for every time in ts} for each iteration count l in counts.
 
     The steps of all counts come from one `second_order_step` call on the
-    stacked times ts / l; each count's stack is then raised as `products`
-    describes and equals what it gives for that count alone, bit for bit.
-    counts is a sequence of positive integers, every one checked first.
+    stacked times ts / l. A real split at d >= SYMMETRIC_MIN_DIM squares its
+    powers as z z^T (syrk); any other split is raised by
+    `numpy.linalg.matrix_power`. A split with sectors at d >= SYMMETRIC_MIN_DIM
+    is raised in each sector by these rules. counts is a sequence of positive
+    integers, every one checked first.
     """
     for l in counts:
         if not is_integer(l) or l < 1:
@@ -117,12 +109,6 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
     if decomp.dim >= SYMMETRIC_MIN_DIM and decomp.sectors is not None:
         plus, minus = (product_stacks(half, ts, counts) for half in decomp.sectors)
         return {l: centro_join(plus[l], minus[l]) for l in counts}
-    if len(counts) == 1:
-        # one count is stepped at ts / l itself: a stack of one, and holding
-        # its step while it is raised, made the d = 256 OAA cell of the
-        # benchmark (four single-count products) 2% slower
-        (l,) = counts
-        return {l: _power(decomp, second_order_step(decomp, ts / int(l)), int(l))}
     steps = second_order_step(decomp, np.stack([ts / int(l) for l in counts]))
     return {l: _power(decomp, z, int(l)) for l, z in zip(counts, steps)}
 
@@ -146,8 +132,6 @@ def _power(decomp: HamiltonianDecomposition, z: np.ndarray, n: int) -> np.ndarra
         z = z @ z.swapaxes(-1, -2)
 
 
-def trotterize(decomp: HamiltonianDecomposition, t: float, l: int) -> np.ndarray:
-    """S_1(t/l) raised to the l-th power, at one time t."""
-    if np.ndim(t) != 0:
-        raise ValueError("trotterize takes one time; use products for a time array")
-    return products(decomp, t, l)
+def trotterize(decomp: HamiltonianDecomposition, t, l: int) -> np.ndarray:
+    """S_1(t/l)^l: a (d, d) matrix for one time t, a (T, d, d) stack for T times."""
+    return product_stacks(decomp, t, (l,))[l]

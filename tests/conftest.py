@@ -7,6 +7,9 @@ import pytest
 
 from mptrotter import build_spin_hamiltonian, linalg
 
+# a 400-digit integer: JSON and Python read it exactly, and no float holds it
+HUGE = 10 ** 400 - 1
+
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase-fixed diagonal."""

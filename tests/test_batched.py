@@ -22,7 +22,6 @@ from mptrotter import (
     hermitian_propagator,
     make_schedule,
     mp_operator,
-    products,
     second_order_step,
     state_errors,
     total,
@@ -124,17 +123,11 @@ def test_non_finite_time_anywhere_is_rejected(spin_decomp, bad, where):
     sched = make_schedule("modified", a=1, k=2)
     for call in (lambda: hermitian_propagator(total(spin_decomp), ts),
                  lambda: second_order_step(spin_decomp, ts),
-                 lambda: products(spin_decomp, ts, 4),
+                 lambda: trotterize(spin_decomp, ts, 4),
                  lambda: mp_operator(spin_decomp, ts, sched),
                  lambda: mp_operator(spin_decomp, ts.reshape(5, 1), sched)):
         with pytest.raises(ValueError, match="finite"):
             call()
-
-
-def test_trotterize_takes_one_time(spin_decomp):
-    with pytest.raises(ValueError, match="one time"):
-        trotterize(spin_decomp, np.array([0.5, 1.0]), 4)
-    assert trotterize(spin_decomp, np.float64(0.5), 4).shape == (4, 4)
 
 
 def test_state_errors_flag_only_vanishing_rows():
@@ -344,7 +337,7 @@ def test_real_split_products_match_complex_eigh(seed, d, l, real_terms, diagonal
     assert d >= SYMMETRIC_MIN_DIM
     t = np.array(ts) if stacked else ts[0]
     want = np.linalg.matrix_power(complex_eigh_step(decomp.terms, np.asarray(t) / l), l)
-    got = products(decomp, t, l)
+    got = trotterize(decomp, t, l)
     assert got.shape == np.shape(t) + (d, d)
     assert max_dev(got, want) <= STRUCTURE_TOL
 
@@ -354,7 +347,7 @@ def test_real_split_products_match_complex_eigh(seed, d, l, real_terms, diagonal
 def test_real_split_powers_of_two_are_exactly_symmetric(diagonal_at, t):
     decomp = real_split(SYMMETRIC_MIN_DIM, 1, diagonal_at, np.random.default_rng(5))
     for l in (1, 2, 4, 8, 16, 32):
-        p = products(decomp, t, l)
+        p = trotterize(decomp, t, l)
         assert np.array_equal(p, p.swapaxes(-1, -2)), l
 
 
@@ -366,7 +359,7 @@ def test_real_split_below_crossover_is_plain_matrix_power(d):
     stacks = product_stacks(decomp, ts, range(1, 101))
     for l in range(1, 101):
         want = np.linalg.matrix_power(second_order_step(decomp, ts / l), l)
-        assert np.array_equal(products(decomp, ts, l), want), l
+        assert np.array_equal(trotterize(decomp, ts, l), want), l
         assert np.array_equal(stacks[l], want), l
 
 
@@ -382,7 +375,7 @@ def test_complex_split_keeps_plain_matrix_power():
     stacks = product_stacks(decomp, ts, counts)
     for l in counts:
         want = np.linalg.matrix_power(second_order_step(decomp, ts / l), l)
-        assert np.array_equal(products(decomp, ts, l), want), l
+        assert np.array_equal(trotterize(decomp, ts, l), want), l
         assert np.array_equal(stacks[l], want), l
     assert max_dev(second_order_step(decomp, ts), complex_eigh_step(decomp.terms, ts)) \
         <= STRUCTURE_TOL
@@ -424,7 +417,25 @@ def test_product_stacks_equal_single_count_products(split, t):
         want = single_count_product(decomp, t, l)
         assert want.shape == np.shape(t) + (decomp.dim, decomp.dim)
         assert np.array_equal(stacks[l], want), l
-        assert np.array_equal(products(decomp, t, l), want), l
+        assert np.array_equal(trotterize(decomp, t, l), want), l
+
+
+@pytest.mark.parametrize("split", ["spin", "real", "complex", "ising"])
+def test_trotterize_of_a_time_array_stacks_the_one_time_calls(split):
+    rng = np.random.default_rng(17)
+    d = SYMMETRIC_MIN_DIM
+    decomp = {
+        "spin": lambda: build_spin_hamiltonian(),
+        "real": lambda: real_split(d, 1, 1, rng),
+        "complex": lambda: HamiltonianDecomposition(terms=(
+            structured_hermitian("complex", d, rng), structured_hermitian("diagonal", d, rng))),
+        "ising": lambda: ising_split(8),
+    }[split]()
+    ts = np.linspace(-2.0, 5.0, 4)
+    for l in (1, 2, 3, 96):
+        want = np.stack([trotterize(decomp, t, l) for t in ts])
+        assert np.array_equal(trotterize(decomp, ts, l), want), l
+    assert trotterize(decomp, np.float64(0.5), 4).shape == (decomp.dim, decomp.dim)
 
 
 def test_product_stacks_check_every_count_first(spin_decomp):
@@ -468,7 +479,7 @@ def test_centrosymmetric_split_matches_complex_eigh(term_kinds, seed, d, l, ts, 
                 assert SECTOR_BASIS[kind](vecs), kind
     t = np.array(ts) if stacked else ts[0]
     want = np.linalg.matrix_power(complex_eigh_step(decomp.terms, np.asarray(t) / l), l)
-    got = products(decomp, t, l)
+    got = trotterize(decomp, t, l)
     assert got.shape == np.shape(t) + (d, d)
     assert max_dev(got, want) <= STRUCTURE_TOL
     h = total(decomp)
@@ -484,7 +495,7 @@ def test_ising_sectors_call_no_eigh_and_the_exact_propagator_two_halves(monkeypa
     decomp = ising_split(8)
     assert [[vecs for _, vecs in sector.eigenpairs] for sector in decomp.sectors] \
         == [[WALSH, None], [WALSH, None]]
-    products(decomp, 1.3, 8)
+    trotterize(decomp, 1.3, 8)
     product_stacks(decomp, np.linspace(0.0, 3.0, 4), (4, 8, 16, 32))
     assert calls == []
     hermitian_propagator(total(decomp), np.array([0.4, 1.3]))
@@ -496,7 +507,7 @@ def test_ising_powers_of_two_are_exactly_symmetric(t):
     decomp = ising_split(8)
     assert decomp.sectors is not None
     for l in (1, 2, 4, 8, 16, 32):
-        p = products(decomp, t, l)
+        p = trotterize(decomp, t, l)
         assert np.array_equal(p, p.swapaxes(-1, -2)), l
 
 

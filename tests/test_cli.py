@@ -13,6 +13,7 @@ import pytest
 import mptrotter
 from mptrotter import SweepConfig, drop_floor, fit_order, run_sweep
 from mptrotter.cli import main
+from tests.conftest import HUGE
 
 
 def run_cli(capsys, *argv):
@@ -138,13 +139,6 @@ class TestSweep:
         assert lines[0] == "t,algo,p00,p01,p10,p11,success_prob,state_error,fidelity"
         assert len(lines) == 7
 
-    def test_output_path_from_config(self, capsys, tmp_path):
-        out_path = tmp_path / "from_config.csv"
-        cfg = self.write_config(tmp_path, output=str(out_path))
-        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == 0
-        assert out_path.exists()
-
     def test_byte_determinism(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
         a = tmp_path / "a.csv"
@@ -164,10 +158,21 @@ class TestSweep:
         assert payload[0]["algo"] == "exact"
 
     def test_missing_output_path(self, capsys, tmp_path):
+        # the path comes from --out only
         cfg = self.write_config(tmp_path)
-        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == 1
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
         assert "no output path" in err
+
+    def test_unknown_format(self, capsys, tmp_path):
+        # emit checks the format before it writes anything
+        out_path = tmp_path / "rows.xml"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(self.write_config(tmp_path)),
+                                 "--out", str(out_path), "--format", "xml")
+        assert (code, out) == (1, "")
+        assert err == "error: format must be csv or json, got 'xml'\n"
+        assert not out_path.exists()
 
     def test_output_in_missing_directory(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -228,6 +233,7 @@ class TestConfigErrors:
         ('{"t_grid": 3}', "t_grid"),
         ('{"initial_state": 1}', "initial_state"),
         ('{"algorithms": ["exact", 4]}', "algorithms"),
+        # no longer config keys, so rejected as unknown, by name
         ('{"oaa_rounds": "2"}', "oaa_rounds"),
         ('{"output": 5}', "output"),
         ('{"delta": true}', "delta"),
@@ -237,6 +243,36 @@ class TestConfigErrors:
         assert code == 1
         assert one_error_line(err)
         assert key in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("oaa_rounds", 1), ("output", "rows.csv"), ("format", "csv")])
+    def test_removed_keys_are_unknown(self, capsys, tmp_path, key, value):
+        # rounds belong to the mp_oaa spec, the path and format to --out and --format
+        code, out, err = self.run_with(capsys, tmp_path, json.dumps({key: value}))
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+        assert err.startswith(f"error: unknown config keys [{key!r}]; allowed: ")
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"omega": HUGE}, "config key 'omega'"),
+        ({"t_grid": [0, HUGE]}, "every t_grid entry"),
+        ({"initial_state": [HUGE, 0, 0, 0]}, "every initial_state amplitude"),
+        ({"initial_state": [[HUGE, 0], 0, 0, 0]}, "every initial_state amplitude"),
+    ], ids=["omega", "t_grid", "amplitude", "pair"])
+    def test_numbers_too_large_for_a_float(self, capsys, tmp_path, raw, named):
+        code, out, err = self.run_with(capsys, tmp_path, json.dumps(raw))
+        assert (code, out) == (1, "")
+        assert err == f"error: {named} must fit in a float, got a 400-digit integer\n"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["evolve", "--algo", f"trotter:{HUGE}", "--t", "1"], f"iteration count {HUGE}"),
+    (["scaling", "--k", "2", "--points", str(HUGE)], f"points {HUGE}"),
+], ids=["trotter", "points"])
+def test_counts_too_large_for_a_float(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {named} overflows a float\n"
 
 
 class TestScaling:
@@ -392,7 +428,7 @@ def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
     out = str(tmp_path / "rows")
     calls = [
         ["sweep", "--out", out, "--format", "json"],
-        ["sweep", "--out", out],  # no --format: the config's csv
+        ["sweep", "--out", out],  # no --format: csv
         ["scaling"],  # usage error: --k missing
         ["evolve", "--algo", "mp_oaa:modified:2,4", "--t", "3"],
         ["scaling", "--k", "3", "--tmin", "1", "--tmax", "3"],

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from mptrotter import cli, experiments
 from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS, sweep_states
 from mptrotter.multiproduct import state_errors
 from mptrotter.trotter import product_stacks
+from tests.conftest import HUGE
 
 
 class TestClassicalFidelity:
@@ -170,6 +172,13 @@ class TestParsing:
         for spec in ("trotter:0", "trotter:-3"):
             with pytest.raises(ValueError, match="positive"):
                 SweepConfig(algorithms=(spec,))
+        # the round count of an mp_oaa spec is its only spelling
+        for spec, message in (("mp_oaa:modified:2,4:-1", "must be nonnegative, got -1"),
+                              ("mp_oaa:modified:2,4:1.5", "must be an integer, got '1.5'"),
+                              ("mp_oaa:1,2:inf", "must be an integer, got 'inf'"),
+                              ("mp_oaa:1,2:nan", "must be an integer, got 'nan'")):
+            with pytest.raises(ValueError, match=f"round count {message}"):
+                SweepConfig(algorithms=(spec,))
 
 
 class TestSweepConfig:
@@ -185,15 +194,6 @@ class TestSweepConfig:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="not normalized"):
             SweepConfig(initial_state=(1.0, 1.0, 0.0, 0.0))
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValueError, match="csv or json"):
-            SweepConfig(format="xml")
-
-    @pytest.mark.parametrize("bad", [-1, 1.5, float("inf"), float("-inf"), float("nan"), "2"])
-    def test_rejects_bad_oaa_rounds(self, bad):
-        with pytest.raises(ValueError, match="oaa_rounds must be a nonnegative integer"):
-            SweepConfig(oaa_rounds=bad)
 
     def test_rejects_bad_algorithm_early(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -227,14 +227,13 @@ class TestSweepConfig:
             "initial_state": [[0.6, 0.0], 0.8, 0, 0],
             "t_grid": [0.0, 1.0, 2.0],
             "algorithms": ["exact", "mp:1,2"],
-            "format": "json",
         }))
         cfg = load_config(path)
         assert cfg.model.omega == 0.4
         assert cfg.model.delta == 0.5  # default preserved
         assert cfg.initial_state == (0.6 + 0j, 0.8 + 0j, 0j, 0j)
         assert cfg.t_grid == (0.0, 1.0, 2.0)
-        assert cfg.format == "json"
+        assert cfg.algorithms == ("exact", "mp:1,2")
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -243,7 +242,38 @@ class TestSweepConfig:
         path.write_text(block)
         cfg = load_config(path)
         assert cfg.initial_state == (0.6 + 0j, 0.8 + 0j, 0j, 0j)
-        assert cfg.algorithms == ("exact", "mp:modified:2,4")
+        assert cfg.algorithms == ("exact", "mp:modified:2,4", "mp_oaa:modified:2,4:2")
+        assert cfg.specs[2].rounds == 2
+
+    def test_readme_code_runs(self, capsys):
+        # the two python blocks run in order in one namespace, and each
+        # printed value matches its "# ~x" comment to x's last digit
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 2
+        namespace = {}
+        for block in blocks:
+            exec(block, namespace)
+        printed = [float(x) for x in capsys.readouterr().out.split()]
+        promised = re.findall(r"print\(.*\)\s*# ~(\S+)", "".join(blocks))
+        assert promised == ["9e-9", "0.9979"]
+        assert len(printed) == len(promised)
+        for got, text in zip(printed, promised):
+            half_unit = 0.5 * 10.0 ** Decimal(text).as_tuple().exponent
+            assert abs(got - float(text)) <= half_unit, (got, text)
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"omega": HUGE}, "'omega'"),
+        ({"t_grid": [0, HUGE]}, "t_grid"),
+        ({"initial_state": [HUGE, 0, 0, 0]}, "initial_state"),
+        ({"initial_state": [[0, HUGE], 0, 0, 0]}, "initial_state"),
+    ], ids=["omega", "t_grid", "amplitude", "pair"])
+    def test_load_config_rejects_numbers_too_large_for_a_float(self, tmp_path, raw, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"{key}.* must fit in a float, got a "
+                                             "400-digit integer"):
+            load_config(path)
 
     def test_load_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -343,6 +373,17 @@ class TestRunSweep:
         assert table.populations.sum() == pytest.approx(1.0, abs=1e-12)
         assert table.success_prob.tolist() == [1.0]
 
+    def test_bare_mp_oaa_is_one_round(self, tmp_path):
+        # the same CSV bytes once the spec names are made equal
+        written = []
+        for spec in ("mp_oaa:modified:2,4", "mp_oaa:modified:2,4:1"):
+            path = tmp_path / "rows.csv"
+            emit(run_sweep(SweepConfig(t_grid=(0.0, 2.5, 10.0), algorithms=(spec,))),
+                 "csv", path)
+            written.append(path.read_bytes().replace(b'2,4:1"', b'2,4"'))
+        assert written[0] == written[1]
+        assert written[0].count(b'"mp_oaa:modified:2,4"') == 3
+
 
 def assert_same_cells(table, other, keep=slice(None)):
     """The cells `keep` of two sweep tables are equal, NaN equal to NaN."""
@@ -366,7 +407,7 @@ def reference_rows(config):
         exact = hermitian_propagator(h, t) @ psi0
         p_exact = np.abs(exact) ** 2 / np.sum(np.abs(exact) ** 2)
         for spec in config.algorithms:
-            algo = parse_algorithm(spec, config.oaa_rounds)
+            algo = parse_algorithm(spec)
             prob = 1.0
             if algo.kind == "exact":
                 state = exact

@@ -13,9 +13,9 @@ from mptrotter import (
     HamiltonianDecomposition,
     build_spin_hamiltonian,
     hermitian_propagator,
-    products,
     second_order_step,
     total,
+    trotterize,
 )
 from mptrotter.linalg import WALSH, eigen_propagator, eigenpairs
 from mptrotter.trotter import SYMMETRIC_MIN_DIM
@@ -97,7 +97,7 @@ def test_ising_step_against_50_digit_exponentials():
     assert np.max(np.abs(second_order_step(decomp, t) - step)) <= TOL
     # two steps of t, formed in the two 32 x 32 symmetry sectors and joined
     assert decomp.sectors is not None
-    assert np.max(np.abs(products(decomp, 2.0 * t, 2) - squared)) <= TOL
+    assert np.max(np.abs(trotterize(decomp, 2.0 * t, 2) - squared)) <= TOL
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 3.0, -2.2])

@@ -7,7 +7,6 @@ from mptrotter import (
     fit_order,
     hermitian_propagator,
     is_unitary,
-    products,
     second_order_step,
     spectral_norm,
     total,
@@ -94,7 +93,7 @@ def test_rejects_zero_iterations(spin_decomp):
         with pytest.raises(ValueError, match="iteration count must be a positive integer"):
             trotterize(spin_decomp, 1.0, bad)
         with pytest.raises(ValueError, match="iteration count must be a positive integer"):
-            products(spin_decomp, [0.5, 1.0], bad)
+            trotterize(spin_decomp, [0.5, 1.0], bad)
 
 
 def test_cached_eigenpairs_match_propagator_product():
