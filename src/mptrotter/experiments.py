@@ -420,6 +420,8 @@ def cell_text(cell) -> str:
 # One CSV line of a row with every cell present, in cell_text's spelling
 # ("%.12g" equals f"{x:.12g}"); the algorithm name goes in already quoted.
 _CSV_ROW = ",".join("%s" if name == "algo" else "%.12g" for name in COLUMNS) + "\n"
+# One record as json.dumps(records, indent=2) spells it; str(float) is json's repr.
+_JSON_RECORD = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in COLUMNS) + "\n  }"
 
 
 def _csv_line(cells) -> str:
@@ -434,30 +436,25 @@ def emit(table: SweepTable, format: str, path) -> None:
     significant digits.
 
     A NaN cell is written empty (CSV) or null (JSON), so a degenerate row
-    keeps its time, algorithm and success probability only. A CSV row with
-    every cell present is formatted in one step, its algorithm name quoted
-    once per name; the others go through csv.writer.
+    keeps its time, algorithm and success probability only. A row of finite
+    numbers is formatted in one step, its algorithm name quoted once per name;
+    the others go cell by cell through csv.writer or json.dumps.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {format!r}")
-    columns = table.columns()
-    blank = np.isnan(np.column_stack([table.t, table.populations, table.success_prob,
-                                      table.state_error, table.fidelity])).any(axis=1)
-    # the cells of each row with a blank, None where NaN (NaN != NaN)
-    incomplete = {i: [None if col[i] != col[i] else col[i] for col in columns]
-                  for i in np.flatnonzero(blank).tolist()}
-    if format == "csv":
-        # each name as csv.writer spells it among other fields: the line of
-        # [name, ""] without the empty field's "," and the newline
-        quoted = {name: _csv_line([name, ""])[:-2] for name in set(table.algo)}
-        lines = [_CSV_ROW % cells for cells in
-                 zip(columns[0], [quoted[name] for name in table.algo], *columns[2:])]
-        for i, cells in incomplete.items():
-            lines[i] = _csv_line([cell_text(c) for c in cells])
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n" + "".join(lines))
-        return
-    records = [dict(zip(COLUMNS, cells)) for cells in zip(*columns)]
-    for i, cells in incomplete.items():
-        records[i] = dict(zip(COLUMNS, cells))
-    Path(path).write_text(json.dumps(records, indent=2) + "\n")
+    columns, as_csv = table.columns(), format == "csv"
+    irregular = ~np.isfinite(np.column_stack([table.t, table.populations, table.success_prob,
+                                              table.state_error, table.fidelity])).all(axis=1)
+    # each name as csv.writer spells it among other fields (the line of
+    # [name, ""] without the empty field's "," and the newline), or as JSON
+    quoted = {name: _csv_line([name, ""])[:-2] if as_csv else json.dumps(name)
+              for name in set(table.algo)}
+    rows = [(_CSV_ROW if as_csv else _JSON_RECORD) % cells for cells in
+            zip(columns[0], [quoted[name] for name in table.algo], *columns[2:])]
+    for i in np.flatnonzero(irregular).tolist():
+        cells = [None if col[i] != col[i] else col[i] for col in columns]  # NaN != NaN
+        rows[i] = (_csv_line([cell_text(c) for c in cells]) if as_csv
+                   else _JSON_RECORD % tuple(json.dumps(c) for c in cells))
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n" + "".join(rows) if as_csv
+                 else "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")

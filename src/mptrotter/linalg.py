@@ -49,21 +49,8 @@ ATOL_ALGEBRAIC = 1e-10
 
 # Smallest dimension that takes the paths whose fixed cost only pays off on
 # larger matrices: a real split squares its powers as z z^T (`trotter`), and a
-# centrosymmetric matrix or split is split into its two sectors. One BLAS
-# thread, 2-vCPU host, medians:
-#   time of z @ z.swapaxes(-1, -2) (syrk) over z @ z (gemm) for complex z,
-#     (d, d):  d = 8: 1.08, 16: 1.41, 32: 1.24, 64: 0.88, 128: 0.73, 256: 0.69,
-#              512: 0.60;
-#     stacks:  (61, 4, 4): 1.17, (61, 16, 16): 2.2, (61, 32, 32): 1.30,
-#              (61, 64, 64): 0.99, (8, 128, 128): 0.80, (4, 256, 256): 0.68;
-#   time in the two sectors over the whole matrix, transverse-field Ising
-#   split and its sum, d = 4, 8, 16, 32, 64, 128, 256:
-#     `trotter.product_stacks`, one time, l = 8:
-#              1.56, 1.80, 1.75, 1.32, 0.91, 0.50, 0.35;
-#     `trotter.product_stacks`, 61 times, l = 4, 8, 16, 32:
-#              1.42, 1.13, 0.71, 0.60, 0.49, 0.42, 0.41;
-#     `hermitian_propagator`, one time:
-#              1.71, 1.92, 1.58, 1.18, 0.69, 0.68, 0.70.
+# centrosymmetric matrix or split is split into its two sectors.
+# Its timings are in CHANGES.md.
 SYMMETRIC_MIN_DIM = 64
 
 # The eigenvector slot of a dyadic matrix's eigenpairs: its eigenvectors are

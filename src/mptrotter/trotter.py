@@ -11,8 +11,11 @@ diagonal, dyadic or has a real eigenbasis, has complex symmetric A_i(s), so
 Y(-s)^dag = Y(s)^T and its step and all its powers are complex symmetric.
 From d = SYMMETRIC_MIN_DIM up such a split squares its powers as z z^T, a
 product that numpy hands to BLAS syrk, which forms one triangle and mirrors
-it: the results are exactly symmetric. Smaller or complex splits are raised
-by `numpy.linalg.matrix_power`.
+it: the results are exactly symmetric. Up to d = _REAL_FORM_MAX_DIM the steps
+are raised in the real form R(z) = [[Re z, -Im z], [Im z, Re z]], and z^l is
+read from the left block column of R(z)^l = R(z^l): BLAS multiplies a stack of
+small real matrices in one call but a complex stack one call per matrix. Other
+splits are raised by `numpy.linalg.matrix_power`.
 
 From d = SYMMETRIC_MIN_DIM up, a split with `sectors` (every term
 centrosymmetric, as both terms of a transverse-field Ising split are) is
@@ -35,6 +38,9 @@ from .linalg import (
     is_integer,
     phases,
 )
+
+# Largest dimension raised in the real form; its timings are in CHANGES.md.
+_REAL_FORM_MAX_DIM = 8
 
 
 def _real(decomp: HamiltonianDecomposition) -> bool:
@@ -94,11 +100,10 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
     """{l: S_1(t/l)^l for every time in ts} for each iteration count l in counts.
 
     The steps of all counts come from one `second_order_step` call on the
-    stacked times ts / l. A real split at d >= SYMMETRIC_MIN_DIM squares its
-    powers as z z^T (syrk); any other split is raised by
-    `numpy.linalg.matrix_power`. A split with sectors at d >= SYMMETRIC_MIN_DIM
-    is raised in each sector by these rules. counts is a sequence of positive
-    integers, every one checked first.
+    stacked times ts / l, and are raised (in the real form up to
+    d = _REAL_FORM_MAX_DIM, in sectors when the split has them) by the rules
+    of the module docstring. counts is a sequence of positive integers, every
+    one checked first.
     """
     for l in counts:
         if not is_integer(l) or l < 1:
@@ -110,6 +115,15 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
         plus, minus = (product_stacks(half, ts, counts) for half in decomp.sectors)
         return {l: centro_join(plus[l], minus[l]) for l in counts}
     steps = second_order_step(decomp, np.stack([ts / int(l) for l in counts]))
+    if (d := decomp.dim) <= _REAL_FORM_MAX_DIM:  # one real form for the steps of all counts
+        real = np.concatenate([np.concatenate([steps.real, -steps.imag], -1),
+                               np.concatenate([steps.imag, steps.real], -1)], -2)
+        out = {}
+        for l, r in zip(counts, real):
+            e = np.linalg.matrix_power(r, int(l))  # R(z^l), z^l in its left block column
+            out[l] = e[..., :d, :d].astype(complex)
+            out[l].imag = e[..., d:, :d]
+        return out
     return {l: _power(decomp, z, int(l)) for l, z in zip(counts, steps)}
 
 

@@ -29,7 +29,7 @@ from mptrotter import (
 )
 from mptrotter import linalg
 from mptrotter.linalg import WALSH, eigenpairs, xor_index
-from mptrotter.trotter import SYMMETRIC_MIN_DIM, product_stacks
+from mptrotter.trotter import _REAL_FORM_MAX_DIM, SYMMETRIC_MIN_DIM, _real, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
 TOL = 1e-13
@@ -316,7 +316,9 @@ def test_non_finite_diagonal_is_rejected(bad):
 
 # --- symmetric products of real splits -------------------------------------
 # Every split forms its step as Y(t/2) Y(-t/2)^dag, a real split as Y Y^T. A
-# real split at d >= SYMMETRIC_MIN_DIM squares its powers as z z^T (BLAS
+# split at d <= _REAL_FORM_MAX_DIM is raised as the real matrix
+# R(z) = [[Re z, -Im z], [Im z, Re z]], within roundoff of the complex powers;
+# a real split at d >= SYMMETRIC_MIN_DIM squares its powers as z z^T (BLAS
 # syrk); every other split must be raised by numpy's matrix_power bit for bit.
 
 
@@ -351,9 +353,9 @@ def test_real_split_powers_of_two_are_exactly_symmetric(diagonal_at, t):
         assert np.array_equal(p, p.swapaxes(-1, -2)), l
 
 
-@pytest.mark.parametrize("d", [4, 32])
+@pytest.mark.parametrize("d", [16, 32])
 def test_real_split_below_crossover_is_plain_matrix_power(d):
-    assert d < SYMMETRIC_MIN_DIM
+    assert _REAL_FORM_MAX_DIM < d < SYMMETRIC_MIN_DIM
     decomp = real_split(d, 1, 1, np.random.default_rng(d))
     ts = np.linspace(-2.0, 5.0, 4)
     stacks = product_stacks(decomp, ts, range(1, 101))
@@ -361,6 +363,24 @@ def test_real_split_below_crossover_is_plain_matrix_power(d):
         want = np.linalg.matrix_power(second_order_step(decomp, ts / l), l)
         assert np.array_equal(trotterize(decomp, ts, l), want), l
         assert np.array_equal(stacks[l], want), l
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("split", ["real", "complex"])
+@pytest.mark.parametrize("t", [0.7, np.linspace(-2.0, 5.0, 4)], ids=["scalar", "stacked"])
+def test_small_products_match_complex_matrix_power(t, split, d):
+    assert d <= _REAL_FORM_MAX_DIM
+    rng = np.random.default_rng(d)
+    decomp = real_split(d, 1, 1, rng) if split == "real" else HamiltonianDecomposition(
+        terms=(structured_hermitian("complex", d, rng), structured_hermitian("diagonal", d, rng)))
+    assert _real(decomp) == (split == "real")
+    stacks = product_stacks(decomp, t, range(1, 101))
+    for l in range(1, 101):
+        want = np.linalg.matrix_power(second_order_step(decomp, np.asarray(t) / l), l)
+        got = trotterize(decomp, t, l)
+        assert got.shape == want.shape == np.shape(t) + (d, d)
+        assert max_dev(got, want) <= TOL, l
+        assert np.array_equal(stacks[l], got), l
 
 
 def test_complex_split_keeps_plain_matrix_power():
@@ -383,10 +403,15 @@ def test_complex_split_keeps_plain_matrix_power():
 
 def single_count_product(decomp, t, l):
     """S_1(t/l)^l from the step at t/l alone, raised one count at a time:
-    matrix_power, or the syrk squaring z z^T for a real split at
-    d >= SYMMETRIC_MIN_DIM."""
+    matrix_power of the real form R(z) at d <= _REAL_FORM_MAX_DIM, the syrk
+    squaring z z^T for a real split at d >= SYMMETRIC_MIN_DIM, and
+    matrix_power otherwise."""
     z = second_order_step(decomp, np.asarray(t, dtype=float) / l)
-    if decomp.dim < SYMMETRIC_MIN_DIM or any(np.iscomplexobj(v) for _, v in decomp.eigenpairs):
+    d = decomp.dim
+    if d <= _REAL_FORM_MAX_DIM:
+        e = np.linalg.matrix_power(np.block([[z.real, -z.imag], [z.imag, z.real]]), l)
+        return e[..., :d, :d] + 1j * e[..., d:, :d]
+    if d < SYMMETRIC_MIN_DIM or any(np.iscomplexobj(v) for _, v in decomp.eigenpairs):
         return np.linalg.matrix_power(z, l)
     result = None
     while True:

@@ -636,21 +636,34 @@ class TestEmit:
         with pytest.raises(ValueError, match="csv or json"):
             emit(self.make_table(), "yaml", tmp_path / "x")
 
-    def test_csv_matches_csv_writer_cell_by_cell(self, tmp_path):
-        # complete rows take the one-step format, the degenerate row the
-        # cell-by-cell path; both must give csv.writer's bytes
+    def edge_table(self):
         nan = float("nan")
-        table = table_of(list(zip(*self.make_table().columns())) + [
+        return table_of(list(zip(*self.make_table().columns())) + [
             (2.0, "mp:1,2", nan, nan, nan, nan, 0.0, nan, nan),
             (-0.0, "mp:1,2", 0.25, 0.25, 0.25, 0.25, 1e-300, 5e-324, 1e16),
             (1e16, "mp_oaa:1,2,3,96:2", 1.0, 0.0, -0.0, 0.0, 0.5, float("inf"), 1.0 / 3.0),
             (3, 'say "hi"', 1, 0, 0, 0, 1, 0, 1),
         ])
+
+    def test_csv_matches_csv_writer_cell_by_cell(self, tmp_path):
+        # complete rows take the one-step format, the degenerate row the
+        # cell-by-cell path; both must give csv.writer's bytes
+        table = self.edge_table()
         path = tmp_path / "fast.csv"
         emit(table, "csv", path)
         assert path.read_text() == reference_text(table, "csv")
         assert '\n-0,"mp:1,2",0.25,0.25,0.25,0.25,1e-300,4.94065645841e-324,1e+16\n' \
             in path.read_text()
+
+    def test_json_matches_json_dumps_cell_by_cell(self, tmp_path):
+        # the same rows as JSON: an infinite cell is json's Infinity, a quote
+        # in a name is escaped
+        table = self.edge_table()
+        path = tmp_path / "fast.json"
+        emit(table, "json", path)
+        assert path.read_text() == reference_text(table, "json")
+        assert '"state_error": Infinity,' in path.read_text()
+        assert '"algo": "say \\"hi\\"",' in path.read_text()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("config", [

@@ -2,7 +2,8 @@
 second-order step, the propagator of a dyadic sum of X-strings, the
 second-order step of a 6-qubit transverse-field Ising split and its square,
 and the step of a complex split with a diagonal term, against 50-digit mpmath
-exponentials."""
+exponentials; and the spin model's long products S(1/L)^L against 50-digit
+squaring of the 50-digit step."""
 from functools import reduce
 
 import mpmath
@@ -116,3 +117,20 @@ def test_complex_split_step_against_50_digit_exponentials(t):
         halves = [mp_expm(h, t / 2.0) for h in terms]
         step = reduce(lambda x, y: x * y, halves + halves[::-1])
     assert np.max(np.abs(second_order_step(decomp, t) - to_complex(step))) <= TOL
+
+
+@pytest.mark.parametrize("bits, bound", [(10, 1.3e-12), (20, 1.2e-9), (30, 9.6e-7)])
+def test_long_spin_products_against_50_digit_squaring(bits, bound):
+    # S(1/L)^L for L = 2^bits is the 50-digit step squared bits times. The
+    # float64 error is roundoff that grows with L; each bound is twice the
+    # error of matrix_power on the complex steps (6.4e-13, 5.6e-10, 4.8e-7)
+    decomp = build_spin_hamiltonian()
+    h1, h2 = decomp.terms
+    with mpmath.workdps(50):
+        tau = mpmath.mpf(1) / 2 ** bits
+        half = mp_expm(h1, tau / 2)
+        product = half * mp_expm(h2, tau) * half
+        for _ in range(bits):
+            product = product * product
+        want = to_complex(product)
+    assert np.max(np.abs(trotterize(decomp, 1.0, 2 ** bits) - want)) <= bound
