@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_attach_negative_numbers(argv))
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

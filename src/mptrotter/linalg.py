@@ -70,10 +70,10 @@ def is_integer(x) -> bool:
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting anything else."""
+    """Coerce to a nonempty square complex matrix, rejecting anything else."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator must be a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"operator must be a nonempty square matrix, got shape {a.shape}")
     return a
 
 

@@ -11,13 +11,13 @@ and leaves the combination accurate to O(t^{2k+1}). The coefficients always
 sum to 1 and depend only on the ratios of the L(q). Geometric schedules
 L(q) = a * 2^q keep sum|c_q| below 2, which is what makes the circuit
 realization practical; schedules with near-equal iteration counts blow the
-coefficients up and are numerically ill-conditioned.
+coefficients up and are numerically ill-conditioned. `mp_coefficients` forms
+the product in one pass that overflows only where a coefficient does.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from math import exp, inf, lgamma, log
+from math import exp, inf
 
 import numpy as np
 
@@ -29,7 +29,8 @@ COEFF_SUM_TOL = 1e-9
 # Output states with norm at or below this are treated as a degenerate
 # (failed) branch rather than renormalized noise.
 DEGENERATE_AMPLITUDE = 1e-12
-_LOG_FLOAT_MAX = log(sys.float_info.max)
+# From this n on, (1, ..., n, tail) overflows for every float tail (see CHANGES.md)
+_RAMP_OVERFLOW_LEN = 2580
 
 
 def mp_coefficients(iterations) -> np.ndarray:
@@ -45,63 +46,35 @@ def mp_coefficients(iterations) -> np.ndarray:
         raise ValueError(f"iteration count {max(iterations)} overflows a float") from None
     if ell.size == 0:
         raise ValueError("schedule must contain at least one iteration count")
-    if np.any(ell <= 0):
+    if not np.all(ell > 0):  # NaN fails
         raise ValueError(f"iteration counts must be positive, got {ell.tolist()}")
     if np.any(np.diff(ell) <= 0):
         raise ValueError(
             f"iteration counts must be strictly increasing, got {ell.tolist()}"
         )
-    coeffs = np.ones(ell.size, dtype=float)
+    # L(q)^2 / (L(q)^2 - L(p)^2) for all q and 16 p at a time, both squares
+    # scaled exactly so the larger is its mantissa: f * 2^shift, 0.25 <= |f| <= 2^55.
+    # The product runs in increasing p as written, its exponent held apart and
+    # renormalized every 16 factors (within 2^-33 and 2^880): nothing overflows
+    # part-way, and finite, normal results are bit for bit the plain product's.
+    m, e = np.frexp(ell)
+    ms, es = m * m, 2 * e
+    mant, expo = 1.0, 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq = ell * ell
-        # one factor L(q)^2 / (L(q)^2 - L(p)^2) per p for every q at once, in
-        # increasing p as the product is written; the p = q factor is 1
-        for p in range(ell.size):
-            factor = sq / (sq - sq[p])
-            factor[p] = 1.0
-            coeffs *= factor
+        for start in range(0, ell.size, 16):
+            d = es - es[start:start + 16, None]
+            shift = np.minimum(d, 0)
+            factors = ms / (np.ldexp(ms, shift) - np.ldexp(ms[start:start + 16, None], shift - d))
+            factors.flat[start::ell.size + 1] = 1.0  # the p = q factors
+            for factor in factors:
+                mant = mant * factor
+            mant, step = np.frexp(mant)
+            expo = expo + step + shift.sum(axis=0)
+        coeffs = np.ldexp(mant, expo)
     if not np.isfinite(coeffs).all():
-        # the running product can overflow on the way to a coefficient that
-        # fits (the p < q factors all exceed 1), so only the closed form decides
-        coeffs = _coefficients_from_logs(ell)
-        if not np.isfinite(coeffs).all():
-            raise ValueError(
-                f"coefficients overflow a float for iteration counts up to {ell[-1]:.6g}")
+        raise ValueError(
+            f"coefficients overflow a float for iteration counts up to {ell[-1]:.6g}")
     return coeffs
-
-
-def _coefficients_from_logs(ell: np.ndarray) -> np.ndarray:
-    """The coefficients from their closed-form log magnitudes and signs.
-
-    log|c_q| = sum_{p != q} 2 log L(q) - log|L(q) - L(p)| - log(L(q) + L(p)),
-    and c_q has one sign flip per p > q. Entries whose magnitude exceeds a
-    float come out infinite or NaN.
-    """
-    log_mag = np.zeros(ell.size)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_ell = np.log(ell)
-        for p in range(ell.size):
-            term = 2.0 * log_ell - np.log(np.abs(ell - ell[p])) - np.log(ell + ell[p])
-            term[p] = 0.0
-            log_mag += term
-        sign = np.where((ell.size - 1 - np.arange(ell.size)) % 2, -1.0, 1.0)
-        return sign * np.exp(log_mag)
-
-
-def _ramp_overflows(n: int, tail: int) -> bool:
-    """Whether a ramp coefficient of the schedule (1, ..., n, tail) overflows.
-
-    For the ramp, prod_{p != q} |q^2 - p^2| = (n - q)! (n + q)! / (2 q^2), so
-    log|c_q| = 2 (n + 1) log q + log 2 - log (n - q)! - log (n + q)!
-    - log (tail^2 - q^2) costs O(1) per q. The scan starts at the top of the
-    ramp and stops at the first overflow: past n of a few thousand, c_n
-    overflows for every tail that fits in a float, so a long ramp is rejected
-    at its first step.
-    """
-    def log_c(q: int) -> float:
-        return (2 * (n + 1) * log(q) + log(2.0) - lgamma(n - q + 1) - lgamma(n + q + 1)
-                - log(tail - q) - log(tail + q))
-    return any(log_c(q) > _LOG_FLOAT_MAX for q in range(n, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -182,7 +155,7 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
                 f"rounded tail {tail} collides with the leading ramp 1..{int(k) - 1}; "
                 f"increase gamma"
             )
-        if _ramp_overflows(int(k) - 1, tail):
+        if int(k) - 1 >= _RAMP_OVERFLOW_LEN:
             raise ValueError(f"coefficients overflow a float for iteration counts up to {tail:.6g}")
         its = tuple(range(1, int(k))) + (tail,)
         return MpSchedule(its, kind="original", param=float(gamma))

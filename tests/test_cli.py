@@ -275,6 +275,15 @@ def test_counts_too_large_for_a_float(capsys, argv, named):
     assert err == f"error: {named} overflows a float\n"
 
 
+def test_unallocatable_grid_is_one_error_line(capsys):
+    # 10^16 float64 times need 80 PB, more than a 47-bit address space holds,
+    # so the allocation fails at once whatever the overcommit setting
+    code, out, err = run_cli(capsys, "scaling", "--k", "2", "--points", str(10 ** 16))
+    assert (code, out) == (1, "")
+    assert one_error_line(err)
+    assert "allocate" in err
+
+
 class TestScaling:
     def test_two_term_order(self, capsys):
         code, out, _ = run_cli(capsys, "scaling", "--k", "2")

@@ -196,3 +196,18 @@ def test_nan_fails_norm_and_sum_checks(call, message):
     # NaN must fail, not pass
     with pytest.raises(ValueError, match=message):
         call()
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectral_norm(EMPTY),
+    lambda: is_unitary(EMPTY),
+    lambda: HamiltonianDecomposition(terms=(EMPTY,)),
+    lambda: build_lcu([1.0], [EMPTY]),
+], ids=["spectral_norm", "is_unitary", "HamiltonianDecomposition", "build_lcu"])
+def test_empty_operator_is_rejected(call):
+    # a 0x0 matrix has no top eigenvalue and no data register
+    with pytest.raises(ValueError, match=r"nonempty square matrix, got shape \(0, 0\)"):
+        call()

@@ -1,3 +1,7 @@
+import sys
+import time
+from math import lgamma, log
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,19 @@ from mptrotter import (
     total,
     trotterize,
 )
+from mptrotter.multiproduct import _RAMP_OVERFLOW_LEN
 from tests.conftest import taylor_propagator
+
+
+def written_product(its) -> list:
+    """prod_{p != q} L(q)^2 / (L(q)^2 - L(p)^2), one q at a time in increasing p."""
+    sq = np.asarray(its, dtype=float) ** 2
+    want = np.ones(len(its))
+    for q in range(len(its)):
+        for p in range(len(its)):
+            if p != q:
+                want[q] *= sq[q] / (sq[q] - sq[p])
+    return want.tolist()
 
 
 class TestCoefficients:
@@ -57,14 +73,13 @@ class TestCoefficients:
         (1, 2, 3, 4, 5, 6, 7, 8, 9, 1000),
     ])
     def test_bit_identical_to_the_written_product(self, its):
-        # prod_{p != q} L(q)^2 / (L(q)^2 - L(p)^2), one q at a time in increasing p
-        sq = np.asarray(its, dtype=float) ** 2
-        want = np.ones(len(its))
-        for q in range(len(its)):
-            for p in range(len(its)):
-                if p != q:
-                    want[q] *= sq[q] / (sq[q] - sq[p])
-        assert mp_coefficients(its).tolist() == want.tolist()
+        assert mp_coefficients(its).tolist() == written_product(its)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(its=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=12, unique=True))
+    def test_bit_identical_to_the_written_product_on_drawn_schedules(self, its):
+        its = sorted(its)
+        assert mp_coefficients(its).tolist() == written_product(its)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(its=st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=8, unique=True))
@@ -83,6 +98,8 @@ class TestCoefficients:
             mp_coefficients([])
         with pytest.raises(ValueError, match="positive"):
             mp_coefficients([0, 2])
+        with pytest.raises(ValueError, match="positive"):
+            mp_coefficients([float("nan")])
         with pytest.raises(ValueError, match="strictly increasing"):
             mp_coefficients([2, 2, 4])
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -160,6 +177,28 @@ class TestMakeSchedule:
         assert np.all(np.sign(coeffs[normal]) == signs[normal])
         with pytest.raises(ValueError, match="must sum to 1"):
             make_schedule("original", gamma=gamma, k=k)
+
+    def test_ramp_constant_is_the_first_ramp_that_overflows_every_tail(self):
+        # for the ramp, prod_{p != q} |q^2 - p^2| = (n - q)! (n + q)! / (2 q^2), so
+        # log|c_q| = 2 (n + 1) log q + log 2 - log (n - q)! (n + q)! - log (tail^2 - q^2);
+        # a larger tail only shrinks it, so the largest float tail decides
+        tail = int(sys.float_info.max)
+
+        def max_log_c(n):
+            return max(2 * (n + 1) * log(q) + log(2.0) - lgamma(n - q + 1) - lgamma(n + q + 1)
+                       - log(tail - q) - log(tail + q) for q in range(1, n + 1))
+
+        n = _RAMP_OVERFLOW_LEN
+        assert max_log_c(n - 1) < log(sys.float_info.max) < max_log_c(n)
+        coeffs = mp_coefficients(list(range(1, n)) + [tail])
+        assert log(np.abs(coeffs).max()) == pytest.approx(max_log_c(n - 1), abs=1e-9)
+        with pytest.raises(ValueError, match="overflow"):
+            mp_coefficients(list(range(1, n + 1)) + [tail])
+        # past the constant a ramp is rejected unbuilt: 999,999 steps, tail e^100
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="coefficients overflow a float"):
+            make_schedule("original", gamma=1e-4, k=10 ** 6)
+        assert time.perf_counter() - start < 0.01
 
     def test_explicit_schedule_that_overflows_says_so(self):
         its = list(range(1, 1500))

@@ -2,8 +2,9 @@
 second-order step, the propagator of a dyadic sum of X-strings, the
 second-order step of a 6-qubit transverse-field Ising split and its square,
 and the step of a complex split with a diagonal term, against 50-digit mpmath
-exponentials; and the spin model's long products S(1/L)^L against 50-digit
-squaring of the 50-digit step."""
+exponentials; the spin model's long products S(1/L)^L against 50-digit
+squaring of the 50-digit step; and the multi-product coefficients against
+their 50-digit closed forms."""
 from functools import reduce
 
 import mpmath
@@ -14,6 +15,7 @@ from mptrotter import (
     HamiltonianDecomposition,
     build_spin_hamiltonian,
     hermitian_propagator,
+    mp_coefficients,
     second_order_step,
     total,
     trotterize,
@@ -134,3 +136,58 @@ def test_long_spin_products_against_50_digit_squaring(bits, bound):
             product = product * product
         want = to_complex(product)
     assert np.max(np.abs(trotterize(decomp, 1.0, 2 ** bits) - want)) <= bound
+
+
+def product_coefficients_50(its) -> list:
+    """prod_{p != q} L(q)^2 / (L(q)^2 - L(p)^2) at 50 digits, O(k^2)."""
+    with mpmath.workdps(50):
+        sq = [mpmath.mpf(int(x)) ** 2 for x in its]
+        return [mpmath.fprod(s / (s - r) for r in sq[:q] + sq[q + 1:])
+                for q, s in enumerate(sq)]
+
+
+def geometric_coefficients_50(k) -> list:
+    """The coefficients of L(q) = a 2^q at 50 digits, O(k): the factor for p is
+    1 / (1 - 4^(p - q)), so c_q = prod_{j < q} 1 / (1 - 4^-j)
+    * prod_{j <= k - q} 1 / (1 - 4^j) for q = 1..k."""
+    with mpmath.workdps(50):
+        lower, upper = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for j in range(1, k):
+            lower.append(lower[-1] / (1 - mpmath.mpf(4) ** -j))
+            upper.append(upper[-1] / (1 - mpmath.mpf(4) ** j))
+        return [lower[q - 1] * upper[k - q] for q in range(1, k + 1)]
+
+
+def ramp_coefficients_50(n, tail) -> list:
+    """The coefficients of (1, ..., n, tail) at 50 digits, O(n): for q <= n,
+    prod_{p <= n, p != q} (q^2 - p^2) = (-1)^(n - q) (n - q)! (n + q)! / (2 q^2)."""
+    with mpmath.workdps(50):
+        t2 = mpmath.mpf(tail) ** 2
+        ramp = [(-1) ** (n - q) * 2 * mpmath.mpf(q) ** (2 * n + 2)
+                / (mpmath.factorial(n - q) * mpmath.factorial(n + q) * (q * q - t2))
+                for q in range(1, n + 1)]
+        return ramp + [mpmath.fprod(t2 / (t2 - p * p) for p in range(1, n + 1))]
+
+
+RAMP_873_TAIL = int(round(np.exp(np.log(873e6) / 873 * 873)))
+
+
+@pytest.mark.parametrize("its, reference", [
+    ((4, 8, 16, 32), lambda: geometric_coefficients_50(4)),
+    (tuple(2 ** q for q in range(1, 8)), lambda: geometric_coefficients_50(7)),
+    ((1, 2, 3, 96), lambda: product_coefficients_50((1, 2, 3, 96))),
+    (tuple(2 ** q for q in range(1, 601)), lambda: geometric_coefficients_50(600)),
+    (tuple(range(1, 873)) + (RAMP_873_TAIL,), lambda: ramp_coefficients_50(872, RAMP_873_TAIL)),
+    ((1, 3, 2 ** 600), lambda: product_coefficients_50((1, 3, 2 ** 600))),
+], ids=["modified:2,4", "modified:1,7", "1,2,3,96", "modified:1,600", "ramp-873",
+        "squares-overflow"])
+def test_coefficients_against_50_digit_closed_forms(its, reference):
+    # the coefficients depend only on ratios, so the geometric forms hold for
+    # any prefactor a. Entries below the smallest normal float may round to
+    # subnormals or to 0; the others keep a relative error of 2e-14
+    got = mp_coefficients(its)
+    want = reference()
+    assert len(want) == len(got)
+    tiny = np.finfo(float).tiny
+    errors = [abs(mpmath.mpf(float(g)) - w) / max(abs(w), tiny) for g, w in zip(got, want)]
+    assert max(errors) <= 2e-14
