@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,11 @@ from .trotter import product_stacks
 ERROR_FLOOR = 1e-13
 
 DEFAULT_ALGORITHMS = ("exact", "trotter:96", "mp:modified:2,4", "mp_oaa:modified:2,4:1")
+
+# Most rounds an mp_oaa spec may ask for: `lcu.amplify` runs one Python loop
+# pass per round (about 20 us on the default 61-time stack), and the paper
+# uses one round; a geometric schedule needs at most one.
+_MAX_ROUNDS = 10 ** 4
 
 
 def default_t_grid() -> tuple[float, ...]:
@@ -111,21 +117,18 @@ def parse_algorithm(spec: str) -> AlgorithmSpec:
             raise ValueError(f"iteration count {l} overflows a float") from None
         return AlgorithmSpec(spec=s, kind="trotter", l=l)
     if s.startswith("mp_oaa:"):
-        body = s[len("mp_oaa:"):]
-        # the whole body may be a schedule (one round), else the last
-        # :-field is the round count
-        try:
-            return AlgorithmSpec(spec=s, kind="mp_oaa",
-                                 schedule=parse_schedule_spec(body), rounds=1)
-        except ValueError:
-            head, sep, tail = body.rpartition(":")
-            if not sep:
-                raise
-        rounds = _as_int(tail, "round count")
+        # the last field of every schedule has a comma, so a last :-field
+        # without one is the round count; with none, one round
+        body, rounds = s[len("mp_oaa:"):], 1
+        head, sep, tail = body.rpartition(":")
+        if sep and "," not in tail:
+            body, rounds = head, _as_int(tail, "round count")
         if rounds < 0:
             raise ValueError(f"round count must be nonnegative, got {rounds}")
+        if rounds > _MAX_ROUNDS:
+            raise ValueError(f"round count must be at most {_MAX_ROUNDS}, got {rounds}")
         return AlgorithmSpec(spec=s, kind="mp_oaa",
-                             schedule=parse_schedule_spec(head), rounds=rounds)
+                             schedule=parse_schedule_spec(body), rounds=rounds)
     if s.startswith("mp:"):
         return AlgorithmSpec(spec=s, kind="mp", schedule=parse_schedule_spec(s[len("mp:"):]))
     raise ValueError(
@@ -147,7 +150,7 @@ class SweepConfig:
             complex(np.sqrt(0.3)), complex(np.sqrt(0.7)), 0j, 0j)
         if len(state) != 4:
             raise ValueError(f"initial state needs 4 amplitudes, got {len(state)}")
-        nrm = float(np.linalg.norm(np.asarray(state)))
+        nrm = math.hypot(*(x for a in state for x in (a.real, a.imag)))  # no squares: no overflow
         if not abs(nrm - 1.0) <= 1e-9:  # NaN fails
             raise ValueError(f"initial state is not normalized: ||psi|| = {nrm!r}")
         grid = tuple(float(t) for t in self.t_grid) or default_t_grid()

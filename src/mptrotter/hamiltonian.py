@@ -7,10 +7,10 @@ projects onto the excited electron state and weighs the nuclear levels with
 energies e1, e2. Basis order is electron (x) nuclear: |00>, |01>, |10>, |11>,
 so |10> means electron excited, nuclear ground.
 
-A decomposition whose terms are all centrosymmetric (the global spin-flip
-symmetry that both terms of a transverse-field Ising split have) has
-`sectors`: two half-size decompositions whose products `linalg.centro_join`
-joins to the products of the whole split. Each term keeps its structure there.
+From d = SYMMETRIC_MIN_DIM up, a split of centrosymmetric terms (the global
+spin flip, a symmetry of both terms of a transverse-field Ising split) has
+`sectors`: two half-size splits whose products `linalg.centro_join` joins to
+the products of the whole split. Each term keeps its structure there.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .linalg import (
     centro_blocks,
     dyadic_row,
     eigenpairs,
-    is_diagonal,
     kron,
     spectral_norm,
     walsh_transform,
@@ -100,13 +99,10 @@ class HamiltonianDecomposition:
         """The (plus, minus) sector decompositions, computed on first use.
 
         Term i of the plus (minus) sector is the first (second) block
-        `linalg.centro_blocks` gives for term i. None unless every term is
-        centrosymmetric and at least one is not diagonal: a diagonal split
-        gains nothing from the split. The blocks are Hermitian when the terms
-        are, so the sectors are not validated again.
+        `linalg.centro_blocks` gives for term i. None unless every term has
+        blocks. The blocks are Hermitian when the terms are, so the sectors
+        are not validated again.
         """
-        if all(is_diagonal(h) for h in self.terms):
-            return None
         blocks = [centro_blocks(h) for h in self.terms]
         if None in blocks:
             return None

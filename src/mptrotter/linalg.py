@@ -33,8 +33,9 @@ symmetry under the global flip X^{(x)n}. With J the n x n reversal, such an h is
 block-diagonalizes it: Q^T h Q = diag(A + C J, A - C J) (Cantoni and Butler,
 Linear Algebra Appl. 13, 1976). `centro_blocks` gives the two sector blocks in
 O(d^2), and `centro_join` maps a function of them back, Q diag(U+, U-) Q^T, in
-O(d^2). So `hermitian_propagator` diagonalizes a centrosymmetric matrix that is
-neither diagonal nor dyadic as two n x n blocks, an eighth of the flops each.
+O(d^2). It is the one sector rule: from d = SYMMETRIC_MIN_DIM up, a
+centrosymmetric matrix, or a split of them, runs in its two sectors, and
+`hermitian_propagator` diagonalizes it as two n x n blocks, 1/8 the flops each.
 The split keeps structure: a diagonal h gives the diagonal blocks diag(D[:n]),
 and a dyadic row g gives the dyadic rows g[:n] +- g[::-1][:n].
 """
@@ -49,7 +50,7 @@ ATOL_ALGEBRAIC = 1e-10
 
 # Smallest dimension that takes the paths whose fixed cost only pays off on
 # larger matrices: a real split squares its powers as z z^T (`trotter`), and a
-# centrosymmetric matrix or split is split into its two sectors.
+# centrosymmetric matrix or split runs in its two sectors (`centro_blocks`).
 # Its timings are in CHANGES.md.
 SYMMETRIC_MIN_DIM = 64
 
@@ -141,7 +142,7 @@ def hermitian_propagator(h, t) -> np.ndarray:
     if key != last_key:
         _check_hermitian(a)
     if key != last_key or spectra is None:
-        spectra = _spectra(a)
+        spectra = tuple(eigenpairs(b) for b in centro_blocks(a) or (a,))
         _last = (key, spectra if key == last_key else None)
     props = [eigen_propagator(w, vecs, t) for w, vecs in spectra]
     return centro_join(*props) if len(props) == 2 else props[0]
@@ -160,19 +161,6 @@ def _check_hermitian(a: np.ndarray) -> None:
             raise ValueError(f"matrix is not Hermitian: ||H - H^dag|| = {dev:.3e}")
 
 
-def _spectra(a: np.ndarray) -> tuple:
-    """The eigenpairs of the Hermitian a, or of its two sector blocks.
-
-    A centrosymmetric a of dimension >= SYMMETRIC_MIN_DIM that is neither
-    diagonal nor dyadic gives the (plus, minus) pair of `centro_blocks`.
-    """
-    if a.shape[0] >= SYMMETRIC_MIN_DIM and not is_diagonal(a) and dyadic_row(a) is None:
-        blocks = centro_blocks(a)
-        if blocks is not None:
-            return tuple(eigenpairs(b) for b in blocks)
-    return (eigenpairs(a),)
-
-
 def is_diagonal(h: np.ndarray) -> bool:
     """Whether every nonzero entry of the square matrix h is on its diagonal."""
     return np.count_nonzero(h) == np.count_nonzero(np.diagonal(h))
@@ -182,13 +170,14 @@ def centro_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(A + C J, A - C J) when h = [[A, C], [J C J, J A J]] exactly; None otherwise.
 
     These are the sector blocks of Q^T h Q for a centrosymmetric h of even
-    dimension d = 2n, as real arrays when h has no imaginary part; when C = 0
-    both are the view A of h. Most other matrices are rejected in O(d) on a
-    diagonal that is not a palindrome, before the O(d^2) comparison.
+    dimension d = 2n >= SYMMETRIC_MIN_DIM (a smaller h has none), as real
+    arrays when h has no imaginary part; when C = 0 both are the view A of h.
+    Most other matrices are rejected in O(d) on a diagonal that is not a
+    palindrome, before the O(d^2) comparison.
     """
     d = h.shape[0]
     diag = np.diagonal(h)
-    if d < 2 or d % 2 or not np.array_equal(diag, diag[::-1]) \
+    if d < SYMMETRIC_MIN_DIM or d % 2 or not np.array_equal(diag, diag[::-1]) \
             or not np.array_equal(h, h[::-1, ::-1]):
         return None
     n = d // 2

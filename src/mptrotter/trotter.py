@@ -17,9 +17,9 @@ read from the left block column of R(z)^l = R(z^l): BLAS multiplies a stack of
 small real matrices in one call but a complex stack one call per matrix. Other
 splits are raised by `numpy.linalg.matrix_power`.
 
-From d = SYMMETRIC_MIN_DIM up, a split with `sectors` (every term
-centrosymmetric, as both terms of a transverse-field Ising split are) is
-stepped and raised in its two half-size sectors by these same rules, and each
+A split with `sectors` (every term centrosymmetric, as both terms of a
+transverse-field Ising split are, and d >= SYMMETRIC_MIN_DIM) is stepped and
+raised in its two half-size sectors by these same rules, and each
 count's pair of stacks is joined once by `linalg.centro_join`: a quarter of
 the flops of every matrix product. The join keeps the exact symmetry of a
 real split's powers.
@@ -111,7 +111,7 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
     if not counts:
         return {}
     ts = np.asarray(ts, dtype=float)
-    if decomp.dim >= SYMMETRIC_MIN_DIM and decomp.sectors is not None:
+    if decomp.sectors is not None:
         plus, minus = (product_stacks(half, ts, counts) for half in decomp.sectors)
         return {l: centro_join(plus[l], minus[l]) for l in counts}
     steps = second_order_step(decomp, np.stack([ts / int(l) for l in counts]))

@@ -30,3 +30,31 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private module-level function, class or constant that no module of the
+    # package loads, reads as an attribute or imports is dead code
+    defined, referenced = {}, set()
+    for path in sorted(Path(mptrotter.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in referenced) == []

@@ -28,7 +28,7 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter import linalg
-from mptrotter.linalg import WALSH, eigenpairs, xor_index
+from mptrotter.linalg import WALSH, centro_blocks, diagonal_matrices, eigenpairs, phases, xor_index
 from mptrotter.trotter import _REAL_FORM_MAX_DIM, SYMMETRIC_MIN_DIM, _real, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
@@ -471,10 +471,10 @@ def test_product_stacks_check_every_count_first(spin_decomp):
 
 
 # --- symmetry sectors of centrosymmetric splits ----------------------------
-# A split whose every term is centrosymmetric, h[i, j] = h[d-1-i, d-1-j], is
-# stepped and raised in its two half-size sectors from d = SYMMETRIC_MIN_DIM
-# up, and so is the propagator of such a matrix that is neither diagonal nor
-# dyadic. Each sector keeps its terms' structure.
+# From d = SYMMETRIC_MIN_DIM up, a centrosymmetric matrix, h[i, j] =
+# h[d-1-i, d-1-j], is exponentiated in its two half-size sectors, and a split
+# whose every term is one is stepped and raised there. Each sector keeps its
+# terms' structure.
 
 
 def centrosymmetric(kind: str, d: int, rng) -> np.ndarray:
@@ -495,7 +495,7 @@ def test_centrosymmetric_split_matches_complex_eigh(term_kinds, seed, d, l, ts, 
     rng = np.random.default_rng(seed)
     decomp = HamiltonianDecomposition(
         terms=tuple(centrosymmetric(kind, d, rng) for kind in term_kinds))
-    if all(kind == "diagonal" for kind in term_kinds):
+    if d < SYMMETRIC_MIN_DIM:
         assert decomp.sectors is None
     else:
         for sector in decomp.sectors:
@@ -542,9 +542,14 @@ def test_sectors_need_every_term_centrosymmetric():
     centro, other = centrosymmetric("real", d, rng), structured_hermitian("real", d, rng)
     assert HamiltonianDecomposition(terms=(centro, other)).sectors is None
     assert HamiltonianDecomposition(terms=(centro,)).sectors is not None
+    assert HamiltonianDecomposition(
+        terms=(centrosymmetric("diagonal", d, rng),)).sectors is not None
+    # below SYMMETRIC_MIN_DIM no split has sectors
+    assert HamiltonianDecomposition(
+        terms=(centrosymmetric("real", d // 2, rng),)).sectors is None
     assert build_spin_hamiltonian().sectors is None
     # an odd dimension has no sectors
-    assert HamiltonianDecomposition(terms=(np.ones((5, 5)),)).sectors is None
+    assert HamiltonianDecomposition(terms=(np.ones((65, 65)),)).sectors is None
 
 
 # --- the spectrum memo of hermitian_propagator -------------------------------
@@ -559,6 +564,7 @@ MEMO_MATRICES = {
     "dyadic": lambda d, rng: structured_hermitian("dyadic", d, rng),
     "centro-real": lambda d, rng: centrosymmetric("real", d, rng),
     "centro-complex": lambda d, rng: centrosymmetric("complex", d, rng),
+    "centro-diagonal": lambda d, rng: centrosymmetric("diagonal", d, rng),
 }
 MEMO_TIMES = (0.7, np.linspace(-2.0, 3.0, 5))
 
@@ -590,6 +596,15 @@ def test_remembered_spectra_give_the_fresh_propagator_bit_for_bit(monkeypatch, k
     for t, u in zip(MEMO_TIMES, want):
         got = hermitian_propagator(h.copy(), t)
         assert got.shape == u.shape and got.tobytes() == u.tobytes()
+
+
+def test_centrosymmetric_diagonal_propagator_is_its_phases_bit_for_bit():
+    # it runs in two sectors, and joining their two equal halves is exact
+    h = centrosymmetric("diagonal", SYMMETRIC_MIN_DIM, np.random.default_rng(3))
+    assert centro_blocks(h) is not None
+    for t in MEMO_TIMES:
+        want = diagonal_matrices(phases(np.diagonal(h).real, t))
+        assert hermitian_propagator(h, t).tobytes() == want.tobytes()
 
 
 def test_spectra_are_kept_from_the_second_call_in_a_row(monkeypatch):

@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mptrotter
 from mptrotter import SweepConfig, drop_floor, fit_order, run_sweep
 from mptrotter.cli import main
+from mptrotter.experiments import _MAX_ROUNDS
 from tests.conftest import HUGE
 
 
@@ -253,6 +260,14 @@ class TestConfigErrors:
         assert one_error_line(err)
         assert err.startswith(f"error: unknown config keys [{key!r}]; allowed: ")
 
+    def test_huge_amplitudes_are_one_error_line(self, capsys, tmp_path):
+        # the norm is formed without squaring, so it neither overflows nor warns
+        code, out, err = self.run_with(capsys, tmp_path,
+                                       '{"initial_state": [1e308, 1e308, 0, 0]}')
+        assert (code, out) == (1, "")
+        assert err == ("error: initial state is not normalized: "
+                       "||psi|| = 1.4142135623730951e+308\n")
+
     @pytest.mark.parametrize("raw, named", [
         ({"omega": HUGE}, "config key 'omega'"),
         ({"t_grid": [0, HUGE]}, "every t_grid entry"),
@@ -273,6 +288,17 @@ def test_counts_too_large_for_a_float(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {named} overflows a float\n"
+
+
+def test_huge_round_count_fails_at_once(capsys):
+    # one amplification round is one Python loop pass, so an unbounded count
+    # would run for hours; it is rejected before anything is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "evolve", "--algo", f"mp_oaa:1,2:{HUGE}", "--t", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert one_error_line(err)
+    assert err.startswith(f"error: round count must be at most {_MAX_ROUNDS}, got ")
 
 
 def test_unallocatable_grid_is_one_error_line(capsys):
@@ -475,3 +501,104 @@ def test_overflowing_products_are_one_error_line(capsys, argv, count):
     proc = subprocess.run([sys.executable, "-m", "mptrotter", *argv], capture_output=True,
                           text=True, env=package_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# --- the one-error-line contract on generated commands ------------------------
+# Every command ends in one of three ways: exit 0 with nothing on stderr, exit 1
+# with one error: line, or an argparse usage error (exit 2). Values come from
+# pools of edge spellings. --points stays at 10^3 or below: the product stacks
+# of a scaling run grow with points times k, and k = 60 with 10^5 points needs
+# gigabytes before it fails.
+
+EDGE_NUMBERS = ["0", "-0", "0.7", "-2.5", "1e-320", "1e308", "-1e308", "1e309", "inf",
+                "-inf", "nan", "0x10", "1_0", "", "abc"]
+EDGE_SCHEDULES = ["modified:2,4", "modified:1,7", "modified:1,60", "modified:0,3",
+                  "modified:2", "original:0.5,3", "original:1e308,3", "original:nan,3",
+                  "original:0.00002,1000000", "1,2,3,96", "3,2,1", "1_0,2_0", "0x10", "",
+                  ",".join(str(l) for l in range(1, 2001))]
+EDGE_ROUNDS = ["0", "1", "3", str(_MAX_ROUNDS + 1), str(HUGE)]
+EDGE_JSON = [0, -0.0, 0.3, 1e-320, 1e308, -1e308, HUGE, float("nan"), float("inf"), True,
+             None, "1", [], {}]
+
+edge_number = st.sampled_from(EDGE_NUMBERS)
+edge_schedule = st.sampled_from(EDGE_SCHEDULES)
+edge_algorithm = st.one_of(
+    st.sampled_from(["exact", "warp", "", "trotter:96", "trotter:0", f"trotter:{2 ** 62}"]),
+    st.builds("trotter:{}".format, edge_number),
+    st.builds("mp:{}".format, edge_schedule),
+    st.builds("mp_oaa:{}".format, edge_schedule),
+    st.builds("mp_oaa:{}:{}".format, edge_schedule, st.sampled_from(EDGE_ROUNDS)),
+)
+edge_json = st.sampled_from(EDGE_JSON)
+edge_config = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "omega": edge_json, "delta": edge_json, "e1": edge_json, "e2": edge_json,
+        "initial_state": st.one_of(
+            edge_json,
+            st.sampled_from([[0.6, 0.8, 0, 0], [[0, 1], 0, 0, 0], [1e308, 1e308, 0, 0],
+                             [1e-320, 1, 0, 0], [[1e308, 1e308], 0, 0, 0]]),
+            st.lists(st.one_of(edge_json, st.lists(edge_json, min_size=2, max_size=2)),
+                     max_size=5)),
+        "t_grid": st.one_of(edge_json, st.lists(edge_json, max_size=4)),
+        "algorithms": st.one_of(edge_json,
+                                st.lists(st.one_of(edge_algorithm, edge_json), max_size=3)),
+        "oaa_rounds": edge_json, "T_GRID": edge_json,
+    }).map(json.dumps),
+    st.sampled_from(['{"omega": 1e309}', '{"t_grid": [0x10]}', '{"e1": 1_0}', "[]",
+                     '"exact"', "{", ""]),
+)
+
+
+def edge_option(name, values, required=False):
+    """--name with a value as its own token or after '=', or when optional, no --name."""
+    given = st.one_of(values.map(lambda v: [f"--{name}", v]),
+                      values.map(lambda v: [f"--{name}={v}"]))
+    return given if required else st.one_of(st.just([]), given)
+
+
+def edge_command(name, *options):
+    return st.tuples(st.just([name]), *options).map(lambda parts: sum(parts, []))
+
+
+config_option = st.one_of(st.just([]), st.just(["--config", "{config}"]),
+                          st.just(["--config", "{missing}"]))
+edge_argv = st.one_of(
+    edge_command("coeffs", edge_option("schedule", edge_schedule, True)),
+    edge_command("evolve", config_option, edge_option("algo", edge_algorithm, True),
+                 edge_option("t", edge_number, True)),
+    edge_command("sweep", config_option, edge_option("out", st.sampled_from(["{out}", ""])),
+                 edge_option("format", st.sampled_from(["csv", "json", "xml", "", "CSV"]))),
+    edge_command("scaling", config_option,
+                 edge_option("k", st.sampled_from(["0", "1", "2", "-1", "2.5", "", "1_0",
+                                                   "60", "0x2", "1e3"]), True),
+                 edge_option("tmin", st.one_of(st.just("0.05"), edge_number)),
+                 edge_option("tmax", st.one_of(st.just("2"), edge_number)),
+                 edge_option("points", st.sampled_from(["3", "4", "13", "1_3", "1000", "-4",
+                                                        "", "nan", "1e3"])),
+                 edge_option("floor", edge_number)),
+    st.sampled_from([[], ["warp"], ["coeffs", "--bogus", "1"], ["evolve", "--algo", "exact"],
+                     ["scaling", "--k", "2", "--points"]]),
+)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=edge_argv, config=edge_config)
+def test_generated_commands_end_in_one_of_three_ways(argv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"config": Path(tmp, "cfg.json"), "missing": Path(tmp, "nope.json"),
+                 "out": Path(tmp, "rows")}
+        paths["config"].write_text(config)
+        argv = [arg.format(**paths) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = err.getvalue()
+    if code == 2:
+        assert err.startswith("usage: mptrotter"), (argv, err)
+    elif code == 0:
+        assert err == "", argv
+    else:
+        assert code == 1 and one_error_line(err), (argv, code, err)

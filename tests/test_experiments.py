@@ -172,13 +172,20 @@ class TestParsing:
         for spec in ("trotter:0", "trotter:-3"):
             with pytest.raises(ValueError, match="positive"):
                 SweepConfig(algorithms=(spec,))
-        # the round count of an mp_oaa spec is its only spelling
-        for spec, message in (("mp_oaa:modified:2,4:-1", "must be nonnegative, got -1"),
-                              ("mp_oaa:modified:2,4:1.5", "must be an integer, got '1.5'"),
-                              ("mp_oaa:1,2:inf", "must be an integer, got 'inf'"),
-                              ("mp_oaa:1,2:nan", "must be an integer, got 'nan'")):
-            with pytest.raises(ValueError, match=f"round count {message}"):
+        # the round count of an mp_oaa spec is its only spelling, and a last
+        # field with a comma belongs to the schedule, which reports its own error
+        for spec, message in [
+            ("mp_oaa:modified:2,4:-1", "round count must be nonnegative, got -1"),
+            ("mp_oaa:modified:2,4:1.5", "round count must be an integer, got '1.5'"),
+            ("mp_oaa:1,2:inf", "round count must be an integer, got 'inf'"),
+            ("mp_oaa:1,2:nan", "round count must be an integer, got 'nan'"),
+            ("mp_oaa:1,2:10001", "round count must be at most 10000, got 10001"),
+            ("mp_oaa:modified:2,x", "k must be an integer, got 'x'"),
+            ("mp_oaa:original:abc,3", "gamma must be a real number, got 'abc'"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 SweepConfig(algorithms=(spec,))
+        assert parse_algorithm("mp_oaa:1,2:10000").rounds == 10000
 
 
 class TestSweepConfig:
