@@ -19,7 +19,6 @@ import numpy as np
 
 from .experiments import (
     COLUMNS,
-    ERROR_FLOOR,
     SweepConfig,
     cell_text,
     config_fields,
@@ -63,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", default=0.05)
     p.add_argument("--tmax", default=0.4)
     p.add_argument("--points", default=13)
-    p.add_argument("--floor", default=ERROR_FLOOR,
-                   help="drop errors at or below this before fitting")
+    p.add_argument("--floor", default=None,
+                   help="drop errors at or below this before fitting "
+                        "(default: the schedule's roundoff floor)")
     return parser
 
 
@@ -104,7 +104,8 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def _numbers(args, kind, *names) -> list:
-    """The values of the options `names` of args, converted by kind (float or int).
+    """The values of the options `names` of args, converted by kind (float or int);
+    an option left out without a default stays None.
 
     Numeric options are read as text and converted here, so a malformed one
     is a domain error naming the option, not an argparse usage message.
@@ -113,7 +114,7 @@ def _numbers(args, kind, *names) -> list:
     for name in names:
         text = getattr(args, name)
         try:
-            out.append(kind(text))
+            out.append(None if text is None else kind(text))
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             raise ValueError(f"{name} must be {noun}, got {text!r}") from None
@@ -136,11 +137,12 @@ def _file_fields(path: str | None) -> dict:
 
 def _cmd_coeffs(args) -> int:
     sched = parse_schedule_spec(args.schedule)
-    label = sched.kind if sched.param is None else f"{sched.kind}({sched.param:g})"
-    print(f"schedule: kind={label}  L = {', '.join(str(l) for l in sched.iterations)}")
+    print(f"schedule: {args.schedule.strip()}  L = {', '.join(map(str, sched.iterations))}")
     print(" q  L(q)             c_q")
     for q, (l, c) in enumerate(zip(sched.iterations, sched.coefficients), start=1):
-        print(f"{q:2d}  {l:4d}  {c: .12e}")
+        # a product of nonzero factors is never 0: a 0 or subnormal c_q has underflowed
+        tiny = abs(c) < sys.float_info.min
+        print(f"{q:2d}  {l:4d}  " + (" underflowed, below 2.2e-308" if tiny else f"{c: .12e}"))
     prob = sched.ideal_success_probability()
     print(f"sum c_q = {sum(sched.coefficients):.12g}")
     print(f"sum |c_q| = {sched.abs_coefficient_sum():.12g}")
@@ -185,7 +187,7 @@ def _cmd_scaling(args) -> int:
             raise ValueError(f"{name} must be finite, got {value}")
     if not (0 < tmin < tmax):
         raise ValueError(f"need 0 < tmin < tmax, got {tmin}, {tmax}")
-    if not 0 <= floor < np.inf:  # NaN fails
+    if floor is not None and not 0 <= floor < np.inf:  # NaN fails
         raise ValueError(f"floor must be a finite nonnegative number, got {floor}")
     try:
         ts = np.geomspace(tmin, tmax, points)
@@ -193,10 +195,16 @@ def _cmd_scaling(args) -> int:
         raise ValueError(f"points {points} overflows a float") from None
     config = SweepConfig(**{**fields, "algorithms": (f"mp:modified:1,{k}",),
                             "t_grid": tuple(ts)})
+    schedule = config.specs[0].schedule
+    if floor is None:
+        floor = schedule.roundoff_floor()
+    if not floor < 2:  # no state error exceeds 2, the distance of antipodal unit vectors
+        raise ValueError(f"floor {floor:g} is at least 2, the largest state error, so no "
+                         "point can rise above it; use fewer terms or a lower --floor")
     exact, (kept,) = sweep_states(config)
     errs, _ = state_errors(exact, kept)
     kept_t, kept_e = drop_floor(ts, errs, floor)
-    print(f"schedule L = {config.specs[0].iterations}, {len(kept_t)}/{len(ts)} points "
+    print(f"schedule L = {schedule.iterations}, {len(kept_t)}/{len(ts)} points "
           f"above floor {floor:g}")
     if len(kept_t) < 4:
         raise ValueError(

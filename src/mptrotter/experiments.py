@@ -58,7 +58,8 @@ def default_t_grid() -> tuple[float, ...]:
 
 
 def parse_schedule_spec(text: str) -> MpSchedule:
-    """Schedule from its CLI/config spelling."""
+    """Schedule from its CLI/config spelling: "modified:a,k" and "original:gamma,k"
+    through `make_schedule`, any other text as a comma-separated list of counts."""
     text = text.strip()
     if text.startswith("modified:"):
         body = text[len("modified:"):]
@@ -76,8 +77,7 @@ def parse_schedule_spec(text: str) -> MpSchedule:
         except ValueError:
             raise ValueError(f"gamma must be a real number, got {parts[0]!r}") from None
         return make_schedule("original", gamma=gamma, k=_as_int(parts[1], "k"))
-    return make_schedule("explicit",
-                         iterations=[_as_int(p, "iteration count") for p in text.split(",")])
+    return MpSchedule(tuple(_as_int(p, "iteration count") for p in text.split(",")))
 
 
 def _as_int(text: str, what: str) -> int:

@@ -102,14 +102,14 @@ def spectral_norm(m) -> float:
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
-def is_hermitian(m, tol: float = ATOL_ALGEBRAIC) -> bool:
+def is_hermitian(m) -> bool:
     a = as_operator(m)
-    return spectral_norm(a - a.conj().T) < tol
+    return spectral_norm(a - a.conj().T) < ATOL_ALGEBRAIC
 
 
-def is_unitary(m, tol: float = ATOL_ALGEBRAIC) -> bool:
+def is_unitary(m) -> bool:
     a = as_operator(m)
-    return spectral_norm(a @ a.conj().T - np.eye(a.shape[0])) < tol
+    return spectral_norm(a @ a.conj().T - np.eye(a.shape[0])) < ATOL_ALGEBRAIC
 
 
 # (key, spectra) of the last matrix `hermitian_propagator` validated; spectra

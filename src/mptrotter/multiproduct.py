@@ -16,6 +16,7 @@ the product in one pass that overflows only where a coefficient does.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import exp, inf
 
@@ -81,17 +82,12 @@ def mp_coefficients(iterations) -> np.ndarray:
 class MpSchedule:
     """Iteration counts plus the cancellation coefficients they fix.
 
-    kind records how the schedule was built: "modified" for geometric
-    a * 2^q, "original" for (1, ..., k-1, round(e^{gamma k})), "explicit"
-    for a user-supplied list. param holds a or gamma where applicable.
-    coefficients are derived from the iteration counts by `mp_coefficients`
-    and must sum to 1 within COEFF_SUM_TOL, which ill-conditioned schedules
-    fail.
+    A schedule is its counts: coefficients are derived from them by
+    `mp_coefficients` and must sum to 1 within COEFF_SUM_TOL, which
+    ill-conditioned schedules fail.
     """
 
     iterations: tuple[int, ...]
-    kind: str = "explicit"
-    param: float | None = None
     coefficients: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -105,10 +101,6 @@ class MpSchedule:
         object.__setattr__(self, "iterations", its)
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def k(self) -> int:
-        return len(self.iterations)
-
     def abs_coefficient_sum(self) -> float:
         return float(np.sum(np.abs(self.coefficients)))
 
@@ -117,16 +109,20 @@ class MpSchedule:
         s = self.abs_coefficient_sum()
         return 1.0 / (s * s)
 
+    def roundoff_floor(self) -> float:
+        """eps * sum_q |c_q| L_q: each product S(t/L_q)^{L_q} carries roundoff of about
+        L_q eps, weighted by |c_q| (in Python floats, so any count up to 2^1023 fits)."""
+        weights = sum(abs(c) * l for c, l in zip(self.coefficients, self.iterations))
+        return sys.float_info.epsilon * weights
+
 
 def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
-                  gamma: float | None = None,
-                  iterations=None) -> MpSchedule:
-    """Build a schedule of one of the three supported kinds.
+                  gamma: float | None = None) -> MpSchedule:
+    """Build a generated schedule; any other counts are `MpSchedule(iterations)`.
 
     modified: L(q) = a * 2^q for q = 1..k, a >= 1.
     original: L(q) = q for q < k and round(e^{gamma k}) for q = k; the rounded
         tail must exceed k - 1 or the schedule would not be increasing.
-    explicit: any strictly increasing positive integers.
     """
     if kind == "modified":
         if a is None or k is None:
@@ -137,8 +133,7 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
         if int(a).bit_length() + int(k) > 1024:  # a * 2^k >= 2^1024 overflows a float
             raise ValueError(f"largest iteration count {a} * 2^{int(k)} overflows a float")
-        its = tuple(int(a) * 2 ** q for q in range(1, int(k) + 1))
-        return MpSchedule(its, kind="modified", param=float(a))
+        return MpSchedule(tuple(int(a) * 2 ** q for q in range(1, int(k) + 1)))
     if kind == "original":
         if gamma is None or k is None:
             raise ValueError("original schedule needs gamma and k")
@@ -157,12 +152,7 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
             )
         if int(k) - 1 >= _RAMP_OVERFLOW_LEN:
             raise ValueError(f"coefficients overflow a float for iteration counts up to {tail:.6g}")
-        its = tuple(range(1, int(k))) + (tail,)
-        return MpSchedule(its, kind="original", param=float(gamma))
-    if kind == "explicit":
-        if iterations is None:
-            raise ValueError("explicit schedule needs the iteration list")
-        return MpSchedule(tuple(iterations), kind="explicit")
+        return MpSchedule(tuple(range(1, int(k))) + (tail,))
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 

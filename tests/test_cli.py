@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mptrotter
-from mptrotter import SweepConfig, drop_floor, fit_order, run_sweep
+from mptrotter import SweepConfig, drop_floor, fit_order, make_schedule, run_sweep
 from mptrotter.cli import main
 from mptrotter.experiments import _MAX_ROUNDS
 from tests.conftest import HUGE
@@ -59,6 +59,28 @@ class TestCoeffs:
         assert len(rows) == 2
         assert float(rows[0]) == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert float(rows[1]) == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+    def test_first_line_is_the_spec_given(self, capsys):
+        code, out, _ = run_cli(capsys, "coeffs", "--schedule", " modified:2,4 ")
+        assert code == 0
+        assert out.splitlines()[0] == "schedule: modified:2,4  L = 4, 8, 16, 32"
+
+    def test_underflowed_coefficients_are_flagged(self, capsys):
+        # the true coefficients are products of nonzero factors: none is 0,
+        # but 29 of these lie below the smallest normal float
+        code, out, err = run_cli(capsys, "coeffs", "--schedule", "modified:1,61")
+        assert (code, err) == (0, "")
+        assert "0.000000000000e+00" not in out
+        flagged = re.findall(r"^\s*\d+\s+\d+\s+underflowed, below 2.2e-308$", out, flags=re.M)
+        assert len(flagged) == 29
+        assert len(re.findall(rf"^\s*\d+\s+\d+\s+{NUM}$", out, flags=re.M)) == 61 - 29
+        # rows of coefficients that fit are values, as before
+        code, out, _ = run_cli(capsys, "coeffs", "--schedule", "modified:2,4")
+        assert code == 0
+        sched = make_schedule("modified", a=2, k=4)
+        rows = [f"{q:2d}  {l:4d}  {c: .12e}" for q, (l, c)
+                in enumerate(zip(sched.iterations, sched.coefficients), start=1)]
+        assert out.splitlines()[2:6] == rows
 
     def test_bad_schedule(self, capsys):
         code, out, err = run_cli(capsys, "coeffs", "--schedule", "3,2,1")
@@ -331,8 +353,9 @@ class TestScaling:
 
     @pytest.mark.parametrize("k", ["14", "41"])
     def test_roundoff_fit_is_one_error_line(self, capsys, k):
-        # a truncation error grows with t, so a fit that falls is roundoff
-        code, out, err = run_cli(capsys, "scaling", "--k", k)
+        # a truncation error grows with t, so a fit that falls is roundoff;
+        # under the fixed floor 1e-13 these roundoff errors clear the floor
+        code, out, err = run_cli(capsys, "scaling", "--k", k, "--floor", "1e-13")
         assert code == 1
         assert out.startswith("schedule L = ") and "fitted order" not in out
         assert one_error_line(err)
@@ -349,9 +372,31 @@ class TestScaling:
         # column for the same schedule on the same grid
         ts = tuple(np.geomspace(1.0, 3.0, 13))
         table = run_sweep(SweepConfig(t_grid=ts, algorithms=("mp:modified:1,4",)))
-        kept_t, kept_e = drop_floor(ts, table.state_error)
-        assert f"{len(kept_t)}/13 points above floor" in out
+        floor = make_schedule("modified", a=1, k=4).roundoff_floor()
+        kept_t, kept_e = drop_floor(ts, table.state_error, floor)
+        assert f"{len(kept_t)}/13 points above floor {floor:g}" in out
         assert f"fitted order = {fit_order(kept_t, kept_e):.6g}" in out
+
+    @pytest.mark.parametrize("k", ["13", "17", "21"])
+    def test_roundoff_under_the_schedule_floor_is_not_fitted(self, capsys, k):
+        # the errors here are L-dependent roundoff; they clear a fixed 1e-13
+        # floor but not the schedule's own, so no order is printed
+        code, out, err = run_cli(capsys, "scaling", "--k", k)
+        assert code == 1
+        assert out.startswith("schedule L = ") and "fitted order" not in out
+        assert one_error_line(err)
+
+    @pytest.mark.parametrize("argv", [["--k", "60", "--points", "100000"],
+                                      ["--k", "2", "--floor", "2"]], ids=["k60", "given"])
+    def test_floor_of_two_fails_before_any_product(self, capsys, argv):
+        # from k = 53 the schedule floor is at least 2, the largest state
+        # error; 10^5 points of 60 products would take a minute and gigabytes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "scaling", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+        assert "is at least 2, the largest state error" in err
 
     def test_bad_bounds(self, capsys):
         code, _, err = run_cli(capsys, "scaling", "--k", "2",
@@ -487,8 +532,8 @@ def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
 @pytest.mark.parametrize("argv, count", [
     (["evolve", "--algo", "mp:modified:1,60", "--t", "1"], 2 ** 60),
     (["evolve", "--algo", f"trotter:{2 ** 62}", "--t", "1"], 2 ** 62),
-    (["scaling", "--k", "60"], 2 ** 60),
-    (["scaling", "--k", "100"], 2 ** 100),
+    (["scaling", "--k", "60", "--floor", "1e-13"], 2 ** 60),
+    (["scaling", "--k", "100", "--floor", "1e-13"], 2 ** 100),
 ], ids=["mp-k60", "trotter-2e62", "scaling-k60", "scaling-k100"])
 def test_overflowing_products_are_one_error_line(capsys, argv, count):
     # in-process, the warnings filter of the test run raises a leaked numpy

@@ -118,7 +118,6 @@ class TestParsing:
     def test_schedule_modified(self):
         s = parse_schedule_spec("modified:2,4")
         assert s.iterations == (4, 8, 16, 32)
-        assert s.kind == "modified"
 
     def test_schedule_original(self):
         s = parse_schedule_spec(f"original:{np.log(96.0) / 4.0},4")
@@ -268,6 +267,20 @@ class TestSweepConfig:
         for got, text in zip(printed, promised):
             half_unit = 0.5 * 10.0 ** Decimal(text).as_tuple().exponent
             assert abs(got - float(text)) <= half_unit, (got, text)
+
+    def test_readme_commands_run(self, capsys, tmp_path, monkeypatch):
+        # each line of the command-line block runs in a directory holding the
+        # JSON config block as cfg.json, and exits 0 with nothing on stderr
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (config,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        (tmp_path / "cfg.json").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        commands = re.findall(r"^mptrotter (.*)$", readme, flags=re.M)
+        assert len(commands) == 5
+        for command in commands:
+            argv = command.split()
+            assert cli.main(argv) == 0, argv
+            assert capsys.readouterr().err == "", argv
 
     @pytest.mark.parametrize("raw, key", [
         ({"omega": HUGE}, "'omega'"),

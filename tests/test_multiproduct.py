@@ -1,5 +1,7 @@
+import dataclasses
 import sys
 import time
+from fractions import Fraction
 from math import lgamma, log
 
 import numpy as np
@@ -110,9 +112,6 @@ class TestMakeSchedule:
     def test_modified(self):
         s = make_schedule("modified", a=2, k=4)
         assert s.iterations == (4, 8, 16, 32)
-        assert s.kind == "modified"
-        assert s.param == 2.0
-        assert s.k == 4
 
     def test_modified_seven_terms_coefficient_mass(self):
         s = make_schedule("modified", a=1, k=7)
@@ -128,7 +127,6 @@ class TestMakeSchedule:
     def test_original(self):
         s = make_schedule("original", gamma=np.log(96.0) / 4.0, k=4)
         assert s.iterations == (1, 2, 3, 96)
-        assert s.kind == "original"
 
     def test_original_rejects_exactly_the_overflowing_ramps(self):
         # the closed-form bound on the ramp may only reject what the full
@@ -204,7 +202,7 @@ class TestMakeSchedule:
         its = list(range(1, 1500))
         assert self.log_abs_coefficients(its).max() > np.log(np.finfo(float).max)
         with pytest.raises(ValueError, match="overflow"):
-            make_schedule("explicit", iterations=its)
+            MpSchedule(its)
 
     def test_original_tail_collision(self):
         # round(e^{0.1 * 2}) = 1 does not exceed the ramp (1,)
@@ -212,9 +210,8 @@ class TestMakeSchedule:
             make_schedule("original", gamma=0.1, k=2)
 
     def test_explicit(self):
-        s = make_schedule("explicit", iterations=[1, 3, 9])
+        s = MpSchedule([1, 3, 9])
         assert s.iterations == (1, 3, 9)
-        assert s.kind == "explicit"
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
@@ -232,30 +229,35 @@ class TestMakeSchedule:
                 make_schedule("original", gamma=1.0, k=bad)
         with pytest.raises(ValueError, match="gamma must be positive"):
             make_schedule("original", gamma=-1.0, k=3)
-        with pytest.raises(ValueError, match="needs the iteration list"):
+        # counts that are not generated are a schedule of their own: MpSchedule(counts)
+        with pytest.raises(ValueError, match="unknown schedule kind 'explicit'"):
             make_schedule("explicit")
 
 
 class TestMpScheduleValidation:
+    def test_schedule_is_its_counts(self):
+        # the counts are the one input; nothing else is stored
+        assert [f.name for f in dataclasses.fields(MpSchedule)] == ["iterations", "coefficients"]
+
     def test_rejects_non_integer_iterations(self):
         with pytest.raises(ValueError, match="integers"):
             MpSchedule((1.5, 2.0))
         # explicit counts reach the check unconverted, not truncated to (1, 2)
         with pytest.raises(ValueError, match="integers"):
-            make_schedule("explicit", iterations=[1.5, 2.7])
+            MpSchedule([1.5, 2.7])
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), np.inf,
                                      "abc", None, 1 + 2j])
     def test_rejects_non_finite_and_non_numeric_iterations(self, bad):
         # one message for every entry that is not an integer, whatever int() raises
         with pytest.raises(ValueError, match="iteration counts must be integers"):
-            make_schedule("explicit", iterations=[1, bad])
+            MpSchedule([1, bad])
         with pytest.raises(ValueError, match="iteration counts must be integers"):
             MpSchedule((bad,))
 
     def test_accepts_integral_counts(self):
         for its in ([1, 2], [1.0, 2.0], [np.int64(1), np.float64(2.0)], (np.int32(2), 4)):
-            s = make_schedule("explicit", iterations=its)
+            s = MpSchedule(its)
             assert s.iterations == (its[0], its[1]) and all(type(x) is int for x in s.iterations)
 
     def test_rejects_bad_coefficient_sum(self):
@@ -274,14 +276,43 @@ class TestMpScheduleValidation:
             MpSchedule((1, 2), coefficients=(-1.0 / 3.0, 4.0 / 3.0))
 
 
+class TestRoundoffFloor:
+    @pytest.mark.parametrize("its", [(1, 2), (4, 8, 16, 32), (1, 2, 3, 96), (3, 4, 6, 15)])
+    def test_is_eps_times_weighted_counts(self, its):
+        # exact coefficients from rationals, independent of mp_coefficients
+        weights = 0
+        for q in its:
+            c = Fraction(1)
+            for p in its:
+                if p != q:
+                    c *= Fraction(q * q, q * q - p * p)
+            weights += abs(c) * q
+        want = sys.float_info.epsilon * float(weights)
+        assert MpSchedule(its).roundoff_floor() == pytest.approx(want, rel=1e-13)
+
+    def test_geometric_floors(self):
+        assert make_schedule("modified", a=2, k=4).roundoff_floor() == pytest.approx(
+            1.20e-14, abs=5e-17)
+        # modified:1,k reaches 2, the largest state error, at k = 53
+        assert make_schedule("modified", a=1, k=52).roundoff_floor() < 2
+        assert make_schedule("modified", a=1, k=53).roundoff_floor() == pytest.approx(
+            3.41, abs=5e-3)
+        assert make_schedule("modified", a=1, k=60).roundoff_floor() == pytest.approx(
+            436, abs=0.5)
+
+    def test_counts_up_to_the_float_limit(self):
+        # 2^1023 is no numpy integer; the floor is finite and far above 2
+        assert 2 < make_schedule("modified", a=1, k=1023).roundoff_floor() < np.inf
+
+
 class TestMpOperator:
     def test_single_term_is_plain_product(self, spin_decomp):
-        s = make_schedule("explicit", iterations=[6])
+        s = MpSchedule([6])
         assert np.allclose(mp_operator(spin_decomp, 2.0, s),
                            trotterize(spin_decomp, 2.0, 6), atol=0)
 
     def test_two_term_error_is_fifth_order(self, spin_decomp):
-        s = make_schedule("explicit", iterations=[1, 2])
+        s = MpSchedule([1, 2])
         h = total(spin_decomp)
         ts = np.geomspace(0.05, 0.4, 9)
         errs = [spectral_norm(mp_operator(spin_decomp, t, s) - hermitian_propagator(h, t))
@@ -291,7 +322,7 @@ class TestMpOperator:
 
     def test_nonunitarity_shrinks_with_order(self, spin_decomp, psi0):
         # k = 2 residual ||MM^dag - I|| comes from the surviving t^5 term
-        s = make_schedule("explicit", iterations=[1, 2])
+        s = MpSchedule([1, 2])
         ts = np.geomspace(0.1, 0.5, 7)
         resid = [error_report(spin_decomp, t, mp_operator(spin_decomp, t, s), psi0).nonunitarity
                  for t in ts]
@@ -341,8 +372,8 @@ class TestDepthMatched:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_three_terms(self, spin_decomp, psi0, t):
-        geo = make_schedule("explicit", iterations=[2, 4, 8])
-        clu = make_schedule("explicit", iterations=[1, 2, 11])
+        geo = MpSchedule([2, 4, 8])
+        clu = MpSchedule([1, 2, 11])
         assert sum(geo.iterations) == sum(clu.iterations)
         e_geo = error_report(spin_decomp, t, mp_operator(spin_decomp, t, geo), psi0)
         e_clu = error_report(spin_decomp, t, mp_operator(spin_decomp, t, clu), psi0)
@@ -350,8 +381,8 @@ class TestDepthMatched:
 
     @pytest.mark.parametrize("t", [1.0, 2.0])
     def test_four_terms(self, spin_decomp, psi0, t):
-        geo = make_schedule("explicit", iterations=[2, 4, 8, 16])
-        clu = make_schedule("explicit", iterations=[1, 2, 3, 24])
+        geo = MpSchedule([2, 4, 8, 16])
+        clu = MpSchedule([1, 2, 3, 24])
         assert sum(geo.iterations) == sum(clu.iterations)
         e_geo = error_report(spin_decomp, t, mp_operator(spin_decomp, t, geo), psi0)
         e_clu = error_report(spin_decomp, t, mp_operator(spin_decomp, t, clu), psi0)
