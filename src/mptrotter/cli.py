@@ -27,6 +27,7 @@ from .experiments import (
     fit_order,
     load_config,
     parse_schedule_spec,
+    read_number,
     run_sweep,
     sweep_states,
 )
@@ -59,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="fit the state-error convergence order")
     p.add_argument("--config", default=None, help="JSON config file (optional)")
     p.add_argument("--k", required=True, help="number of product terms")
-    p.add_argument("--tmin", default=0.05)
-    p.add_argument("--tmax", default=0.4)
-    p.add_argument("--points", default=13)
+    p.add_argument("--tmin", default="0.05")
+    p.add_argument("--tmax", default="0.4")
+    p.add_argument("--points", default="13")
     p.add_argument("--floor", default=None,
                    help="drop errors at or below this before fitting "
                         "(default: the schedule's roundoff floor)")
@@ -104,21 +105,11 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def _numbers(args, kind, *names) -> list:
-    """The values of the options `names` of args, converted by kind (float or int);
-    an option left out without a default stays None.
-
-    Numeric options are read as text and converted here, so a malformed one
-    is a domain error naming the option, not an argparse usage message.
-    """
-    out = []
-    for name in names:
-        text = getattr(args, name)
-        try:
-            out.append(None if text is None else kind(text))
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"{name} must be {noun}, got {text!r}") from None
-    return out
+    """The values of the options `names` of args, each read by `read_number` as kind
+    (float or int), so a malformed one is a domain error naming the option, not an
+    argparse usage message; an option left out without a default stays None."""
+    return [None if (text := getattr(args, name)) is None else read_number(text, name, kind)
+            for name in names]
 
 
 def _file_fields(path: str | None) -> dict:

@@ -13,8 +13,8 @@ Algorithm specs are strings:
     mp:<schedule>            multi-product via the simulated LCU circuit
     mp_oaa:<schedule>[:<n>]  same, followed by n amplification rounds (default 1)
 
-and schedules are "modified:a,k", "original:gamma,k", or an explicit
-comma-separated list like "1,2,3,96".
+so mp:<schedule> is mp_oaa:<schedule>:0; schedules are "modified:a,k",
+"original:gamma,k", or an explicit comma-separated list like "1,2,3,96".
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,12 @@ from .hamiltonian import (
     total,
 )
 from .lcu import amplify, optimal_split
-from .linalg import hermitian_propagator, weighted_sum
+from .linalg import check_count, hermitian_propagator, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import product_stacks
 
-# State errors at or below this are indistinguishable from double-precision
-# roundoff for the problem sizes here; order fits must drop such points.
+# A fixed floor for state errors, which acceptance criterion 3 and the order demo
+# fit above; `scaling` drops errors at the schedule's own `roundoff_floor()`.
 ERROR_FLOOR = 1e-13
 
 DEFAULT_ALGORITHMS = ("exact", "trotter:96", "mp:modified:2,4", "mp_oaa:modified:2,4:1")
@@ -57,43 +57,43 @@ def default_t_grid() -> tuple[float, ...]:
     return tuple(float(t) for t in np.linspace(0.0, 60.0, 61))
 
 
+# Each generated schedule kind's first parameter and its type; k follows it.
+_GENERATED = {"modified": ("a", int), "original": ("gamma", float)}
+
+
 def parse_schedule_spec(text: str) -> MpSchedule:
     """Schedule from its CLI/config spelling: "modified:a,k" and "original:gamma,k"
     through `make_schedule`, any other text as a comma-separated list of counts."""
     text = text.strip()
-    if text.startswith("modified:"):
-        body = text[len("modified:"):]
+    kind, sep, body = text.partition(":")
+    if sep and kind in _GENERATED:
+        name, number = _GENERATED[kind]
         parts = body.split(",")
         if len(parts) != 2:
-            raise ValueError(f"modified schedule spec needs 'modified:a,k', got {text!r}")
-        return make_schedule("modified", a=_as_int(parts[0], "a"), k=_as_int(parts[1], "k"))
-    if text.startswith("original:"):
-        body = text[len("original:"):]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"original schedule spec needs 'original:gamma,k', got {text!r}")
-        try:
-            gamma = float(parts[0])
-        except ValueError:
-            raise ValueError(f"gamma must be a real number, got {parts[0]!r}") from None
-        return make_schedule("original", gamma=gamma, k=_as_int(parts[1], "k"))
-    return MpSchedule(tuple(_as_int(p, "iteration count") for p in text.split(",")))
+            raise ValueError(f"{kind} schedule spec needs '{kind}:{name},k', got {text!r}")
+        return make_schedule(kind, **{name: read_number(parts[0], name, number)},
+                             k=read_number(parts[1], "k"))
+    return MpSchedule(tuple(read_number(p, "iteration count") for p in text.split(",")))
 
 
-def _as_int(text: str, what: str) -> int:
+def read_number(text: str, what: str, kind=int):
+    """kind(text) for text stripped of surrounding whitespace, kind being int or
+    float; text that is no such number is a ValueError naming what."""
+    text = text.strip()
     try:
-        return int(text.strip())
+        return kind(text)
     except ValueError:
-        raise ValueError(f"{what} must be an integer, got {text.strip()!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {noun}, got {text!r}") from None
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     spec: str
-    kind: str                       # exact | trotter | mp | mp_oaa
+    kind: str                       # exact | trotter | mp
     l: int | None = None
     schedule: MpSchedule | None = None
-    rounds: int = 0
+    rounds: int = 0                 # amplification rounds after the mp circuit
 
     @property
     def iterations(self) -> tuple[int, ...]:
@@ -107,30 +107,25 @@ def parse_algorithm(spec: str) -> AlgorithmSpec:
     s = spec.strip()
     if s == "exact":
         return AlgorithmSpec(spec=s, kind="exact")
-    if s.startswith("trotter:"):
-        l = _as_int(s[len("trotter:"):], "iteration count")
-        if l < 1:
-            raise ValueError(f"iteration count must be positive, got {l}")
+    head, sep, body = s.partition(":")
+    if sep and head == "trotter":
+        l = check_count(read_number(body, "iteration count"), "iteration count", 1)
         try:
             float(l)
         except OverflowError:
             raise ValueError(f"iteration count {l} overflows a float") from None
         return AlgorithmSpec(spec=s, kind="trotter", l=l)
-    if s.startswith("mp_oaa:"):
+    if sep and head in ("mp", "mp_oaa"):
+        rounds = 0 if head == "mp" else 1
         # the last field of every schedule has a comma, so a last :-field
-        # without one is the round count; with none, one round
-        body, rounds = s[len("mp_oaa:"):], 1
-        head, sep, tail = body.rpartition(":")
-        if sep and "," not in tail:
-            body, rounds = head, _as_int(tail, "round count")
-        if rounds < 0:
-            raise ValueError(f"round count must be nonnegative, got {rounds}")
+        # without one is an mp_oaa spec's round count; with none, one round
+        front, sep, tail = body.rpartition(":")
+        if head == "mp_oaa" and sep and "," not in tail:
+            body, rounds = front, check_count(read_number(tail, "round count"), "round count", 0)
         if rounds > _MAX_ROUNDS:
             raise ValueError(f"round count must be at most {_MAX_ROUNDS}, got {rounds}")
-        return AlgorithmSpec(spec=s, kind="mp_oaa",
-                             schedule=parse_schedule_spec(body), rounds=rounds)
-    if s.startswith("mp:"):
-        return AlgorithmSpec(spec=s, kind="mp", schedule=parse_schedule_spec(s[len("mp:"):]))
+        return AlgorithmSpec(spec=s, kind="mp", schedule=parse_schedule_spec(body),
+                             rounds=rounds)
     raise ValueError(
         f"unknown algorithm {spec!r}; expected exact, trotter:<l>, mp:<schedule>, "
         f"or mp_oaa:<schedule>[:<rounds>]"
@@ -168,7 +163,8 @@ COLUMNS = ("t", "algo", "p00", "p01", "p10", "p11", "success_prob", "state_error
 CSV_HEADER = ",".join(COLUMNS)
 
 
-CONFIG_KEYS = ("omega", "delta", "e1", "e2", "initial_state", "t_grid", "algorithms")
+CONFIG_KEYS = (*(f.name for f in fields(SpinModelParams)), "initial_state", "t_grid",
+               "algorithms")
 
 
 def _parse_amplitude(entry) -> complex:
@@ -220,18 +216,18 @@ def config_fields(path) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; allowed: {list(CONFIG_KEYS)}")
     model = SpinModelParams(**{
-        name: _real(raw.get(name, getattr(DEFAULT_PARAMS, name)), f"config key {name!r}")
-        for name in ("omega", "delta", "e1", "e2")
+        f.name: _real(raw.get(f.name, getattr(DEFAULT_PARAMS, f.name)), f"config key {f.name!r}")
+        for f in fields(SpinModelParams)
     })
     state = tuple(_parse_amplitude(a) for a in _config_list(raw, "initial_state"))
     grid = tuple(_real(t, "every t_grid entry") for t in _config_list(raw, "t_grid"))
     algorithms = _config_list(raw, "algorithms")
     if not all(isinstance(a, str) for a in algorithms):
         raise ValueError(f"config key 'algorithms' must list strings, got {algorithms!r}")
-    fields = dict(model=model, initial_state=state, t_grid=grid)
+    given = dict(model=model, initial_state=state, t_grid=grid)
     if "algorithms" in raw:
-        fields["algorithms"] = tuple(algorithms)
-    return fields
+        given["algorithms"] = tuple(algorithms)
+    return given
 
 
 def classical_fidelity(p, q):
@@ -407,8 +403,9 @@ def fit_order(t_grid, errors) -> float:
     return float(slope)
 
 
-def drop_floor(t_grid, errors, floor: float = ERROR_FLOOR):
-    """Keep only the points whose error rises above the given floor."""
+def drop_floor(t_grid, errors, floor: float):
+    """Keep only the points whose error rises above floor, which has no default:
+    `scaling` reads the schedule's roundoff floor, criterion 3 ERROR_FLOOR."""
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
     es = np.asarray(errors, dtype=float).reshape(-1)
     keep = es > floor

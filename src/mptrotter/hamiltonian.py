@@ -14,7 +14,7 @@ the products of the whole split. Each term keeps its structure there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -44,10 +44,10 @@ class SpinModelParams:
     e2: float = 0.7
 
     def __post_init__(self) -> None:
-        for name in ("omega", "delta", "e1", "e2"):
-            val = getattr(self, name)
+        for f in fields(self):
+            val = getattr(self, f.name)
             if not np.isfinite(val):
-                raise ValueError(f"{name} must be a finite real, got {val!r}")
+                raise ValueError(f"{f.name} must be a finite real, got {val!r}")
 
 
 # Reference parameter set used by the bundled experiments.

@@ -39,7 +39,7 @@ from .linalg import (
     ATOL_ALGEBRAIC,
     as_operator,
     as_state,
-    is_integer,
+    check_count,
     spectral_norm,
     weighted_sum,
 )
@@ -259,9 +259,8 @@ def apply_oaa(circuit: LcuCircuit, psi, n: int) -> LcuOutcome:
     post-selection amplitude sin(theta), n rounds move the success probability
     to sin^2((2n+1) theta).
     """
-    if not is_integer(n) or n < 0:
-        raise ValueError(f"round count must be a nonnegative integer, got {n!r}")
-    return _project(amplify(circuit.block, _data_state(circuit, psi), int(n)))
+    n = check_count(n, "round count", 0)
+    return _project(amplify(circuit.block, _data_state(circuit, psi), n))
 
 
 def predicted_probability(p: float, n: int) -> float:
@@ -272,9 +271,7 @@ def predicted_probability(p: float, n: int) -> float:
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    if not is_integer(n) or n < 0:
-        raise ValueError(f"round count must be a nonnegative integer, got {n!r}")
-    return sin((2 * int(n) + 1) * asin(p ** 0.5)) ** 2
+    return sin((2 * check_count(n, "round count", 0) + 1) * asin(p ** 0.5)) ** 2
 
 
 def oaa_error_report(circuit: LcuCircuit, psi) -> OaaErrorReport:

@@ -70,6 +70,13 @@ def is_integer(x) -> bool:
         return False
 
 
+def check_count(x, what: str, least: int) -> int:
+    """int(x) for a count x that is an integer >= least; a ValueError naming it otherwise."""
+    if not is_integer(x) or x < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
+    return int(x)
+
+
 def as_operator(m) -> np.ndarray:
     """Coerce to a nonempty square complex matrix, rejecting anything else."""
     a = np.asarray(m, dtype=complex)

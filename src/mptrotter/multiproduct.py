@@ -23,7 +23,8 @@ from math import exp, inf
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition, total
-from .linalg import as_state, hermitian_propagator, is_integer, spectral_norm, weighted_sum
+from .linalg import (as_state, check_count, hermitian_propagator, is_integer, spectral_norm,
+                     weighted_sum)
 from .trotter import product_stacks
 
 COEFF_SUM_TOL = 1e-9
@@ -127,32 +128,28 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
     if kind == "modified":
         if a is None or k is None:
             raise ValueError("modified schedule needs a and k")
-        if not is_integer(a) or a < 1:
-            raise ValueError(f"prefactor a must be an integer >= 1, got {a!r}")
-        if not is_integer(k) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        if int(a).bit_length() + int(k) > 1024:  # a * 2^k >= 2^1024 overflows a float
-            raise ValueError(f"largest iteration count {a} * 2^{int(k)} overflows a float")
-        return MpSchedule(tuple(int(a) * 2 ** q for q in range(1, int(k) + 1)))
+        a, k = check_count(a, "prefactor a", 1), check_count(k, "k", 1)
+        if a.bit_length() + k > 1024:  # a * 2^k >= 2^1024 overflows a float
+            raise ValueError(f"largest iteration count {a} * 2^{k} overflows a float")
+        return MpSchedule(tuple(a * 2 ** q for q in range(1, k + 1)))
     if kind == "original":
         if gamma is None or k is None:
             raise ValueError("original schedule needs gamma and k")
         if not 0 < gamma < inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-        if not is_integer(k) or k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {k!r}")
+        k = check_count(k, "k", 2)
         try:
-            tail = int(round(exp(gamma * int(k))))
+            tail = int(round(exp(gamma * k)))
         except OverflowError:
-            raise ValueError(f"tail e^(gamma k) = e^{gamma * int(k):g} overflows a float") from None
-        if tail <= int(k) - 1:
+            raise ValueError(f"tail e^(gamma k) = e^{gamma * k:g} overflows a float") from None
+        if tail <= k - 1:
             raise ValueError(
-                f"rounded tail {tail} collides with the leading ramp 1..{int(k) - 1}; "
+                f"rounded tail {tail} collides with the leading ramp 1..{k - 1}; "
                 f"increase gamma"
             )
-        if int(k) - 1 >= _RAMP_OVERFLOW_LEN:
+        if k - 1 >= _RAMP_OVERFLOW_LEN:
             raise ValueError(f"coefficients overflow a float for iteration counts up to {tail:.6g}")
-        return MpSchedule(tuple(range(1, int(k))) + (tail,))
+        return MpSchedule(tuple(range(1, k)) + (tail,))
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 

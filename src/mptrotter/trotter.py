@@ -33,9 +33,9 @@ from .linalg import (
     SYMMETRIC_MIN_DIM,
     WALSH,
     centro_join,
+    check_count,
     diagonal_matrices,
     eigen_propagator,
-    is_integer,
     phases,
 )
 
@@ -102,29 +102,30 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
     The steps of all counts come from one `second_order_step` call on the
     stacked times ts / l, and are raised (in the real form up to
     d = _REAL_FORM_MAX_DIM, in sectors when the split has them) by the rules
-    of the module docstring. counts is a sequence of positive integers, every
-    one checked first.
+    of the module docstring. counts is a sequence of integers >= 1, every one
+    checked by `linalg.check_count` first.
     """
-    for l in counts:
-        if not is_integer(l) or l < 1:
-            raise ValueError(f"iteration count must be a positive integer, got {l!r}")
+    counts = [check_count(l, "iteration count", 1) for l in counts]
     if not counts:
         return {}
     ts = np.asarray(ts, dtype=float)
     if decomp.sectors is not None:
         plus, minus = (product_stacks(half, ts, counts) for half in decomp.sectors)
         return {l: centro_join(plus[l], minus[l]) for l in counts}
-    steps = second_order_step(decomp, np.stack([ts / int(l) for l in counts]))
+    steps = second_order_step(decomp, np.stack([ts / l for l in counts]))
     if (d := decomp.dim) <= _REAL_FORM_MAX_DIM:  # one real form for the steps of all counts
-        real = np.concatenate([np.concatenate([steps.real, -steps.imag], -1),
-                               np.concatenate([steps.imag, steps.real], -1)], -2)
+        real = np.empty(steps.shape[:-2] + (2 * d, 2 * d))
+        real[..., :d, :d] = real[..., d:, d:] = steps.real
+        real[..., d:, :d] = steps.imag
+        np.negative(steps.imag, out=real[..., :d, d:])
+        del steps  # the complex steps are as large as half the real form
         out = {}
         for l, r in zip(counts, real):
-            e = np.linalg.matrix_power(r, int(l))  # R(z^l), z^l in its left block column
+            e = np.linalg.matrix_power(r, l)  # R(z^l), z^l in its left block column
             out[l] = e[..., :d, :d].astype(complex)
             out[l].imag = e[..., d:, :d]
         return out
-    return {l: _power(decomp, z, int(l)) for l, z in zip(counts, steps)}
+    return {l: _power(decomp, z, l) for l, z in zip(counts, steps)}
 
 
 def _power(decomp: HamiltonianDecomposition, z: np.ndarray, n: int) -> np.ndarray:

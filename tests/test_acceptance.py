@@ -129,7 +129,7 @@ def test_criterion_03(capsys):
 
     for k, lo, hi in ((1, 2.7, 3.3), (2, 4.5, 5.5)):
         sched = make_schedule("modified", a=1, k=k)
-        kept_t, kept_e = drop_floor(ts, state_errors(sched, ts))
+        kept_t, kept_e = drop_floor(ts, state_errors(sched, ts), ERROR_FLOOR)
         slope = fit_order(kept_t, kept_e)
         good = lo <= slope <= hi
         ok = ok and good
@@ -139,7 +139,7 @@ def test_criterion_03(capsys):
     # floor; on [0.05, 0.4] an order >= 8 keeps it below the floor
     sched4 = make_schedule("modified", a=1, k=4)
     ts4 = np.geomspace(1.0, 3.0, 13)
-    kept_t4, kept_e4 = drop_floor(ts4, state_errors(sched4, ts4))
+    kept_t4, kept_e4 = drop_floor(ts4, state_errors(sched4, ts4), ERROR_FLOOR)
     if len(kept_t4) >= 4:
         slope4 = fit_order(kept_t4, kept_e4)
         good4 = slope4 >= 8.0

@@ -466,7 +466,7 @@ def test_trotterize_of_a_time_array_stacks_the_one_time_calls(split):
 def test_product_stacks_check_every_count_first(spin_decomp):
     assert product_stacks(spin_decomp, 0.5, ()) == {}
     for bad in (0, -2, 2.5, np.nan):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="iteration count must be an integer >= 1"):
             product_stacks(spin_decomp, np.array([0.5, np.inf]), (4, bad))
 
 

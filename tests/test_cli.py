@@ -551,17 +551,19 @@ def test_overflowing_products_are_one_error_line(capsys, argv, count):
 # --- the one-error-line contract on generated commands ------------------------
 # Every command ends in one of three ways: exit 0 with nothing on stderr, exit 1
 # with one error: line, or an argparse usage error (exit 2). Values come from
-# pools of edge spellings. --points stays at 10^3 or below: the product stacks
+# pools of edge spellings, numbers padded with whitespace, signed with + or
+# grouped with _ among them. --points stays at 10^3 or below: the product stacks
 # of a scaling run grow with points times k, and k = 60 with 10^5 points needs
 # gigabytes before it fails.
 
 EDGE_NUMBERS = ["0", "-0", "0.7", "-2.5", "1e-320", "1e308", "-1e308", "1e309", "inf",
-                "-inf", "nan", "0x10", "1_0", "", "abc"]
+                "-inf", "nan", "0x10", "1_0", "", "abc", " 0.7 ", "+2.5", "1_0.5", "\t3\n"]
 EDGE_SCHEDULES = ["modified:2,4", "modified:1,7", "modified:1,60", "modified:0,3",
                   "modified:2", "original:0.5,3", "original:1e308,3", "original:nan,3",
                   "original:0.00002,1000000", "1,2,3,96", "3,2,1", "1_0,2_0", "0x10", "",
+                  " modified: 2 , 4 ", "modified:+1,+3", "original: 0.5 ,+3", "+1, 2 ,1_6",
                   ",".join(str(l) for l in range(1, 2001))]
-EDGE_ROUNDS = ["0", "1", "3", str(_MAX_ROUNDS + 1), str(HUGE)]
+EDGE_ROUNDS = ["0", "1", "3", str(_MAX_ROUNDS + 1), str(HUGE), " 2 ", "+1", "1_0"]
 EDGE_JSON = [0, -0.0, 0.3, 1e-320, 1e308, -1e308, HUGE, float("nan"), float("inf"), True,
              None, "1", [], {}]
 
@@ -615,11 +617,11 @@ edge_argv = st.one_of(
                  edge_option("format", st.sampled_from(["csv", "json", "xml", "", "CSV"]))),
     edge_command("scaling", config_option,
                  edge_option("k", st.sampled_from(["0", "1", "2", "-1", "2.5", "", "1_0",
-                                                   "60", "0x2", "1e3"]), True),
+                                                   "60", "0x2", "1e3", " 3 ", "+2"]), True),
                  edge_option("tmin", st.one_of(st.just("0.05"), edge_number)),
                  edge_option("tmax", st.one_of(st.just("2"), edge_number)),
                  edge_option("points", st.sampled_from(["3", "4", "13", "1_3", "1000", "-4",
-                                                        "", "nan", "1e3"])),
+                                                        "", "nan", "1e3", " 13 ", "+5"])),
                  edge_option("floor", edge_number)),
     st.sampled_from([[], ["warp"], ["coeffs", "--bogus", "1"], ["evolve", "--algo", "exact"],
                      ["scaling", "--k", "2", "--points"]]),

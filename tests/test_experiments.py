@@ -1,6 +1,9 @@
 import csv
+import dataclasses
+import inspect
 import io
 import json
+import math
 import re
 from decimal import Decimal
 from pathlib import Path
@@ -31,7 +34,7 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter import cli, experiments
-from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS, sweep_states
+from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS, read_number, sweep_states
 from mptrotter.multiproduct import state_errors
 from mptrotter.trotter import product_stacks
 from tests.conftest import HUGE
@@ -113,6 +116,14 @@ class TestFitOrder:
         assert ts.tolist() == [2.0, 3.0]
         assert es.tolist() == [1e-3, 1e-2]
 
+    def test_drop_floor_names_its_floor(self):
+        # scaling reads the schedule's floor and criterion 3 the fixed one, so a
+        # default would let the two disagree without a caller saying which
+        floor = inspect.signature(drop_floor).parameters["floor"]
+        assert floor.default is inspect.Parameter.empty
+        with pytest.raises(TypeError):
+            drop_floor([1.0], [1.0])
+
 
 class TestParsing:
     def test_schedule_modified(self):
@@ -151,9 +162,34 @@ class TestParsing:
     def test_algorithm_mp_oaa_default_rounds(self):
         # the trailing field is part of the schedule, not a round count
         a = parse_algorithm("mp_oaa:modified:2,4")
-        assert a.kind == "mp_oaa"
+        assert a.kind == "mp"
         assert a.schedule.iterations == (4, 8, 16, 32)
         assert a.rounds == 1
+
+    @pytest.mark.parametrize("schedule", ["modified:2,4", "original:0.5,3", "1,2,3,96"])
+    def test_algorithm_mp_is_mp_oaa_with_zero_rounds(self, schedule):
+        a, b = parse_algorithm(f"mp:{schedule}"), parse_algorithm(f"mp_oaa:{schedule}:0")
+        assert a.spec != b.spec
+        assert a == dataclasses.replace(b, spec=a.spec)
+        assert (a.kind, a.rounds) == ("mp", 0)
+
+    @pytest.mark.parametrize("text, kind, value", [
+        (" 12 ", int, 12), ("+3", int, 3), ("1_000", int, 1000), ("\t-2\n", int, -2),
+        (" 2.5 ", float, 2.5), ("+1e-3", float, 1e-3), ("1_0.5", float, 10.5),
+        ("-inf", float, -math.inf)])
+    def test_read_number_strips_and_converts(self, text, kind, value):
+        got = read_number(text, "x", kind)
+        assert type(got) is kind and got == value
+
+    @pytest.mark.parametrize("text, kind, message", [
+        (" 1.5 ", int, "x must be an integer, got '1.5'"),
+        ("0x10", int, "x must be an integer, got '0x10'"),
+        ("", int, "x must be an integer, got ''"),
+        (" abc ", float, "x must be a number, got 'abc'"),
+        ("1,5", float, "x must be a number, got '1,5'")])
+    def test_read_number_names_what_it_reads(self, text, kind, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_number(text, "x", kind)
 
     def test_algorithm_mp_oaa_explicit_rounds(self):
         a = parse_algorithm("mp_oaa:modified:2,4:3")
@@ -169,18 +205,18 @@ class TestParsing:
         with pytest.raises(ValueError, match="integer"):
             parse_algorithm("trotter:fast")
         for spec in ("trotter:0", "trotter:-3"):
-            with pytest.raises(ValueError, match="positive"):
+            with pytest.raises(ValueError, match="integer >= 1"):
                 SweepConfig(algorithms=(spec,))
         # the round count of an mp_oaa spec is its only spelling, and a last
         # field with a comma belongs to the schedule, which reports its own error
         for spec, message in [
-            ("mp_oaa:modified:2,4:-1", "round count must be nonnegative, got -1"),
+            ("mp_oaa:modified:2,4:-1", "round count must be an integer >= 0, got -1"),
             ("mp_oaa:modified:2,4:1.5", "round count must be an integer, got '1.5'"),
             ("mp_oaa:1,2:inf", "round count must be an integer, got 'inf'"),
             ("mp_oaa:1,2:nan", "round count must be an integer, got 'nan'"),
             ("mp_oaa:1,2:10001", "round count must be at most 10000, got 10001"),
             ("mp_oaa:modified:2,x", "k must be an integer, got 'x'"),
-            ("mp_oaa:original:abc,3", "gamma must be a real number, got 'abc'"),
+            ("mp_oaa:original:abc,3", "gamma must be a number, got 'abc'"),
         ]:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 SweepConfig(algorithms=(spec,))
@@ -437,7 +473,7 @@ def reference_rows(config):
             else:
                 circuit = build_lcu(algo.schedule.coefficients,
                                     [trotterize(decomp, t, l) for l in algo.iterations])
-                outcome = (apply_lcu(circuit, psi0) if algo.kind == "mp"
+                outcome = (apply_lcu(circuit, psi0) if algo.rounds == 0
                            else apply_oaa(circuit, psi0, algo.rounds))
                 assert not outcome.degenerate
                 state, prob = outcome.renormalized_state, outcome.success_probability

@@ -1,0 +1,112 @@
+"""Input checks that each have one owner, and rejection branches no other test takes.
+
+Every count (iteration counts, round counts, a schedule's a and k) is checked
+by `linalg.check_count`, so every entry point rejects a bad one with the same
+wording.
+"""
+import math
+import re
+
+import numpy as np
+import pytest
+
+from mptrotter import (
+    SweepConfig,
+    apply_oaa,
+    build_lcu,
+    build_spin_hamiltonian,
+    complete_unitary,
+    make_schedule,
+    mp_coefficients,
+    oaa_error_report,
+    optimal_split,
+    predicted_probability,
+    trotterize,
+)
+from mptrotter.cli import main
+
+# entry point -> (call with a count n, the count's name, its least value, the bad
+# counts the entry point takes: a spec's text reads 1.5 as no integer at all)
+COUNT_ENTRIES = {
+    "trotterize": (lambda n: trotterize(build_spin_hamiltonian(), 1.0, n),
+                   "iteration count", 1, (0, -1, 1.5)),
+    "apply_oaa": (lambda n: apply_oaa(build_lcu([1.0], [np.eye(2)]), [1.0, 0.0], n),
+                  "round count", 0, (-1, 1.5)),
+    "predicted_probability": (lambda n: predicted_probability(0.5, n), "round count", 0,
+                              (-1, 1.5)),
+    "make_schedule-modified-a": (lambda n: make_schedule("modified", a=n, k=2),
+                                 "prefactor a", 1, (0, -1, 1.5)),
+    "make_schedule-modified-k": (lambda n: make_schedule("modified", a=2, k=n), "k", 1,
+                                 (0, -1, 1.5)),
+    "make_schedule-original-k": (lambda n: make_schedule("original", gamma=1.0, k=n), "k", 2,
+                                 (1, 0, -1, 1.5)),
+    "SweepConfig-trotter": (lambda n: SweepConfig(algorithms=(f"trotter:{n}",)),
+                            "iteration count", 1, (0, -1)),
+    "SweepConfig-mp_oaa": (lambda n: SweepConfig(algorithms=(f"mp_oaa:1,2:{n}",)),
+                           "round count", 0, (-1,)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [(entry, bad) for entry, (*_, bads)
+                                        in COUNT_ENTRIES.items() for bad in bads])
+def test_every_count_is_rejected_in_one_wording(entry, bad):
+    call, what, least, _ = COUNT_ENTRIES[entry]
+    message = f"{what} must be an integer >= {least}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def _usage_exit(argv) -> bool:
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code == 2
+
+
+def _real_coefficients_of_complex_type() -> bool:
+    circuit = build_lcu(np.array([0.5, 0.5], dtype=complex), [np.eye(2), np.eye(2)])
+    return circuit.coeffs.dtype == float and circuit.coeffs.tolist() == [0.5, 0.5]
+
+
+def _degenerate_target_scores_nan() -> bool:
+    # c = (1/2, -1/2) on equal branches: the target sum c_i A_i psi vanishes
+    report = oaa_error_report(build_lcu([0.5, -0.5], [np.eye(2), np.eye(2)]), [1.0, 0.0])
+    return math.isnan(report.observed_error)
+
+
+UNIT = np.array([1.0, 0.0])
+
+# (call, the exact ValueError message it raises, or None for a call that returns True)
+RARE_BRANCHES = {
+    "initial-state-length": (lambda: SweepConfig(initial_state=(1, 0, 0)),
+                             "initial state needs 4 amplitudes, got 3"),
+    "non-finite-time": (lambda: SweepConfig(t_grid=(0.0, math.inf)),
+                        "time grid entries must be finite"),
+    "complex-type-real-coefficients": (_real_coefficients_of_complex_type, None),
+    "no-coefficients": (lambda: optimal_split([]), "need at least one coefficient"),
+    "split-of-zero-coefficients": (
+        lambda: build_lcu([0.0, 0.0], [np.eye(2)] * 2, split=(UNIT, UNIT)),
+        "all coefficients are zero"),
+    "split-vanishing-on-every-branch": (
+        lambda: build_lcu([1.0, 1.0], [np.eye(2)] * 2, split=(UNIT, UNIT[::-1])),
+        "split vectors give a vanishing amplitude on every branch"),
+    "split-length": (lambda: build_lcu([1.0, 1.0], [np.eye(2)] * 2, split=([1.0], [1.0])),
+                     "split vectors must match the coefficient count"),
+    "degenerate-oaa-target": (_degenerate_target_scores_nan, None),
+    "empty-state": (lambda: complete_unitary([]), "state vector must be nonempty"),
+    "count-beyond-a-float": (lambda: mp_coefficients([1, 10 ** 400]),
+                             f"iteration count {10 ** 400} overflows a float"),
+    "original-without-gamma": (lambda: make_schedule("original", k=3),
+                               "original schedule needs gamma and k"),
+    "dash-value-that-is-no-number": (
+        lambda: _usage_exit(["evolve", "--algo", "exact", "--t", "-x"]), None),
+}
+
+
+@pytest.mark.parametrize("branch", RARE_BRANCHES)
+def test_rarely_taken_branches(branch):
+    call, message = RARE_BRANCHES[branch]
+    if message is None:
+        assert call() is True
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

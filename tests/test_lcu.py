@@ -213,10 +213,10 @@ class TestOaa:
 
     def test_rejects_negative_rounds(self):
         circ = build_lcu([1.0], [np.eye(2)])
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        with pytest.raises(ValueError, match="integer >= 0"):
             apply_oaa(circ, np.array([1.0, 0.0]), -1)
         for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError, match="round count must be a nonnegative integer"):
+            with pytest.raises(ValueError, match="round count must be an integer >= 0"):
                 apply_oaa(circ, np.array([1.0, 0.0]), bad)
 
 
@@ -241,10 +241,10 @@ class TestPredictedProbability:
             predicted_probability(1.2, 1)
         with pytest.raises(ValueError, match="lie in"):
             predicted_probability(-0.1, 1)
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        with pytest.raises(ValueError, match="integer >= 0"):
             predicted_probability(0.5, -1)
         for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError, match="round count must be a nonnegative integer"):
+            with pytest.raises(ValueError, match="round count must be an integer >= 0"):
                 predicted_probability(0.5, bad)
 
 

@@ -87,12 +87,12 @@ def test_power_paths_agree(spin_decomp):
 
 
 def test_rejects_zero_iterations(spin_decomp):
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="integer >= 1"):
         trotterize(spin_decomp, 1.0, 0)
     for bad in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValueError, match="iteration count must be a positive integer"):
+        with pytest.raises(ValueError, match="iteration count must be an integer >= 1"):
             trotterize(spin_decomp, 1.0, bad)
-        with pytest.raises(ValueError, match="iteration count must be a positive integer"):
+        with pytest.raises(ValueError, match="iteration count must be an integer >= 1"):
             trotterize(spin_decomp, [0.5, 1.0], bad)
 
 
