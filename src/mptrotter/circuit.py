@@ -16,8 +16,8 @@ from .linalg import complete_unitary, kron
 def loading_gates(circuit: LcuCircuit) -> tuple[np.ndarray, np.ndarray]:
     """Ancilla unitaries C (first column m) and C' (first row m'), zero-padded."""
     pad = (0, circuit.ancilla_dim - circuit.k)
-    return (complete_unitary(np.pad(circuit.m, pad), "column"),
-            complete_unitary(np.pad(circuit.m_prime, pad), "row"))
+    return (complete_unitary(np.pad(circuit.m, pad)),
+            complete_unitary(np.pad(circuit.m_prime, pad)).T)
 
 
 def circuit_matrix(circuit: LcuCircuit) -> np.ndarray:

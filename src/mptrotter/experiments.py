@@ -22,7 +22,6 @@ import csv
 import functools
 import io
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .hamiltonian import (
     total,
 )
 from .lcu import amplify, optimal_split
-from .linalg import check_count, hermitian_propagator, weighted_sum
+from .linalg import as_state, check_count, hermitian_propagator, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import product_stacks
 
@@ -118,9 +117,11 @@ def parse_algorithm(spec: str) -> AlgorithmSpec:
     if sep and head in ("mp", "mp_oaa"):
         rounds = 0 if head == "mp" else 1
         # the last field of every schedule has a comma, so a last :-field
-        # without one is an mp_oaa spec's round count; with none, one round
+        # without one is a round count, which only mp_oaa takes; with none, one round
         front, sep, tail = body.rpartition(":")
-        if head == "mp_oaa" and sep and "," not in tail:
+        if sep and "," not in tail:
+            if head == "mp":
+                raise ValueError("mp takes no round count; use mp_oaa:<schedule>:<n>")
             body, rounds = front, check_count(read_number(tail, "round count"), "round count", 0)
         if rounds > _MAX_ROUNDS:
             raise ValueError(f"round count must be at most {_MAX_ROUNDS}, got {rounds}")
@@ -145,9 +146,7 @@ class SweepConfig:
             complex(np.sqrt(0.3)), complex(np.sqrt(0.7)), 0j, 0j)
         if len(state) != 4:
             raise ValueError(f"initial state needs 4 amplitudes, got {len(state)}")
-        nrm = math.hypot(*(x for a in state for x in (a.real, a.imag)))  # no squares: no overflow
-        if not abs(nrm - 1.0) <= 1e-9:  # NaN fails
-            raise ValueError(f"initial state is not normalized: ||psi|| = {nrm!r}")
+        as_state(state, "initial state")
         grid = tuple(float(t) for t in self.t_grid) or default_t_grid()
         if not all(np.isfinite(grid)):
             raise ValueError("time grid entries must be finite")

@@ -42,6 +42,7 @@ and a dyadic row g gives the dyadic rows g[:n] +- g[::-1][:n].
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -85,15 +86,19 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
-def as_state(v, *, normalized: bool = False) -> np.ndarray:
-    """Coerce to a 1-d complex vector; optionally require unit norm."""
+def as_state(v, what: str = "state vector") -> np.ndarray:
+    """Coerce to a nonempty 1-d complex vector of unit norm within 1e-9, or
+    raise a ValueError naming what.
+
+    The one unit-norm rule: `math.hypot` forms the norm without squaring, so
+    no entry overflows it or warns, and NaN fails the comparison.
+    """
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size == 0:
-        raise ValueError("state vector must be nonempty")
-    if normalized:
-        n = float(np.linalg.norm(a))
-        if not abs(n - 1.0) <= ATOL_ALGEBRAIC:  # NaN fails
-            raise ValueError(f"state vector is not normalized: ||v|| = {n!r}")
+        raise ValueError(f"{what} must be nonempty")
+    n = math.hypot(*np.ascontiguousarray(a).view(float).tolist())
+    if not abs(n - 1.0) <= 1e-9:  # NaN fails
+        raise ValueError(f"{what} is not normalized: ||psi|| = {n!r}")
     return a
 
 
@@ -327,24 +332,17 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def complete_unitary(first: np.ndarray, orientation: str = "column") -> np.ndarray:
-    """Deterministic unitary whose first column (or row) equals `first` exactly.
+def complete_unitary(first) -> np.ndarray:
+    """Deterministic unitary whose first column equals the unit vector `first` exactly.
 
     Built from a single Householder reflection mapping e_1 onto the target, with
     the reflector phase chosen opposite to the first entry so the subtraction
     v - alpha*e_1 never cancels. The first column is then overwritten with the
     input verbatim, which keeps the prescribed entries exact instead of
-    exact-to-roundoff. Row orientation returns the transpose of the column
-    construction, so a symmetric split m = m' yields C' = C^T.
+    exact-to-roundoff.
     """
-    v = as_state(first)
+    v = as_state(first, "first column")
     n = v.size
-    nrm = float(np.linalg.norm(v))
-    if not abs(nrm - 1.0) <= ATOL_ALGEBRAIC:  # NaN fails
-        raise ValueError(f"first column must have unit norm, got ||v|| = {nrm!r}")
-    if orientation not in ("column", "row"):
-        raise ValueError(f"orientation must be 'column' or 'row', got {orientation!r}")
-
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
     if np.linalg.norm(v - e1) <= 1e-12:
@@ -356,4 +354,4 @@ def complete_unitary(first: np.ndarray, orientation: str = "column") -> np.ndarr
         refl = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w)
         u = alpha * refl
     u[:, 0] = v
-    return u.T.copy() if orientation == "row" else u
+    return u

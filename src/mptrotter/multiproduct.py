@@ -204,7 +204,7 @@ def state_errors(exact, outputs):
 def error_report(decomp: HamiltonianDecomposition, t: float, m,
                  psi0) -> ErrorReport:
     """Compare an approximate propagator m against exact evolution at time t."""
-    psi = as_state(psi0, normalized=True)
+    psi = as_state(psi0)
     exact = hermitian_propagator(total(decomp), t)
     m = np.asarray(m, dtype=complex)
     err, degenerate = state_errors(exact @ psi, m @ psi)

@@ -148,6 +148,12 @@ class TestEvolve:
         assert err.startswith("error:")
         assert "unknown algorithm" in err
 
+    @pytest.mark.parametrize("algo", ["mp:1,2:3", "mp:modified:2,4:3"])
+    def test_mp_with_a_round_count_names_it(self, capsys, algo):
+        code, out, err = run_cli(capsys, "evolve", "--algo", algo, "--t", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: mp takes no round count; use mp_oaa:<schedule>:<n>\n"
+
 
 class TestSweep:
     def write_config(self, tmp_path, **extra):
@@ -570,7 +576,8 @@ EDGE_JSON = [0, -0.0, 0.3, 1e-320, 1e308, -1e308, HUGE, float("nan"), float("inf
 edge_number = st.sampled_from(EDGE_NUMBERS)
 edge_schedule = st.sampled_from(EDGE_SCHEDULES)
 edge_algorithm = st.one_of(
-    st.sampled_from(["exact", "warp", "", "trotter:96", "trotter:0", f"trotter:{2 ** 62}"]),
+    st.sampled_from(["exact", "warp", "", "trotter:96", "trotter:0", f"trotter:{2 ** 62}",
+                     "mp:1,2:3", "mp:modified:2,4:3"]),
     st.builds("trotter:{}".format, edge_number),
     st.builds("mp:{}".format, edge_schedule),
     st.builds("mp_oaa:{}".format, edge_schedule),

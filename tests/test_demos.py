@@ -19,3 +19,4 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert proc.stderr == ""

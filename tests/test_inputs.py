@@ -6,16 +6,19 @@ wording.
 """
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from mptrotter import (
     SweepConfig,
+    apply_lcu,
     apply_oaa,
     build_lcu,
     build_spin_hamiltonian,
     complete_unitary,
+    error_report,
     make_schedule,
     mp_coefficients,
     oaa_error_report,
@@ -92,7 +95,7 @@ RARE_BRANCHES = {
     "split-length": (lambda: build_lcu([1.0, 1.0], [np.eye(2)] * 2, split=([1.0], [1.0])),
                      "split vectors must match the coefficient count"),
     "degenerate-oaa-target": (_degenerate_target_scores_nan, None),
-    "empty-state": (lambda: complete_unitary([]), "state vector must be nonempty"),
+    "empty-state": (lambda: complete_unitary([]), "first column must be nonempty"),
     "count-beyond-a-float": (lambda: mp_coefficients([1, 10 ** 400]),
                              f"iteration count {10 ** 400} overflows a float"),
     "original-without-gamma": (lambda: make_schedule("original", k=3),
@@ -110,3 +113,48 @@ def test_rarely_taken_branches(branch):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+
+QUARTERS = [0.25] * 4
+HALVES = np.full(4, 0.5)
+
+# entry point -> (the name its unit-norm check gives the vector, a call on a 4-vector v)
+STATE_ENTRIES = {
+    "apply_lcu": ("state vector", lambda v: apply_lcu(build_lcu([1.0], [np.eye(4)]), v)),
+    "apply_oaa": ("state vector", lambda v: apply_oaa(build_lcu([1.0], [np.eye(4)]), v, 1)),
+    "build_lcu-m": ("split vector m",
+                    lambda v: build_lcu(QUARTERS, [np.eye(2)] * 4, split=(v, HALVES))),
+    "build_lcu-m_prime": ("split vector m_prime",
+                          lambda v: build_lcu(QUARTERS, [np.eye(2)] * 4, split=(HALVES, v))),
+    "complete_unitary": ("first column", complete_unitary),
+    "error_report": ("state vector",
+                     lambda v: error_report(build_spin_hamiltonian(), 1.0, np.eye(4), v)),
+    "oaa_error_report": ("state vector",
+                         lambda v: oaa_error_report(build_lcu([1.0], [np.eye(4)]), v)),
+    "SweepConfig": ("initial state", lambda v: SweepConfig(initial_state=tuple(v))),
+}
+
+# case -> (a 4-vector, whether it is accepted); the strided one is a column of a
+# complex matrix, so the vector is a view whose entries are not adjacent
+STATE_CASES = {
+    "huge": (np.array([1e308, 1e308, 0.0, 0.0]), False),
+    "strided-column": (np.full((4, 3), 0.5 + 0j)[:, 0], True),
+    "norm-1+5e-10": (HALVES * (1 + 5e-10), True),
+    "norm-1+2e-9": (HALVES * (1 + 2e-9), False),
+}
+
+
+@pytest.mark.parametrize("entry", STATE_ENTRIES)
+@pytest.mark.parametrize("case", STATE_CASES)
+def test_every_state_is_checked_by_one_unit_norm_rule(entry, case):
+    what, call = STATE_ENTRIES[entry]
+    v, accepted = STATE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the norm is formed without squares: no overflow
+        if accepted:
+            call(v)
+            return
+        norm = "1.4142135623730951e+308" if case == "huge" else ""
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{what} is not normalized: ||psi|| = {norm}')}"):
+            call(v)

@@ -119,7 +119,7 @@ class TestBuildLcu:
         rng = np.random.default_rng(5)
         ops = [haar_unitary(2, rng), haar_unitary(2, rng)]
         bad = (np.array([1.0, 1.0]), np.array([0.6, 0.8]))
-        with pytest.raises(ValueError, match="unit norm"):
+        with pytest.raises(ValueError, match="split vector m is not normalized"):
             build_lcu([0.5, 0.5], ops, split=bad)
 
     def test_rejects_nonproportional_split(self):
@@ -285,8 +285,8 @@ class TestOaaErrorReport:
     def test_loaded_operator_matches_mp(self, spin_decomp):
         sched = make_schedule("modified", a=2, k=4)
         circ = lcu_from_schedule(spin_decomp, 5.0, sched)
-        assert spectral_norm(circ.combined_operator()
-                             - mp_operator(spin_decomp, 5.0, sched)) < 1e-12
+        tot = float(np.sum(np.abs(circ.coeffs)))
+        assert spectral_norm(tot * circ.block - mp_operator(spin_decomp, 5.0, sched)) < 1e-12
 
     def test_projected_cubic_matches_data_register_polynomial(self, spin_decomp, psi0):
         # the ancilla-0 block of one round equals 3 sT' - 4 s^3 T'T'^dag T'
@@ -294,7 +294,7 @@ class TestOaaErrorReport:
         sched = make_schedule("modified", a=2, k=4)
         circ = lcu_from_schedule(spin_decomp, 8.0, sched)
         tot = float(np.sum(np.abs(circ.coeffs)))
-        tp = circ.combined_operator() / tot
+        tp = mp_operator(spin_decomp, 8.0, sched) / tot
         d = circ.data_dim
         one_round = oaa_iterate(circ) @ circuit_matrix(circ)
         block = one_round[:d, :d]

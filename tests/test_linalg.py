@@ -15,6 +15,7 @@ from mptrotter import (
     spectral_norm,
     total,
 )
+from mptrotter.circuit import loading_gates
 from mptrotter.linalg import as_state
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -120,11 +121,14 @@ class TestCompleteUnitary:
             assert is_unitary(u)
 
     def test_row_orientation(self):
-        rng = np.random.default_rng(10)
-        v = random_state(4, rng)
-        u = complete_unitary(v, "row")
-        assert np.array_equal(u[0, :], v)
-        assert is_unitary(u)
+        # the circuit's C' is a completion's transpose: its first row is m', and a
+        # symmetric split m = m' gives C' = C^T
+        for split in (None, (np.array([0.6, 0.8]), np.array([0.8, 0.6]))):
+            circ = build_lcu([1.0, 1.0], [np.eye(2)] * 2, split=split)
+            c, c_prime = loading_gates(circ)
+            assert np.array_equal(c_prime[0], circ.m_prime)
+            assert is_unitary(c_prime)
+            assert np.array_equal(c_prime, c.T) == (split is None)
 
     def test_pure_phase_first_entry(self):
         u = complete_unitary(np.array([1j, 0.0, 0.0, 0.0]))
@@ -146,12 +150,8 @@ class TestCompleteUnitary:
         assert np.array_equal(complete_unitary(v), complete_unitary(v.copy()))
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="unit norm"):
+        with pytest.raises(ValueError, match="first column is not normalized"):
             complete_unitary(np.array([1.0, 1.0]))
-
-    def test_rejects_bad_orientation(self):
-        with pytest.raises(ValueError, match="orientation"):
-            complete_unitary(np.array([1.0, 0.0]), "diagonal")
 
 
 class TestKron:
@@ -181,10 +181,11 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: as_state([NAN, 1.0], normalized=True), "not normalized"),
-    (lambda: complete_unitary(np.array([NAN, 1.0])), "unit norm"),
+    (lambda: as_state([NAN, 1.0]), "state vector is not normalized"),
+    (lambda: complete_unitary(np.array([NAN, 1.0])), "first column is not normalized"),
     (lambda: build_lcu([0.5, 0.5], [np.eye(2)] * 2,
-                       split=(np.array([NAN, 1.0]), np.array([0.6, 0.8]))), "unit norm"),
+                       split=(np.array([NAN, 1.0]), np.array([0.6, 0.8]))),
+     "split vector m is not normalized"),
     (lambda: build_lcu([NAN, 1.0], [np.eye(2)] * 2), "finite"),
     (lambda: classical_fidelity([NAN, 1.0], [0.5, 0.5]), "not normalized"),
     (lambda: hermitian_propagator(np.diag([NAN, 1.0]), 1.0), "finite"),
