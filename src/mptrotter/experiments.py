@@ -117,9 +117,10 @@ def parse_algorithm(spec: str) -> AlgorithmSpec:
     if sep and head in ("mp", "mp_oaa"):
         rounds = 0 if head == "mp" else 1
         # the last field of every schedule has a comma, so a last :-field
-        # without one is a round count, which only mp_oaa takes; with none, one round
+        # without one is a round count, which only mp_oaa takes, unless a bare
+        # generated kind precedes it (a malformed schedule); with none, one round
         front, sep, tail = body.rpartition(":")
-        if sep and "," not in tail:
+        if sep and "," not in tail and front.strip() not in _GENERATED:
             if head == "mp":
                 raise ValueError("mp takes no round count; use mp_oaa:<schedule>:<n>")
             body, rounds = front, check_count(read_number(tail, "round count"), "round count", 0)

@@ -7,10 +7,12 @@ projects onto the excited electron state and weighs the nuclear levels with
 energies e1, e2. Basis order is electron (x) nuclear: |00>, |01>, |10>, |11>,
 so |10> means electron excited, nuclear ground.
 
-From d = SYMMETRIC_MIN_DIM up, a split of centrosymmetric terms (the global
-spin flip, a symmetry of both terms of a transverse-field Ising split) has
-`sectors`: two half-size splits whose products `linalg.centro_join` joins to
-the products of the whole split. Each term keeps its structure there.
+From d = SYMMETRIC_MIN_DIM up, a split whose every term the global spin flip
+or the chain reflection leaves invariant (a transverse-field Ising split with
+a uniform field has both) has `sectors`: a `linalg.SectorMap` and one smaller
+split per sector, whose products the map joins to the products of the whole
+split. A diagonal term stays diagonal there; with the flip alone, a dyadic
+term stays dyadic, and with the reflection it becomes a dense real block.
 """
 from __future__ import annotations
 
@@ -21,11 +23,12 @@ import numpy as np
 
 from .linalg import (
     ATOL_ALGEBRAIC,
+    SectorMap,
     as_operator,
-    centro_blocks,
     dyadic_row,
     eigenpairs,
     kron,
+    sector_map,
     spectral_norm,
     walsh_transform,
 )
@@ -95,18 +98,17 @@ class HamiltonianDecomposition:
         return tuple(eigenpairs(h) for h in self.terms)
 
     @cached_property
-    def sectors(self) -> tuple[HamiltonianDecomposition, HamiltonianDecomposition] | None:
-        """The (plus, minus) sector decompositions, computed on first use.
+    def sectors(self) -> tuple[SectorMap, tuple[HamiltonianDecomposition, ...]] | None:
+        """(map, parts): the `linalg.sector_map` of the terms and one
+        decomposition per sector, computed on first use; None when the map is.
 
-        Term i of the plus (minus) sector is the first (second) block
-        `linalg.centro_blocks` gives for term i. None unless every term has
-        blocks. The blocks are Hermitian when the terms are, so the sectors
-        are not validated again.
+        Term i of part c is block c of term i. The blocks are Hermitian when
+        the terms are, so the parts are not validated again.
         """
-        blocks = [centro_blocks(h) for h in self.terms]
-        if None in blocks:
+        sectors = sector_map(self.terms)
+        if sectors is None:
             return None
-        return tuple(_unchecked(half) for half in zip(*blocks))
+        return sectors, tuple(_unchecked(part) for part in zip(*map(sectors.blocks, self.terms)))
 
     @property
     def dim(self) -> int:

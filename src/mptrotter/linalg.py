@@ -26,18 +26,25 @@ So its spectrum is the transform W g, its propagator is
 exp(-i h t)[i, j] = f[i ^ j] with f = W exp(-i t W g) / d, and W is never
 formed: the transform takes O(d log d) and the gather O(d^2).
 
-A matrix h of even dimension d = 2n is centrosymmetric when
-h[i, j] = h[d-1-i, d-1-j] for every i, j; for spin systems this is the
-symmetry under the global flip X^{(x)n}. With J the n x n reversal, such an h is
-[[A, C], [J C J, J A J]], and the orthogonal butterfly Q = [[I, I], [J, -J]]/sqrt 2
-block-diagonalizes it: Q^T h Q = diag(A + C J, A - C J) (Cantoni and Butler,
-Linear Algebra Appl. 13, 1976). `centro_blocks` gives the two sector blocks in
-O(d^2), and `centro_join` maps a function of them back, Q diag(U+, U-) Q^T, in
-O(d^2). It is the one sector rule: from d = SYMMETRIC_MIN_DIM up, a
-centrosymmetric matrix, or a split of them, runs in its two sectors, and
-`hermitian_propagator` diagonalizes it as two n x n blocks, 1/8 the flops each.
-The split keeps structure: a diagonal h gives the diagonal blocks diag(D[:n]),
-and a dyadic row g gives the dyadic rows g[:n] +- g[::-1][:n].
+From d = SYMMETRIC_MIN_DIM up, `sector_map` picks from a fixed list the
+index involutions p that leave a matrix, or every term of a split, exactly
+invariant, h[p[i], p[j]] = h[i, j]: the complement i -> d-1-i (the global spin
+flip X^{(x)n}) and, for d = 2^n, the reversal of the n bits (the reflection of
+a chain). They generate g = 2^k index maps g_b. Each orbit {g_b(r)}, named by
+its least index r, adds to sector c the unit vector with entry chi_c(b)/sqrt|O_r|
+at g_b(r), chi_c(b) = (-1)^|c & b|, when chi_c is 1 on the maps that fix r.
+These vectors form an orthogonal V with V^T h V = diag(h_c), and
+`SectorMap.blocks` gives h_c[r, r'] = sqrt(|O_r| |O_r'|)/g sum_b chi_c(b)
+h[r, g_b(r')], a gather and a Walsh transform over b. `SectorMap.join` maps
+functions u_c of the blocks back, V diag(u_c) V^T: a Walsh transform of the
+padded u_c over c, divided by sqrt(|O_r| |O_r'|) and gathered at (i, j) from
+map b(i) ^ b(j). Both are O(d^2). Orbit members share their diagonal entry, so
+a diagonal h gives diagonal blocks, and symmetric u_c join to an exactly
+symmetric matrix. With the complement alone the blocks are A +- C J for
+h = [[A, C], [J C J, J A J]] (Cantoni and Butler, 1976), so a dyadic row
+g gives the dyadic rows g[:n] +- g[::-1][:n]; the 8-qubit Ising chain has both
+involutions and sectors of 72, 64, 56 and 64 states, a quarter of the flops of
+its two spin-flip halves in each matrix product or diagonalization.
 """
 from __future__ import annotations
 
@@ -51,8 +58,8 @@ ATOL_ALGEBRAIC = 1e-10
 
 # Smallest dimension that takes the paths whose fixed cost only pays off on
 # larger matrices: a real split squares its powers as z z^T (`trotter`), and a
-# centrosymmetric matrix or split runs in its two sectors (`centro_blocks`).
-# Its timings are in CHANGES.md.
+# symmetric matrix or split runs in its sectors (`sector_map`), by both
+# involutions. Its timings are in CHANGES.md.
 SYMMETRIC_MIN_DIM = 64
 
 # The eigenvector slot of a dyadic matrix's eigenpairs: its eigenvectors are
@@ -87,13 +94,15 @@ def as_operator(m) -> np.ndarray:
 
 
 def as_state(v, what: str = "state vector") -> np.ndarray:
-    """Coerce to a nonempty 1-d complex vector of unit norm within 1e-9, or
-    raise a ValueError naming what.
+    """Coerce a 1-d array to a nonempty complex vector of unit norm within
+    1e-9, or raise a ValueError naming what; a matrix is no vector.
 
     The one unit-norm rule: `math.hypot` forms the norm without squaring, so
     no entry overflows it or warns, and NaN fails the comparison.
     """
-    a = np.asarray(v, dtype=complex).reshape(-1)
+    a = np.asarray(v, dtype=complex)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be a 1-d vector, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"{what} must be nonempty")
     n = math.hypot(*np.ascontiguousarray(a).view(float).tolist())
@@ -138,9 +147,9 @@ def hermitian_propagator(h, t) -> np.ndarray:
 
     The last matrix that passed validation is remembered by its shape and the
     SHA-256 digest of its complex entries, so any changed bit is another
-    matrix. Its spectra are kept only when it comes a second time in a row
-    (a matrix used once would otherwise hold O(d^2) memory for nothing); while
-    it keeps coming back it is neither validated nor diagonalized again, and
+    matrix. Its sector map and spectra are kept only when it comes a second
+    time in a row (a matrix used once would otherwise hold O(d^2) memory for
+    nothing); while it keeps coming back it is neither validated nor diagonalized again, and
     the result is bit for bit that of a fresh call.
     """
     global _last
@@ -150,14 +159,16 @@ def hermitian_propagator(h, t) -> np.ndarray:
     key = (a.shape, hashlib.sha256(np.ascontiguousarray(a)).digest())
     # one read and one write of the memo: a concurrent caller can cost a
     # diagonalization, but never pair a key with another matrix's spectra
-    last_key, spectra = _last
+    last_key, kept = _last
     if key != last_key:
         _check_hermitian(a)
-    if key != last_key or spectra is None:
-        spectra = tuple(eigenpairs(b) for b in centro_blocks(a) or (a,))
-        _last = (key, spectra if key == last_key else None)
+    if key != last_key or kept is None:
+        sectors = sector_map((a,))
+        kept = sectors, [eigenpairs(b) for b in (sectors.blocks(a) if sectors else (a,))]
+        _last = (key, kept if key == last_key else None)
+    sectors, spectra = kept
     props = [eigen_propagator(w, vecs, t) for w, vecs in spectra]
-    return centro_join(*props) if len(props) == 2 else props[0]
+    return sectors.join(props) if sectors else props[0]
 
 
 def _check_hermitian(a: np.ndarray) -> None:
@@ -178,47 +189,64 @@ def is_diagonal(h: np.ndarray) -> bool:
     return np.count_nonzero(h) == np.count_nonzero(np.diagonal(h))
 
 
-def centro_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(A + C J, A - C J) when h = [[A, C], [J C J, J A J]] exactly; None otherwise.
-
-    These are the sector blocks of Q^T h Q for a centrosymmetric h of even
-    dimension d = 2n >= SYMMETRIC_MIN_DIM (a smaller h has none), as real
-    arrays when h has no imaginary part; when C = 0 both are the view A of h.
-    Most other matrices are rejected in O(d) on a diagonal that is not a
-    palindrome, before the O(d^2) comparison.
+def sector_map(matrices) -> SectorMap | None:
+    """The `SectorMap` of the listed involutions that leave every matrix
+    exactly invariant; None when none does, for an odd d or below
+    SYMMETRIC_MIN_DIM. A diagonal that an involution changes rejects it in O(d).
     """
-    d = h.shape[0]
-    diag = np.diagonal(h)
-    if d < SYMMETRIC_MIN_DIM or d % 2 or not np.array_equal(diag, diag[::-1]) \
-            or not np.array_equal(h, h[::-1, ::-1]):
+    d = matrices[0].shape[0]
+    if d < SYMMETRIC_MIN_DIM or d % 2:
         return None
-    n = d // 2
-    if np.iscomplexobj(h) and not h.imag.any():
-        h = h.real  # a decomposition keeps its sectors' terms: keep them small
-    a, cj = h[:n, :n], h[:n, n:][:, ::-1]
-    if not cj.any():
-        return a, a
-    return a + cj, a - cj
+    i = np.arange(d)
+    candidates = [d - 1 - i]
+    if not d & (d - 1):
+        bits = np.arange(d.bit_length() - 1)
+        candidates.append(((i[:, None] >> bits) & 1) @ (1 << bits[::-1]))
+    perms = [p for p in candidates if all(
+        np.array_equal(np.diagonal(h)[p], np.diagonal(h)) and np.array_equal(h[np.ix_(p, p)], h)
+        for h in matrices)]
+    return SectorMap(perms) if perms else None
 
 
-def centro_join(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """Q diag(plus, minus) Q^T, the (d, d) matrix of a pair of sector matrices.
+class SectorMap:
+    """The sectors of the group of commuting index involutions perms, as the
+    module docstring sets them out: `blocks` splits an invariant matrix, and
+    `join` is the transpose map."""
 
-    It is [[S, D J], [J D, J S J]] with S = (plus + minus)/2 and
-    D = (plus - minus)/2, for one pair of (n, n) matrices or for stacks with
-    the same leading axes. Symmetric sector matrices give an exactly
-    symmetric result.
-    """
-    n = plus.shape[-1]
-    out = np.empty(plus.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(plus, minus))
-    # the top half [S, D J] is formed in place, and the bottom half
-    # [J D, J S J] is that half reversed along both axes
-    top = out[..., :n, :]
-    np.add(plus, minus, out=top[..., :n])
-    np.subtract(plus, minus, out=top[..., n:][..., ::-1])
-    top *= 0.5
-    out[..., n:, :] = top[..., ::-1, ::-1]
-    return out
+    def __init__(self, perms: list[np.ndarray]) -> None:
+        group = np.arange(perms[0].size)[None]
+        for p in perms:  # map b + 2^j applies perms[j] after map b
+            group = np.concatenate([group, p[group]])
+        self.reps, pos = np.unique(group.min(0), return_inverse=True)
+        self.orbits = group[:, self.reps]  # orbits[b, r] = g_b(rep r)
+        fixed = self.orbits == self.reps
+        self.g, n = fixed.shape
+        chars = walsh_transform(np.eye(self.g))  # chars[c, b] = chi_c(b)
+        self.index = [np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(0)) for chi in chars]
+        size = self.g / fixed.sum(0)
+        self.unscale = 1.0 / np.sqrt(np.multiply.outer(size, size))  # 1 / sqrt(|O_r| |O_r'|)
+        self.spots = [(c * n + i[:, None]) * n + i for c, i in enumerate(self.index)]
+        elem = np.empty(group.shape[1], dtype=np.intp)
+        elem[self.orbits] = np.arange(self.g)[:, None]
+        self.gather = (elem[:, None] ^ elem) * n * n + pos[:, None] * n + pos
+
+    def blocks(self, h: np.ndarray) -> list[np.ndarray]:
+        """The sector blocks V_c^T h V_c of an invariant h, real when h has no imaginary part."""
+        if np.iscomplexobj(h) and not h.imag.any():
+            h = h.real  # a decomposition keeps its sectors' terms: keep them small
+        w = walsh_transform(h[self.reps[:, None], self.orbits[:, None, :]], axis=0)
+        w /= self.g * self.unscale
+        return [w[c, i[:, None], i] for c, i in enumerate(self.index)]
+
+    def join(self, blocks) -> np.ndarray:
+        """V diag(blocks) V^T, for one matrix per sector or stacks with the same leading axes."""
+        lead = blocks[0].shape[:-2]
+        n = len(self.reps)
+        pad = np.zeros(lead + (self.g * n * n,), dtype=np.result_type(*blocks))
+        for spots, b in zip(self.spots, blocks):
+            pad[..., spots] = b
+        pad = walsh_transform(pad.reshape(lead + (self.g, n, n)), axis=-3) * self.unscale
+        return np.take(pad.reshape(lead + (-1,)), self.gather, axis=-1)
 
 
 def xor_index(d: int) -> np.ndarray:
@@ -227,17 +255,18 @@ def xor_index(d: int) -> np.ndarray:
     return np.bitwise_xor.outer(i, i)
 
 
-def walsh_transform(a: np.ndarray) -> np.ndarray:
-    """W a along the last axis of a, whose length d is a power of two.
+def walsh_transform(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """W a along an axis of a (the last by default), whose length d is a power of two.
 
     W[i, k] = (-1)^|i & k| is the unnormalized Walsh-Hadamard matrix (W W = d I);
     the transform is log2(d) butterfly passes of sums and differences.
     """
     shape = a.shape
-    d = shape[-1]
+    axis %= a.ndim
+    d, inner = shape[axis], math.prod(shape[axis + 1:])
     h = d // 2
-    while h:
-        x = a.reshape(shape[:-1] + (d // (2 * h), 2, h))
+    while h:  # entries i and i + h of the axis, each with the axes after it
+        x = a.reshape(shape[:axis] + (d // (2 * h), 2, h * inner))
         a = np.empty_like(x)
         np.add(x[..., 0, :], x[..., 1, :], out=a[..., 0, :])
         np.subtract(x[..., 0, :], x[..., 1, :], out=a[..., 1, :])

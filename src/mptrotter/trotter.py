@@ -17,11 +17,13 @@ read from the left block column of R(z)^l = R(z^l): BLAS multiplies a stack of
 small real matrices in one call but a complex stack one call per matrix. Other
 splits are raised by `numpy.linalg.matrix_power`.
 
-A split with `sectors` (every term centrosymmetric, as both terms of a
-transverse-field Ising split are, and d >= SYMMETRIC_MIN_DIM) is stepped and
-raised in its two half-size sectors by these same rules, and each
-count's pair of stacks is joined once by `linalg.centro_join`: a quarter of
-the flops of every matrix product. The join keeps the exact symmetry of a
+A split with `sectors` (d >= SYMMETRIC_MIN_DIM and every term invariant under
+the spin flip or the chain reflection, as both terms of a transverse-field
+Ising split are) is stepped and raised in each sector by these same rules,
+a real one squared as z z^T at every sector size, and each count's stacks are
+joined once by `linalg.SectorMap.join`. The 8-qubit Ising chain's four sectors
+(72, 64, 56 and 64 states) cost a quarter of the flops of its two spin-flip
+halves in every matrix product, and the join keeps the exact symmetry of a
 real split's powers.
 """
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .hamiltonian import HamiltonianDecomposition
 from .linalg import (
     SYMMETRIC_MIN_DIM,
     WALSH,
-    centro_join,
     check_count,
     diagonal_matrices,
     eigen_propagator,
@@ -100,18 +101,24 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
     """{l: S_1(t/l)^l for every time in ts} for each iteration count l in counts.
 
     The steps of all counts come from one `second_order_step` call on the
-    stacked times ts / l, and are raised (in the real form up to
-    d = _REAL_FORM_MAX_DIM, in sectors when the split has them) by the rules
-    of the module docstring. counts is a sequence of integers >= 1, every one
+    stacked times ts / l (one per sector when the split has them), and are
+    raised (in the real form up to d = _REAL_FORM_MAX_DIM) by the rules of
+    the module docstring. counts is a sequence of integers >= 1, every one
     checked by `linalg.check_count` first.
     """
     counts = [check_count(l, "iteration count", 1) for l in counts]
     if not counts:
         return {}
     ts = np.asarray(ts, dtype=float)
-    if decomp.sectors is not None:
-        plus, minus = (product_stacks(half, ts, counts) for half in decomp.sectors)
-        return {l: centro_join(plus[l], minus[l]) for l in counts}
+    if decomp.sectors is None:
+        return _products(decomp, ts, counts, decomp.dim)
+    sectors, parts = decomp.sectors
+    stacks = [_products(part, ts, counts, decomp.dim) for part in parts]
+    return {l: sectors.join([s[l] for s in stacks]) for l in counts}
+
+
+def _products(decomp: HamiltonianDecomposition, ts: np.ndarray, counts: list, dim: int) -> dict:
+    """`product_stacks` of decomp, a whole split of dimension dim or one of its sectors."""
     steps = second_order_step(decomp, np.stack([ts / l for l in counts]))
     if (d := decomp.dim) <= _REAL_FORM_MAX_DIM:  # one real form for the steps of all counts
         real = np.empty(steps.shape[:-2] + (2 * d, 2 * d))
@@ -125,15 +132,16 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
             out[l] = e[..., :d, :d].astype(complex)
             out[l].imag = e[..., d:, :d]
         return out
-    return {l: _power(decomp, z, l) for l, z in zip(counts, steps)}
+    return {l: _power(decomp, z, l, dim) for l, z in zip(counts, steps)}
 
 
-def _power(decomp: HamiltonianDecomposition, z: np.ndarray, n: int) -> np.ndarray:
-    """z^n for a step z of decomp, or for each step of a stack."""
+def _power(decomp: HamiltonianDecomposition, z: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """z^n for a step z of decomp, or for each step of a stack; dim is the
+    dimension of the whole split, of which decomp may be a sector."""
     # binary powering (repeated squaring), O(log l) products, raising each
     # matrix of the stack: faster than a plain product loop at every l, l <= 32
     # included, and within 1e-12 of it for the unitary steps used here
-    if decomp.dim < SYMMETRIC_MIN_DIM or not _real(decomp):
+    if dim < SYMMETRIC_MIN_DIM or not _real(decomp):
         return np.linalg.matrix_power(z, n)
     # matrix_power's order: bits of l from the lowest, result @ z for each set
     # bit; every z is a power of the step, exactly symmetric, and squared by syrk

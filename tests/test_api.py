@@ -12,6 +12,20 @@ def test_all_is_sorted_unique_and_resolves():
     assert missing == []
 
 
+def test_all_is_pinned():
+    # a public name is added or removed on purpose, by editing this list too
+    assert mptrotter.__all__ == [
+        "ErrorReport", "HamiltonianDecomposition", "LcuCircuit", "MpSchedule",
+        "SpinModelParams", "SweepConfig", "SweepTable", "amplify", "apply_lcu", "apply_oaa",
+        "build_lcu", "build_spin_hamiltonian", "classical_fidelity", "complete_unitary",
+        "default_t_grid", "drop_floor", "eigen_propagator", "emit", "error_report", "fit_order",
+        "hermitian_propagator", "is_hermitian", "is_unitary", "kron", "load_config",
+        "make_schedule", "mp_coefficients", "mp_operator", "oaa_error_report", "optimal_split",
+        "parse_algorithm", "parse_schedule_spec", "predicted_probability", "run_sweep",
+        "second_order_step", "spectral_norm", "state_errors", "total", "trotterize",
+    ]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # a name counts as used when the module loads it or lists it in __all__
     unused = []

@@ -28,7 +28,8 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter import linalg
-from mptrotter.linalg import WALSH, centro_blocks, diagonal_matrices, eigenpairs, phases, xor_index
+from mptrotter.linalg import (WALSH, diagonal_matrices, eigenpairs, phases, sector_map,
+                              xor_index)
 from mptrotter.trotter import _REAL_FORM_MAX_DIM, SYMMETRIC_MIN_DIM, _real, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
@@ -180,10 +181,11 @@ def structured_hermitian(kind: str, d: int, rng) -> np.ndarray:
     return random_hermitian(d, rng)
 
 
-def ising_split(n: int) -> HamiltonianDecomposition:
-    """h sum X_i and sum Z_i Z_{i+1} on an open chain of n qubits."""
-    hx = sum(np.kron(np.kron(np.eye(2 ** i), SIGMA_X), np.eye(2 ** (n - 1 - i)))
-             for i in range(n))
+def ising_split(n: int, fields=None) -> HamiltonianDecomposition:
+    """sum h_i X_i and sum Z_i Z_{i+1} on an open chain of n qubits, h_i = 1 by default."""
+    fields = np.ones(n) if fields is None else fields
+    hx = sum(f * np.kron(np.kron(np.eye(2 ** i), SIGMA_X), np.eye(2 ** (n - 1 - i)))
+             for i, f in enumerate(fields))
     z = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
     return HamiltonianDecomposition(terms=(hx, np.diag(np.sum(z[:, :-1] * z[:, 1:], axis=1))))
 
@@ -498,7 +500,7 @@ def test_centrosymmetric_split_matches_complex_eigh(term_kinds, seed, d, l, ts, 
     if d < SYMMETRIC_MIN_DIM:
         assert decomp.sectors is None
     else:
-        for sector in decomp.sectors:
+        for sector in decomp.sectors[1]:
             assert sector.dim == d // 2
             for kind, (_, vecs) in zip(term_kinds, sector.eigenpairs):
                 assert SECTOR_BASIS[kind](vecs), kind
@@ -512,19 +514,24 @@ def test_centrosymmetric_split_matches_complex_eigh(term_kinds, seed, d, l, ts, 
         <= STRUCTURE_TOL
 
 
-def test_ising_sectors_call_no_eigh_and_the_exact_propagator_two_halves(monkeypatch):
+def test_ising_sectors_call_no_eigh_after_first_use_and_the_exact_propagator_four_blocks(
+        monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: calls.append((a.dtype, a.shape)) or eigh(a))
     decomp = ising_split(8)
-    assert [[vecs for _, vecs in sector.eigenpairs] for sector in decomp.sectors] \
-        == [[WALSH, None], [WALSH, None]]
+    # the spin flip and the chain reflection: four sectors, in which the ZZ
+    # term stays diagonal and the field term is a dense real block
+    blocks = [(np.float64, (n, n)) for n in (72, 64, 56, 64)]
+    assert [[vecs is None for _, vecs in sector.eigenpairs] for sector in decomp.sectors[1]] \
+        == [[False, True]] * 4
+    assert calls == blocks
     trotterize(decomp, 1.3, 8)
     product_stacks(decomp, np.linspace(0.0, 3.0, 4), (4, 8, 16, 32))
-    assert calls == []
+    assert calls == blocks
     hermitian_propagator(total(decomp), np.array([0.4, 1.3]))
-    assert calls == [(np.float64, (128, 128))] * 2
+    assert calls == blocks * 2
 
 
 @pytest.mark.parametrize("t", [1.3, np.linspace(-3.0, 4.0, 5)])
@@ -550,6 +557,79 @@ def test_sectors_need_every_term_centrosymmetric():
     assert build_spin_hamiltonian().sectors is None
     # an odd dimension has no sectors
     assert HamiltonianDecomposition(terms=(np.ones((65, 65)),)).sectors is None
+
+
+def bit_reversal(d: int) -> np.ndarray:
+    n = d.bit_length() - 1
+    return np.array([int(f"{i:0{n}b}"[::-1], 2) for i in range(d)])
+
+
+# (symmetry, d) -> the sector dimensions: the complement halves d; the reversal
+# keeps the 2^ceil(n/2) palindromes in its even sector; both give the orbits of
+# the group {1, F, P, FP}, 4 or 2 indices each
+SECTOR_DIMS = {("complement", 64): [32, 32], ("complement", 256): [128, 128],
+               ("reversal", 64): [36, 28], ("reversal", 256): [136, 120],
+               ("both", 64): [20, 16, 12, 16], ("both", 256): [72, 64, 56, 64]}
+
+
+@pytest.mark.parametrize("symmetry, d", SECTOR_DIMS)
+def test_sector_blocks_join_back_to_the_matrix(symmetry, d):
+    i = np.arange(d)
+    perms = {"complement": [d - 1 - i], "reversal": [bit_reversal(d)],
+             "both": [d - 1 - i, bit_reversal(d)]}[symmetry]
+    rng = np.random.default_rng(d)
+    h = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
+    for p in perms:  # the average over the group the involutions generate
+        h = (h + h[np.ix_(p, p)]) / 2.0
+    sectors = sector_map((h,))
+    blocks = sectors.blocks(h)
+    assert [len(b) for b in blocks] == SECTOR_DIMS[symmetry, d]
+    assert max_dev(sectors.join(blocks), h) <= 1e-15
+    # one stack of two matrices per sector joins to the two matrices
+    stacked = sectors.join([np.stack([b, 2.0 * b]) for b in blocks])
+    assert max_dev(stacked, np.stack([h, 2.0 * h])) <= 2e-15
+
+
+def eigh_products(terms, t, counts) -> dict:
+    """{l: S_1(t/l)^l} from one complex eigendecomposition of each term."""
+    pairs = [np.linalg.eigh(h) for h in terms]
+
+    def half(s):
+        out = [(v * np.exp(-0.5j * np.multiply.outer(s, w))[..., None, :]) @ v.conj().T
+               for w, v in pairs]
+        step = out[-1] @ out[-1]
+        for a in reversed(out[:-1]):
+            step = a @ step @ a
+        return step
+    return {l: np.linalg.matrix_power(half(np.asarray(t) / l), l) for l in counts}
+
+
+@pytest.mark.parametrize("n", [6, 8])  # n = 10 takes seconds in the reference
+@pytest.mark.parametrize("t", [0.7, np.array([-1.5, 0.4, 2.0])], ids=["scalar", "array"])
+def test_ising_sector_products_match_complex_eigh(n, t):
+    decomp = ising_split(n)
+    assert decomp.sectors[0].g == 4
+    counts = range(1, 33) if n == 6 else (1, 2, 3, 5, 8, 13, 21, 32)
+    want = eigh_products(decomp.terms, t, counts)
+    got = product_stacks(decomp, t, counts)
+    for l in counts:
+        assert max_dev(got[l], want[l]) <= TOL, l
+    h = total(decomp)
+    assert max_dev(hermitian_propagator(h, t), complex_eigh_propagator(h, t)) <= TOL
+
+
+def test_a_non_uniform_field_keeps_the_two_flip_sectors():
+    # fields h_i = 1 + i/10 break the chain reflection but not the spin flip,
+    # and each flip sector keeps its terms dyadic and diagonal
+    decomp = ising_split(8, fields=1.0 + 0.1 * np.arange(8))
+    sectors, parts = decomp.sectors
+    assert sectors.g == 2 and [part.dim for part in parts] == [128, 128]
+    assert [[vecs for _, vecs in part.eigenpairs] for part in parts] == [[WALSH, None]] * 2
+    t = np.array([0.4, 1.3])
+    assert max_dev(trotterize(decomp, t, 8), eigh_products(decomp.terms, t, (8,))[8]) <= TOL
+    h = total(decomp)
+    assert sector_map((h,)).g == 2
+    assert max_dev(hermitian_propagator(h, t), complex_eigh_propagator(h, t)) <= TOL
 
 
 # --- the spectrum memo of hermitian_propagator -------------------------------
@@ -601,7 +681,7 @@ def test_remembered_spectra_give_the_fresh_propagator_bit_for_bit(monkeypatch, k
 def test_centrosymmetric_diagonal_propagator_is_its_phases_bit_for_bit():
     # it runs in two sectors, and joining their two equal halves is exact
     h = centrosymmetric("diagonal", SYMMETRIC_MIN_DIM, np.random.default_rng(3))
-    assert centro_blocks(h) is not None
+    assert sector_map((h,)) is not None
     for t in MEMO_TIMES:
         want = diagonal_matrices(phases(np.diagonal(h).real, t))
         assert hermitian_propagator(h, t).tobytes() == want.tobytes()
@@ -609,14 +689,14 @@ def test_centrosymmetric_diagonal_propagator_is_its_phases_bit_for_bit():
 
 def test_spectra_are_kept_from_the_second_call_in_a_row(monkeypatch):
     calls = counted_eigh(monkeypatch)
-    h = total(ising_split(8))  # two 128 x 128 sectors
+    h = total(ising_split(8))  # four sectors
     for _ in range(2):
         hermitian_propagator(h, 1.3)
-    assert calls == [(128, 128)] * 4
+    assert calls == [(72, 72), (64, 64), (56, 56), (64, 64)] * 2
     # the same entries in another layout or dtype are the same matrix
     hermitian_propagator(np.asfortranarray(h.real), 1.3)
     hermitian_propagator(total(ising_split(8)), np.array([0.4, 1.3]))
-    assert len(calls) == 4
+    assert len(calls) == 8
 
 
 def test_alternating_matrices_keep_no_spectra(monkeypatch):

@@ -154,6 +154,17 @@ class TestEvolve:
         assert (code, out) == (1, "")
         assert err == "error: mp takes no round count; use mp_oaa:<schedule>:<n>\n"
 
+    @pytest.mark.parametrize("algo, form", [("mp_oaa:modified:2", "modified:a,k"),
+                                            ("mp_oaa:original:0.5", "original:gamma,k"),
+                                            ("mp:modified:2", "modified:a,k")])
+    def test_malformed_generated_schedule_is_named(self, capsys, algo, form):
+        # a last field after a bare schedule kind is no round count
+        code, out, err = run_cli(capsys, "evolve", "--algo", algo, "--t", "1")
+        assert (code, out) == (1, "")
+        schedule = algo.partition(":")[2]
+        kind = schedule.partition(":")[0]
+        assert err == f"error: {kind} schedule spec needs '{form}', got '{schedule}'\n"
+
 
 class TestSweep:
     def write_config(self, tmp_path, **extra):

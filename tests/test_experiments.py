@@ -199,6 +199,13 @@ class TestParsing:
         assert b.schedule.iterations == (1, 2, 4)
         assert b.rounds == 2
 
+    @pytest.mark.parametrize("spec, iterations, rounds", [
+        ("mp_oaa:modified:2,4:1", (4, 8, 16, 32), 1), ("mp_oaa:modified:2,4", (4, 8, 16, 32), 1),
+        ("mp_oaa:1,2:3", (1, 2), 3)])
+    def test_algorithm_round_count_follows_a_whole_schedule(self, spec, iterations, rounds):
+        a = parse_algorithm(spec)
+        assert (a.schedule.iterations, a.rounds) == (iterations, rounds)
+
     def test_algorithm_rejections(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             parse_algorithm("magic")

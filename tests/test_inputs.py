@@ -158,3 +158,11 @@ def test_every_state_is_checked_by_one_unit_norm_rule(entry, case):
         with pytest.raises(ValueError,
                            match=f"^{re.escape(f'{what} is not normalized: ||psi|| = {norm}')}"):
             call(v)
+
+
+@pytest.mark.parametrize("entry", [e for e in STATE_ENTRIES if e != "SweepConfig"])
+def test_a_matrix_is_no_state(entry):
+    # a (2, 2) array of Frobenius norm 1 once passed as a 4-vector
+    what, call = STATE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{what} must be a 1-d vector, got shape \\(2, 2\\)$"):
+        call(np.eye(2) / np.sqrt(2.0))
