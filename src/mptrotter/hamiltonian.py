@@ -141,7 +141,7 @@ def build_spin_hamiltonian(params: SpinModelParams = DEFAULT_PARAMS) -> Hamilton
 
 def total(decomp: HamiltonianDecomposition) -> np.ndarray:
     """Sum of all terms."""
-    out = np.zeros_like(decomp.terms[0], dtype=np.result_type(*decomp.terms))
-    for h in decomp.terms:
+    out = np.array(decomp.terms[0], dtype=np.result_type(*decomp.terms))
+    for h in decomp.terms[1:]:
         out += h
     return out

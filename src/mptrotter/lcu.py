@@ -203,7 +203,8 @@ def amplify(block, psi, n: int) -> np.ndarray:
 
     With M the kept-branch block, u_0 = M psi, u_{-1} = -u_0 and
     u_{j+1} = -2 (2 M M^dag - I) u_j - u_{j-1} give u_n at 2n + 1 products with
-    M or M^dag; n = 0 is M psi. block is an ndarray that may carry leading
+    M or M^dag; n = 0 is M psi. M^dag u is formed as conj(M^T conj(u)), so no
+    conjugate copy of M is made. block is an ndarray that may carry leading
     batch axes, (..., d, d), and psi is one d-vector ndarray; the result has
     shape (..., d). Inputs are not validated here.
     """
@@ -212,12 +213,12 @@ def amplify(block, psi, n: int) -> np.ndarray:
     stacked = block.ndim > 2
     u = block @ (psi[:, None] if stacked else psi)
     if n:
-        block_dag = block.conj().swapaxes(-1, -2)
+        block_t = block.swapaxes(-1, -2)
         prev = -u
         for _ in range(n):
             # -4 x + 2 u - prev, in place: the same numbers as
             # -2 (2 x - u) - prev, since scaling by a power of two is exact
-            x = block @ (block_dag @ u)
+            x = block @ (block_t @ u.conj()).conj()
             x *= -4.0
             x += 2.0 * u
             x -= prev

@@ -7,10 +7,11 @@ dimension, so no scaling-and-squaring is needed. Callers that exponentiate one
 generator at many times keep its eigenpairs and call `eigen_propagator`, which
 takes one time or an array of times. `hermitian_propagator` keeps them itself
 for the matrix that comes back: it remembers the last matrix it validated by a
-SHA-256 digest of its entries, keeps that matrix's spectra once it comes a
-second time in a row, and from then on neither validates nor diagonalizes it
-again. So the total H of a model is diagonalized twice per process, not once
-per call, while a matrix used once leaves only its 32-byte digest behind.
+SHA-256 digest, and from its second call in a row keeps a copy of its bits
+(16 d^2 bytes: 1 MiB at d = 256, 16 MiB at d = 1024) with its spectra; a call
+whose bits equal the copy is neither hashed, validated nor diagonalized. So the
+total H of a model is diagonalized twice per process, not once per call, while
+a matrix used once leaves only its 32-byte digest behind.
 
 `eigenpairs` is the one place a matrix is diagonalized, and it picks the
 cheapest basis the matrix allows: the eigenvectors are None for a diagonal
@@ -133,8 +134,8 @@ def is_unitary(m) -> bool:
     return spectral_norm(a @ a.conj().T - np.eye(a.shape[0])) < ATOL_ALGEBRAIC
 
 
-# (key, spectra) of the last matrix `hermitian_propagator` validated; spectra
-# is None until that matrix comes a second time in a row.
+# (key, spectra) of the last matrix `hermitian_propagator` validated: its
+# digest and None, then from its second call in a row its bits and spectra.
 _last: tuple = (None, None)
 
 
@@ -145,27 +146,30 @@ def hermitian_propagator(h, t) -> np.ndarray:
     is unitary to roundoff, and negative t gives the inverse. t is one time or
     an array of times, as for `eigen_propagator`.
 
-    The last matrix that passed validation is remembered by its shape and the
-    SHA-256 digest of its complex entries, so any changed bit is another
-    matrix. Its sector map and spectra are kept only when it comes a second
-    time in a row (a matrix used once would otherwise hold O(d^2) memory for
-    nothing); while it keeps coming back it is neither validated nor diagonalized again, and
-    the result is bit for bit that of a fresh call.
+    The last matrix that passed validation is remembered by the SHA-256
+    digest of its entries, so a matrix used once leaves only 32 bytes. When it
+    comes a second time in a row, a copy of its bits (16 d^2 bytes: 1 MiB at
+    d = 256, 16 MiB at d = 1024) is kept with its sector map and spectra, and
+    a later call is a hit when its int64 view equals that copy: any changed
+    bit, a zero's sign included, is another matrix. A hit is neither hashed,
+    validated nor diagonalized, and gives the fresh result bit for bit.
     """
     global _last
     a = as_operator(h)
     if not np.isfinite(t).all():
         raise ValueError(f"time must be finite, got {t!r}")
-    key = (a.shape, hashlib.sha256(np.ascontiguousarray(a)).digest())
+    bits = np.ascontiguousarray(a).view(np.int64)
     # one read and one write of the memo: a concurrent caller can cost a
     # diagonalization, but never pair a key with another matrix's spectra
     last_key, kept = _last
-    if key != last_key:
-        _check_hermitian(a)
-    if key != last_key or kept is None:
+    if kept is None or not np.array_equal(last_key, bits):
+        key = hashlib.sha256(bits).digest()
+        again = kept is None and key == last_key
+        if not again:
+            _check_hermitian(a)
         sectors = sector_map((a,))
         kept = sectors, [eigenpairs(b) for b in (sectors.blocks(a) if sectors else (a,))]
-        _last = (key, kept if key == last_key else None)
+        _last = (bits.copy(), kept) if again else (key, None)
     sectors, spectra = kept
     props = [eigen_propagator(w, vecs, t) for w, vecs in spectra]
     return sectors.join(props) if sectors else props[0]
@@ -350,8 +354,8 @@ def weighted_sum(weights, operators) -> np.ndarray:
     The operators may be stacks with the same leading axes; the sum is then
     taken entrywise over the stacks.
     """
-    out = np.zeros_like(operators[0], dtype=complex)
-    for w, a in zip(weights, operators):
+    out = (weights[0] * operators[0]).astype(complex, copy=False)
+    for w, a in zip(weights[1:], operators[1:]):
         out += w * a
     return out
 

@@ -29,7 +29,7 @@ from mptrotter import (
 )
 from mptrotter import linalg
 from mptrotter.linalg import (WALSH, diagonal_matrices, eigenpairs, phases, sector_map,
-                              xor_index)
+                              weighted_sum, xor_index)
 from mptrotter.trotter import _REAL_FORM_MAX_DIM, SYMMETRIC_MIN_DIM, _real, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
 
@@ -114,6 +114,32 @@ def test_amplify_is_odd_chebyshev_of_singular_values(seed, batch, d, ancilla, n)
     got = amplify(blocks, psi, n)
     assert got.shape == expected.shape == blocks.shape[:-1]
     assert max_dev(got, expected) <= 1e-12
+
+
+def conjugate_copy_amplify(block, psi, n):
+    """The recurrence of `amplify` with M^dag formed as a conjugate copy of M."""
+    stacked = block.ndim > 2
+    u = block @ (psi[:, None] if stacked else psi)
+    block_dag = block.conj().swapaxes(-1, -2)
+    prev = -u
+    for _ in range(n):
+        x = block @ (block_dag @ u)
+        x *= -4.0
+        x += 2.0 * u
+        x -= prev
+        u, prev = x, u
+    return u[..., 0] if stacked else u
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (8, 8), (256, 256), (61, 4, 4)])
+@pytest.mark.parametrize("n", range(4))
+def test_amplify_equals_the_conjugate_copy_recurrence_bit_for_bit(shape, n):
+    rng = np.random.default_rng(shape[-1] + n)
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    blocks /= np.linalg.norm(blocks, ord=2, axis=(-2, -1))[..., None, None]
+    psi = random_state(shape[-1], rng)
+    want = conjugate_copy_amplify(blocks, psi, n)
+    assert amplify(blocks, psi, n).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -632,10 +658,28 @@ def test_a_non_uniform_field_keeps_the_two_flip_sectors():
     assert max_dev(hermitian_propagator(h, t), complex_eigh_propagator(h, t)) <= TOL
 
 
+def test_sums_keep_the_dtype_of_their_terms():
+    # total keeps the result type of its terms: a sector part holds real blocks
+    decomp = ising_split(6)
+    parts = decomp.sectors[1]
+    assert total(decomp).dtype == complex
+    assert [total(part).dtype for part in parts] == [np.float64] * 4
+    hx, zz = parts[0].terms
+    assert np.array_equal(total(parts[0]), hx + zz)
+    # weighted_sum is complex whatever its weights and operators
+    for weights in ([0.5, -2.0], np.array([3, 1])):
+        got = weighted_sum(weights, [hx, zz])
+        assert got.dtype == complex
+        assert np.array_equal(got, weights[0] * hx + weights[1] * zz)
+    assert weighted_sum([2.0], [hx]).dtype == complex
+
+
 # --- the spectrum memo of hermitian_propagator -------------------------------
-# The last matrix validated is remembered by its digest, and its spectra are
-# kept from its second call in a row; every hit must give the fresh result bit
-# for bit, and no input may skip a check it would fail.
+# The last matrix validated is remembered by its SHA-256 digest. From its
+# second call in a row a copy of its bits (16 d^2 bytes: 1 MiB at d = 256,
+# 16 MiB at d = 1024) is kept with its spectra, and a hit is a compare of those
+# bits, with no digest. Every hit must give the fresh result bit for bit, and
+# no input may skip a check it would fail.
 
 MEMO_MATRICES = {
     "complex": lambda d, rng: structured_hermitian("complex", d, rng),
@@ -657,10 +701,11 @@ def fresh_propagator(monkeypatch, h, t):
     return out
 
 
-def counted_eigh(monkeypatch) -> list:
+def counted(monkeypatch, owner, name: str) -> list:
+    """Record the first argument's shape on each call of owner.name."""
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    call = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda a: calls.append(np.shape(a)) or call(a))
     return calls
 
 
@@ -688,7 +733,7 @@ def test_centrosymmetric_diagonal_propagator_is_its_phases_bit_for_bit():
 
 
 def test_spectra_are_kept_from_the_second_call_in_a_row(monkeypatch):
-    calls = counted_eigh(monkeypatch)
+    calls = counted(monkeypatch, np.linalg, "eigh")
     h = total(ising_split(8))  # four sectors
     for _ in range(2):
         hermitian_propagator(h, 1.3)
@@ -700,7 +745,7 @@ def test_spectra_are_kept_from_the_second_call_in_a_row(monkeypatch):
 
 
 def test_alternating_matrices_keep_no_spectra(monkeypatch):
-    calls = counted_eigh(monkeypatch)
+    calls = counted(monkeypatch, np.linalg, "eigh")
     rng = np.random.default_rng(31)
     a, b = random_hermitian(5, rng), random_hermitian(5, rng)
     for h in (a, b, a, b, a):
@@ -750,3 +795,35 @@ def test_mutating_a_matrix_or_a_result_changes_no_later_result(monkeypatch, kind
         assert hermitian_propagator(h, 0.9).tobytes() == changed.tobytes()
     h[...] = original
     assert hermitian_propagator(h, 0.9).tobytes() == want.tobytes()
+
+
+def test_kept_spectra_are_found_without_a_digest(monkeypatch):
+    digests = counted(monkeypatch, linalg.hashlib, "sha256")
+    h = total(ising_split(8))
+    for _ in range(2):
+        hermitian_propagator(h, 1.3)
+    assert len(digests) == 2 and linalg._last[1] is not None
+    # the same entries as the same array, a copy or a Fortran-ordered real copy
+    for same in (h, h.copy(), np.asfortranarray(h.real)):
+        hermitian_propagator(same, 0.4)
+    assert len(digests) == 2
+    changed = h.copy()
+    changed[0, 0] += 1.0
+    hermitian_propagator(changed, 0.4)
+    assert len(digests) == 3 and linalg._last[1] is None
+
+
+def test_a_zero_of_another_sign_is_another_matrix(monkeypatch):
+    h = total(ising_split(6))  # four sectors
+    i, j = np.argwhere(h == 0)[0]
+    flipped = h.copy()
+    flipped[i, j] = -0.0
+    # equal as floats, but one sign bit apart
+    assert np.array_equal(flipped, h) and flipped.tobytes() != h.tobytes()
+    want = fresh_propagator(monkeypatch, flipped, 0.9)
+    for _ in range(2):
+        hermitian_propagator(h, 0.9)
+    checks = counted(monkeypatch, linalg, "_check_hermitian")
+    calls = counted(monkeypatch, np.linalg, "eigh")
+    assert hermitian_propagator(flipped, 0.9).tobytes() == want.tobytes()
+    assert len(checks) == 1 and len(calls) == 4
