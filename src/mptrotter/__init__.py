@@ -4,14 +4,10 @@ amplification for small dense quantum systems."""
 from .experiments import (
     SweepConfig,
     SweepTable,
-    classical_fidelity,
-    default_t_grid,
     drop_floor,
     emit,
     fit_order,
     load_config,
-    parse_algorithm,
-    parse_schedule_spec,
     run_sweep,
 )
 from .hamiltonian import (
@@ -22,23 +18,13 @@ from .hamiltonian import (
 )
 from .lcu import (
     LcuCircuit,
-    amplify,
     apply_lcu,
     apply_oaa,
     build_lcu,
     oaa_error_report,
-    optimal_split,
     predicted_probability,
 )
-from .linalg import (
-    complete_unitary,
-    eigen_propagator,
-    hermitian_propagator,
-    is_hermitian,
-    is_unitary,
-    kron,
-    spectral_norm,
-)
+from .linalg import hermitian_propagator
 from .multiproduct import (
     ErrorReport,
     MpSchedule,
@@ -60,35 +46,23 @@ __all__ = [
     "SpinModelParams",
     "SweepConfig",
     "SweepTable",
-    "amplify",
     "apply_lcu",
     "apply_oaa",
     "build_lcu",
     "build_spin_hamiltonian",
-    "classical_fidelity",
-    "complete_unitary",
-    "default_t_grid",
     "drop_floor",
-    "eigen_propagator",
     "emit",
     "error_report",
     "fit_order",
     "hermitian_propagator",
-    "is_hermitian",
-    "is_unitary",
-    "kron",
     "load_config",
     "make_schedule",
     "mp_coefficients",
     "mp_operator",
     "oaa_error_report",
-    "optimal_split",
-    "parse_algorithm",
-    "parse_schedule_spec",
     "predicted_probability",
     "run_sweep",
     "second_order_step",
-    "spectral_norm",
     "state_errors",
     "total",
     "trotterize",

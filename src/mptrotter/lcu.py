@@ -190,6 +190,8 @@ def _data_state(circuit: LcuCircuit, psi) -> np.ndarray:
 
 def _project(kept: np.ndarray) -> LcuOutcome:
     nrm = float(np.linalg.norm(kept))
+    if not isfinite(nrm):  # a NaN branch operator reaches no other check
+        raise ValueError(f"kept branch norm must be finite, got {nrm!r}")
     prob = nrm * nrm
     if nrm <= DEGENERATE_AMPLITUDE:
         return LcuOutcome(projected_state=kept, success_probability=prob,

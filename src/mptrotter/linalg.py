@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel: Hermitian propagators, norms, unitary completion.
+"""Dense complex matrix kernel: Hermitian propagators, norms, sectors and sums.
 
 Operators are plain square complex ndarrays and state vectors are 1-d complex
 ndarrays; nothing here mutates its inputs. Matrix exponentials go through an
@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-# Tolerance for algebraic identities (unitarity, hermiticity, reconstruction).
+# Tolerance of the hermiticity checks on ||H - H^dag||.
 ATOL_ALGEBRAIC = 1e-10
 
 # Smallest dimension that takes the paths whose fixed cost only pays off on
@@ -122,16 +122,6 @@ def spectral_norm(m) -> float:
     a = as_operator(m)
     w = np.linalg.eigvalsh(a.conj().T @ a)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
-
-
-def is_hermitian(m) -> bool:
-    a = as_operator(m)
-    return spectral_norm(a - a.conj().T) < ATOL_ALGEBRAIC
-
-
-def is_unitary(m) -> bool:
-    a = as_operator(m)
-    return spectral_norm(a @ a.conj().T - np.eye(a.shape[0])) < ATOL_ALGEBRAIC
 
 
 # (key, spectra) of the last matrix `hermitian_propagator` validated: its
@@ -328,7 +318,9 @@ def eigen_propagator(w: np.ndarray, vecs: np.ndarray | str | None, t) -> np.ndar
     """exp(-i h t) from the eigenpairs (w, vecs) of h, as `eigenpairs` gives them.
 
     A scalar t gives one (d, d) matrix; an array of times gives the stack of
-    propagators with the time axes in front, (T, d, d) for T times.
+    propagators with the time axes in front, (T, d, d) for T times. Times are
+    not validated here: an infinite t gives NaN entries with numpy warnings,
+    where `hermitian_propagator` and `second_order_step` reject it.
     """
     p = phases(w, t)
     if vecs is None:
@@ -363,28 +355,3 @@ def weighted_sum(weights, operators) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product, first factor on the slow (most significant) index."""
     return np.kron(as_operator(a), as_operator(b))
-
-
-def complete_unitary(first) -> np.ndarray:
-    """Deterministic unitary whose first column equals the unit vector `first` exactly.
-
-    Built from a single Householder reflection mapping e_1 onto the target, with
-    the reflector phase chosen opposite to the first entry so the subtraction
-    v - alpha*e_1 never cancels. The first column is then overwritten with the
-    input verbatim, which keeps the prescribed entries exact instead of
-    exact-to-roundoff.
-    """
-    v = as_state(first, "first column")
-    n = v.size
-    e1 = np.zeros(n, dtype=complex)
-    e1[0] = 1.0
-    if np.linalg.norm(v - e1) <= 1e-12:
-        u = np.eye(n, dtype=complex)
-    else:
-        phi = float(np.angle(v[0])) if abs(v[0]) > 0.0 else 0.0
-        alpha = -np.exp(1j * phi)
-        w = v - alpha * e1
-        refl = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w)
-        u = alpha * refl
-    u[:, 0] = v
-    return u

@@ -1,5 +1,6 @@
-"""Shared test helpers: random ensembles and an exponential oracle that does
-not go through the eigendecomposition used by the library."""
+"""Shared test helpers: random ensembles, hermiticity and unitarity assertions,
+and an exponential oracle that does not go through the eigendecomposition used
+by the library."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,6 +10,21 @@ from mptrotter import build_spin_hamiltonian, linalg
 
 # a 400-digit integer: JSON and Python read it exactly, and no float holds it
 HUGE = 10 ** 400 - 1
+# tolerance of the algebraic assertions below
+ATOL = 1e-10
+
+
+def is_hermitian(m) -> bool:
+    """||m - m^dag|| < ATOL, with the spectral norm from numpy's SVD rather than
+    the library's `spectral_norm`."""
+    a = np.asarray(m, dtype=complex)
+    return np.linalg.norm(a - a.conj().T, 2) < ATOL
+
+
+def is_unitary(m) -> bool:
+    """||m m^dag - I|| < ATOL, with the spectral norm from numpy's SVD."""
+    a = np.asarray(m, dtype=complex)
+    return np.linalg.norm(a @ a.conj().T - np.eye(a.shape[0]), 2) < ATOL
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,16 +31,16 @@ from mptrotter import (
     hermitian_propagator,
     make_schedule,
     mp_coefficients,
-    optimal_split,
     predicted_probability,
     run_sweep,
-    spectral_norm,
     total,
     trotterize,
 )
 from mptrotter.circuit import ancilla_projector, circuit_matrix, oaa_iterate
 from mptrotter.cli import main
 from mptrotter.experiments import ERROR_FLOOR
+from mptrotter.lcu import optimal_split
+from mptrotter.linalg import spectral_norm
 from tests.conftest import haar_unitary, random_state
 
 PSI0 = np.array([np.sqrt(0.3), np.sqrt(0.7), 0.0, 0.0], dtype=complex)

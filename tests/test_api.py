@@ -1,6 +1,9 @@
 """The package's public names and imports."""
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import mptrotter
 
@@ -16,14 +19,35 @@ def test_all_is_pinned():
     # a public name is added or removed on purpose, by editing this list too
     assert mptrotter.__all__ == [
         "ErrorReport", "HamiltonianDecomposition", "LcuCircuit", "MpSchedule",
-        "SpinModelParams", "SweepConfig", "SweepTable", "amplify", "apply_lcu", "apply_oaa",
-        "build_lcu", "build_spin_hamiltonian", "classical_fidelity", "complete_unitary",
-        "default_t_grid", "drop_floor", "eigen_propagator", "emit", "error_report", "fit_order",
-        "hermitian_propagator", "is_hermitian", "is_unitary", "kron", "load_config",
-        "make_schedule", "mp_coefficients", "mp_operator", "oaa_error_report", "optimal_split",
-        "parse_algorithm", "parse_schedule_spec", "predicted_probability", "run_sweep",
-        "second_order_step", "spectral_norm", "state_errors", "total", "trotterize",
+        "SpinModelParams", "SweepConfig", "SweepTable", "apply_lcu", "apply_oaa", "build_lcu",
+        "build_spin_hamiltonian", "drop_floor", "emit", "error_report", "fit_order",
+        "hermitian_propagator", "load_config", "make_schedule", "mp_coefficients",
+        "mp_operator", "oaa_error_report", "predicted_probability", "run_sweep",
+        "second_order_step", "state_errors", "total", "trotterize",
     ]
+
+
+def test_readme_lists_the_public_api():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    _, found, rest = text.partition("\n## Public API\n")
+    assert found, "README.md has no Public API section"
+    section = rest.split("\n## ", 1)[0]
+    missing = [name for name in mptrotter.__all__ if f"`{name}`" not in section]
+    assert missing == []
+
+
+# names that left the package root, each with the module that keeps it
+@pytest.mark.parametrize("name, home", [
+    ("amplify", "lcu"), ("optimal_split", "lcu"),
+    ("eigen_propagator", "linalg"), ("kron", "linalg"), ("spectral_norm", "linalg"),
+    ("complete_unitary", "circuit"),
+    ("classical_fidelity", "experiments"), ("default_t_grid", "experiments"),
+    ("parse_algorithm", "experiments"), ("parse_schedule_spec", "experiments"),
+])
+def test_a_removed_name_imports_from_its_module(name, home):
+    module = importlib.import_module(f"mptrotter.{home}")
+    assert callable(getattr(module, name))
+    assert not hasattr(mptrotter, name)
 
 
 def test_no_module_imports_a_name_it_never_uses():

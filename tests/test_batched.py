@@ -17,8 +17,6 @@ from numpy.polynomial import Chebyshev
 from mptrotter import (
     HamiltonianDecomposition,
     build_spin_hamiltonian,
-    amplify,
-    eigen_propagator,
     hermitian_propagator,
     make_schedule,
     mp_operator,
@@ -28,8 +26,9 @@ from mptrotter import (
     trotterize,
 )
 from mptrotter import linalg
-from mptrotter.linalg import (WALSH, diagonal_matrices, eigenpairs, phases, sector_map,
-                              weighted_sum, xor_index)
+from mptrotter.lcu import amplify
+from mptrotter.linalg import (WALSH, diagonal_matrices, eigen_propagator, eigenpairs, phases,
+                              sector_map, weighted_sum, xor_index)
 from mptrotter.trotter import _REAL_FORM_MAX_DIM, SYMMETRIC_MIN_DIM, _real, product_stacks
 from tests.conftest import haar_unitary, random_hermitian, random_state
 

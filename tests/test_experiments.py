@@ -20,21 +20,19 @@ from mptrotter import (
     apply_oaa,
     build_lcu,
     build_spin_hamiltonian,
-    classical_fidelity,
-    default_t_grid,
     drop_floor,
     emit,
     fit_order,
     hermitian_propagator,
     load_config,
-    parse_algorithm,
-    parse_schedule_spec,
     run_sweep,
     total,
     trotterize,
 )
 from mptrotter import cli, experiments
-from mptrotter.experiments import CSV_HEADER, DEFAULT_ALGORITHMS, read_number, sweep_states
+from mptrotter.experiments import (CSV_HEADER, DEFAULT_ALGORITHMS, classical_fidelity,
+                                   default_t_grid, parse_algorithm, parse_schedule_spec,
+                                   read_number, sweep_states)
 from mptrotter.multiproduct import state_errors
 from mptrotter.trotter import product_stacks
 from tests.conftest import HUGE

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
-from conftest import random_hermitian
+from conftest import is_hermitian, random_hermitian
 
-from mptrotter import (
-    HamiltonianDecomposition,
-    SpinModelParams,
-    build_spin_hamiltonian,
-    is_hermitian,
-    spectral_norm,
-    total,
-)
+from mptrotter import HamiltonianDecomposition, SpinModelParams, build_spin_hamiltonian, total
+from mptrotter.linalg import spectral_norm
 
 # hand-expanded matrix for omega=0.2, delta=0.5, e1=0.3, e2=0.7 in the
 # electron (x) nuclear basis |00>, |01>, |10>, |11>

@@ -17,16 +17,16 @@ from mptrotter import (
     apply_oaa,
     build_lcu,
     build_spin_hamiltonian,
-    complete_unitary,
     error_report,
     make_schedule,
     mp_coefficients,
     oaa_error_report,
-    optimal_split,
     predicted_probability,
     trotterize,
 )
+from mptrotter.circuit import complete_unitary
 from mptrotter.cli import main
+from mptrotter.lcu import optimal_split
 
 # entry point -> (call with a count n, the count's name, its least value, the bad
 # counts the entry point takes: a spec's text reads 1.5 as no integer at all)

@@ -14,19 +14,18 @@ from mptrotter import (
     build_lcu,
     build_spin_hamiltonian,
     hermitian_propagator,
-    is_unitary,
     make_schedule,
     mp_operator,
     oaa_error_report,
-    optimal_split,
     predicted_probability,
-    spectral_norm,
     total,
     trotterize,
 )
 from mptrotter import circuit
 from mptrotter.circuit import circuit_matrix, oaa_iterate
-from tests.conftest import haar_unitary, random_state
+from mptrotter.lcu import optimal_split
+from mptrotter.linalg import spectral_norm
+from tests.conftest import haar_unitary, is_unitary, random_state
 
 
 def lcu_from_schedule(decomp, t, schedule):

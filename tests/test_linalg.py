@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
-from conftest import haar_unitary, random_hermitian, random_state, taylor_propagator
+from conftest import haar_unitary, is_unitary, random_hermitian, random_state, taylor_propagator
 
 from mptrotter import (
     HamiltonianDecomposition,
+    apply_lcu,
+    apply_oaa,
     build_lcu,
     build_spin_hamiltonian,
-    classical_fidelity,
-    complete_unitary,
     hermitian_propagator,
-    is_hermitian,
-    is_unitary,
-    kron,
-    spectral_norm,
     total,
 )
-from mptrotter.circuit import loading_gates
-from mptrotter.linalg import as_state
+from mptrotter.circuit import complete_unitary, loading_gates
+from mptrotter.experiments import classical_fidelity
+from mptrotter.linalg import as_state, kron, spectral_norm
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -172,12 +169,9 @@ class TestKron:
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
-def test_hermiticity_predicate():
-    assert is_hermitian(np.diag([1.0, 2.0]))
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 NAN = float("nan")
+# a branch operator with a NaN entry passes `build_lcu`: the kept branch rejects it
+NAN_BRANCHES = build_lcu([0.5, 0.5], [np.eye(2), [[1.0, NAN], [0.0, 1.0]]])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -190,8 +184,11 @@ NAN = float("nan")
     (lambda: classical_fidelity([NAN, 1.0], [0.5, 0.5]), "not normalized"),
     (lambda: hermitian_propagator(np.diag([NAN, 1.0]), 1.0), "finite"),
     (lambda: HamiltonianDecomposition(terms=(np.diag([NAN, 1.0]),)), "finite"),
+    (lambda: apply_lcu(NAN_BRANCHES, [1.0, 0.0]), "kept branch norm must be finite, got nan"),
+    (lambda: apply_oaa(NAN_BRANCHES, [1.0, 0.0], 1), "kept branch norm must be finite, got nan"),
 ], ids=["as_state", "complete_unitary", "build_lcu-split", "build_lcu-coeff",
-        "classical_fidelity", "hermitian_propagator", "HamiltonianDecomposition"])
+        "classical_fidelity", "hermitian_propagator", "HamiltonianDecomposition",
+        "apply_lcu-branch", "apply_oaa-branch"])
 def test_nan_fails_norm_and_sum_checks(call, message):
     # each check is a finiteness test or a comparison with a tolerance, which
     # NaN must fail, not pass
@@ -204,10 +201,9 @@ EMPTY = np.zeros((0, 0))
 
 @pytest.mark.parametrize("call", [
     lambda: spectral_norm(EMPTY),
-    lambda: is_unitary(EMPTY),
     lambda: HamiltonianDecomposition(terms=(EMPTY,)),
     lambda: build_lcu([1.0], [EMPTY]),
-], ids=["spectral_norm", "is_unitary", "HamiltonianDecomposition", "build_lcu"])
+], ids=["spectral_norm", "HamiltonianDecomposition", "build_lcu"])
 def test_empty_operator_is_rejected(call):
     # a 0x0 matrix has no top eigenvalue and no data register
     with pytest.raises(ValueError, match=r"nonempty square matrix, got shape \(0, 0\)"):

@@ -18,10 +18,10 @@ from mptrotter import (
     make_schedule,
     mp_coefficients,
     mp_operator,
-    spectral_norm,
     total,
     trotterize,
 )
+from mptrotter.linalg import spectral_norm
 from mptrotter.multiproduct import _RAMP_OVERFLOW_LEN
 from tests.conftest import taylor_propagator
 

@@ -6,13 +6,12 @@ from mptrotter import (
     build_spin_hamiltonian,
     fit_order,
     hermitian_propagator,
-    is_unitary,
     second_order_step,
-    spectral_norm,
     total,
     trotterize,
 )
-from tests.conftest import random_hermitian
+from mptrotter.linalg import spectral_norm
+from tests.conftest import is_unitary, random_hermitian
 
 
 def test_single_iteration_is_one_step(spin_decomp):
