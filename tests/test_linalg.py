@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import haar_unitary, is_unitary, random_hermitian, random_state, taylor_propagator
+from conftest import (
+    haar_unitary,
+    is_hermitian,
+    is_unitary,
+    random_hermitian,
+    random_state,
+    taylor_propagator,
+)
 
 from mptrotter import (
     HamiltonianDecomposition,
@@ -167,6 +174,17 @@ class TestKron:
         lhs = kron(a, b) @ np.kron(x, y)
         rhs = np.kron(a @ x, b @ y)
         assert np.linalg.norm(lhs - rhs) < 1e-12
+
+
+# the conftest assertions are the oracle of many tests: each must also say no
+def test_hermiticity_predicate():
+    assert is_hermitian(np.diag([1.0, 2.0]))
+    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_unitarity_predicate():
+    assert is_unitary(np.array([[0.0, 1j], [1j, 0.0]]))
+    assert not is_unitary(np.diag([1.0, 1.0 + 1e-6]))
 
 
 NAN = float("nan")

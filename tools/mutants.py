@@ -8,8 +8,7 @@ roundoff but drops a fast path; the suite is expected to pass on it (the mutant
 survives), and only the benchmark can tell it from the library. A change that
 adds a fast path adds its mutants here.
 
-    python tools/mutants.py              # the unmutated suite, then every mutant
-    python tools/mutants.py syrk memo    # only mutants whose names contain a word
+    python tools/mutants.py    # the unmutated suite, then every mutant
 
 Exits 1 when the unmutated suite fails or a correctness mutant survives.
 """
@@ -126,14 +125,12 @@ def run_suite(mutant: Mutant | None) -> tuple[bool, str]:
     return proc.returncode == 0, (failed[0] if failed else proc.stdout.strip()[-200:])
 
 
-def main(words: list[str]) -> int:
+def main() -> int:
     start = time.perf_counter()
     passed, detail = run_suite(None)
     print(f"unmutated suite: {'passed' if passed else 'FAILED ' + detail}", flush=True)
     bad = not passed
     for m in MUTANTS:
-        if words and not any(w in m.name for w in words):
-            continue
         t0 = time.perf_counter()
         survived, detail = run_suite(m)
         verdict = "survived" if survived else "killed"
@@ -145,4 +142,4 @@ def main(words: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
