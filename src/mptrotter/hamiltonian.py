@@ -59,7 +59,15 @@ DEFAULT_PARAMS = SpinModelParams()
 
 @dataclass(frozen=True)
 class HamiltonianDecomposition:
-    """Ordered Hermitian terms whose sum is the full Hamiltonian."""
+    """Ordered Hermitian terms whose sum is the full Hamiltonian.
+
+    Each term is checked to be finite and Hermitian to within ATOL_ALGEBRAIC
+    in ||H - H^dag||, in O(d^2) for a dyadic term (from the Walsh transform
+    of Im g) and for an exactly Hermitian one (whose skew part is the zero
+    matrix, a diagonal that `spectral_norm` reads directly). Only a term
+    whose skew part has an entry off the diagonal costs an O(d^3)
+    eigenproblem.
+    """
 
     terms: tuple[np.ndarray, ...]
 

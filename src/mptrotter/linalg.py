@@ -13,6 +13,12 @@ whose bits equal the copy is neither hashed, validated nor diagonalized. So the
 total H of a model is diagonalized twice per process, not once per call, while
 a matrix used once leaves only its 32-byte digest behind.
 
+Checking that a matrix is Hermitian costs O(d^2) when it is exactly so: its
+skew part h - h^dag is then the zero matrix, whose Frobenius norm accepts it
+in `hermitian_propagator`, and whose `spectral_norm`, like that of any
+diagonal matrix, is read off its diagonal. Only a skew part with an entry off
+the diagonal costs `spectral_norm` an O(d^3) eigenproblem.
+
 `eigenpairs` is the one place a matrix is diagonalized, and it picks the
 cheapest basis the matrix allows: the eigenvectors are None for a diagonal
 matrix (its propagators are phases on the diagonal), the marker WALSH for a
@@ -115,11 +121,16 @@ def as_state(v, what: str = "state vector") -> np.ndarray:
 def spectral_norm(m) -> float:
     """Largest singular value of m.
 
-    Computed as sqrt of the top eigenvalue of M^dag M rather than by SVD, so
-    tests can use an independent SVD oracle. The eigenvalue is clamped at zero
-    before the square root; roundoff can push it slightly negative.
+    A diagonal m, the zero matrix included, gives max |m_ii| exactly, after
+    one O(d^2) `is_diagonal` pass; a NaN on its diagonal gives NaN. Any other
+    m costs an O(d^3) eigenproblem: sqrt of the top eigenvalue of M^dag M
+    rather than an SVD, so tests can use an independent SVD oracle. The
+    eigenvalue is clamped at zero before the square root; roundoff can push
+    it slightly negative.
     """
     a = as_operator(m)
+    if is_diagonal(a):
+        return float(np.abs(np.diagonal(a)).max())
     w = np.linalg.eigvalsh(a.conj().T @ a)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
@@ -186,7 +197,8 @@ def is_diagonal(h: np.ndarray) -> bool:
 def sector_map(matrices) -> SectorMap | None:
     """The `SectorMap` of the listed involutions that leave every matrix
     exactly invariant; None when none does, for an odd d or below
-    SYMMETRIC_MIN_DIM. A diagonal that an involution changes rejects it in O(d).
+    SYMMETRIC_MIN_DIM. A diagonal that an involution changes rejects it in O(d),
+    and a diagonal matrix whose diagonal it keeps is invariant with no d^2 copy.
     """
     d = matrices[0].shape[0]
     if d < SYMMETRIC_MIN_DIM or d % 2:
@@ -197,7 +209,8 @@ def sector_map(matrices) -> SectorMap | None:
         bits = np.arange(d.bit_length() - 1)
         candidates.append(((i[:, None] >> bits) & 1) @ (1 << bits[::-1]))
     perms = [p for p in candidates if all(
-        np.array_equal(np.diagonal(h)[p], np.diagonal(h)) and np.array_equal(h[np.ix_(p, p)], h)
+        np.array_equal(np.diagonal(h)[p], np.diagonal(h))
+        and (is_diagonal(h) or np.array_equal(h[np.ix_(p, p)], h))
         for h in matrices)]
     return SectorMap(perms) if perms else None
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mptrotter import build_spin_hamiltonian, linalg
+from mptrotter import HamiltonianDecomposition, build_spin_hamiltonian, linalg
 
 # a 400-digit integer: JSON and Python read it exactly, and no float holds it
 HUGE = 10 ** 400 - 1
@@ -43,6 +43,18 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def ising_split(n: int, fields=None, couplings=None) -> HamiltonianDecomposition:
+    """sum h_i X_i and sum J_i Z_i Z_{i+1} on an open chain of n qubits, site 0
+    on the most significant bit, with h_i = J_i = 1 by default."""
+    fields = np.ones(n) if fields is None else fields
+    couplings = np.ones(n - 1) if couplings is None else couplings
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    hx = sum(f * np.kron(np.kron(np.eye(2 ** i), x), np.eye(2 ** (n - 1 - i)))
+             for i, f in enumerate(fields))
+    z = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)  # z[:, i] = Z_i
+    return HamiltonianDecomposition(terms=(hx, np.diag(z[:, :-1] * z[:, 1:] @ couplings)))
 
 
 def taylor_propagator(h: np.ndarray, t: float, pieces: int = 16, terms: int = 40) -> np.ndarray:

@@ -30,7 +30,8 @@ from mptrotter.lcu import amplify
 from mptrotter.linalg import (WALSH, diagonal_matrices, eigen_propagator, eigenpairs, phases,
                               sector_map, weighted_sum, xor_index)
 from mptrotter.trotter import _REAL_FORM_MAX_DIM, SYMMETRIC_MIN_DIM, _real, product_stacks
-from tests.conftest import haar_unitary, random_hermitian, random_state
+from tests.conftest import (haar_unitary, ising_split, random_hermitian, random_state,
+                            taylor_propagator)
 
 TOL = 1e-13
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -206,15 +207,6 @@ def structured_hermitian(kind: str, d: int, rng) -> np.ndarray:
     return random_hermitian(d, rng)
 
 
-def ising_split(n: int, fields=None) -> HamiltonianDecomposition:
-    """sum h_i X_i and sum Z_i Z_{i+1} on an open chain of n qubits, h_i = 1 by default."""
-    fields = np.ones(n) if fields is None else fields
-    hx = sum(f * np.kron(np.kron(np.eye(2 ** i), SIGMA_X), np.eye(2 ** (n - 1 - i)))
-             for i, f in enumerate(fields))
-    z = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
-    return HamiltonianDecomposition(terms=(hx, np.diag(np.sum(z[:, :-1] * z[:, 1:], axis=1))))
-
-
 kinds = st.sampled_from(["diagonal", "dyadic", "real", "complex"])
 
 
@@ -319,6 +311,21 @@ def test_near_dyadic_matrices_take_the_dense_path():
     # a constant diagonal at a dimension that is not a power of two
     h = np.full((6, 6), 0.25) + np.diag(np.full(6, 0.75))
     assert eigenpairs(h.astype(complex))[1].dtype == np.float64
+
+
+def test_dyadic_pattern_with_a_roundoff_imaginary_row_takes_the_complex_path():
+    # h[i, j] = g[i ^ j] with Im g[3] = 1e-12 passes the hermiticity check, but
+    # the Walsh path would drop Im g: the complex eigh, which reads the lower
+    # triangle, must give exp(-i h' t) for the Hermitian h' of that triangle
+    g = np.random.default_rng(5).standard_normal(8) + 0j
+    g[3] += 1e-12j
+    h = g[xor_index(8)]
+    w, vecs = eigenpairs(h)
+    assert isinstance(vecs, np.ndarray) and vecs.dtype == complex
+    lower = np.tril(h) + np.tril(h, -1).conj().T
+    for t in (0.7, 1.3, 3.0):
+        assert max_dev(eigen_propagator(w, vecs, t), taylor_propagator(lower, t)) <= 1e-14
+        assert max_dev(hermitian_propagator(h, t), taylor_propagator(lower, t)) <= 1e-14
 
 
 def test_dyadic_pattern_with_complex_row_is_rejected():
@@ -655,6 +662,19 @@ def test_a_non_uniform_field_keeps_the_two_flip_sectors():
     h = total(decomp)
     assert sector_map((h,)).g == 2
     assert max_dev(hermitian_propagator(h, t), complex_eigh_propagator(h, t)) <= TOL
+
+
+def test_non_palindromic_couplings_keep_the_two_flip_sectors():
+    # couplings J_i = 1 + i/10 break the chain reflection of the diagonal ZZ
+    # term, which its diagonal alone decides, but not the spin flip
+    decomp = ising_split(8, couplings=1.0 + 0.1 * np.arange(7))
+    sectors, parts = decomp.sectors
+    assert sectors.g == 2 and [part.dim for part in parts] == [128, 128]
+    assert [[vecs for _, vecs in part.eigenpairs] for part in parts] == [[WALSH, None]] * 2
+    t = np.array([0.4, 1.3])
+    assert max_dev(trotterize(decomp, t, 8), eigh_products(decomp.terms, t, (8,))[8]) <= TOL
+    # the uniform split keeps both involutions
+    assert ising_split(8).sectors[0].g == 4
 
 
 def test_sums_keep_the_dtype_of_their_terms():

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
-from conftest import is_hermitian, random_hermitian
+from conftest import is_hermitian, ising_split, random_hermitian
 
-from mptrotter import HamiltonianDecomposition, SpinModelParams, build_spin_hamiltonian, total
+from mptrotter import (
+    HamiltonianDecomposition,
+    SpinModelParams,
+    build_spin_hamiltonian,
+    hermitian_propagator,
+    total,
+)
 from mptrotter.linalg import spectral_norm
 
 # hand-expanded matrix for omega=0.2, delta=0.5, e1=0.3, e2=0.7 in the
@@ -93,6 +99,30 @@ class TestDecompositionValidation:
         with pytest.raises(ValueError, match=r"not Hermitian: .* = 2\.000e-03"):
             HamiltonianDecomposition((bad,))
         assert calls == [(4, 4)]
+
+    def test_exactly_hermitian_terms_need_no_eigenproblem(self, monkeypatch):
+        # their H - H^dag is the zero matrix, whose spectral norm is read off
+        # its diagonal: neither the Ising split's diagonal ZZ term nor a dense
+        # real symmetric term costs an eigenvalue problem
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        ising_split(8)
+        a = np.random.default_rng(22).standard_normal((64, 64))
+        HamiltonianDecomposition(((a + a.T) / 2.0,))
+        assert calls == []
+        # a skew part that is not diagonal still takes the eigenvalue problem
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HamiltonianDecomposition((a,))
+        assert calls == [(64, 64)]
+
+    def test_diagonal_term_with_an_imaginary_entry_is_rejected(self):
+        # H - H^dag = diag(0, 2e-3 i, 0): its norm is read off the diagonal
+        bad = np.diag([1.0, 1.0 + 1e-3j, 2.0])
+        with pytest.raises(ValueError, match=r"term 0 is not Hermitian: .* = 2\.000e-03"):
+            HamiltonianDecomposition((bad,))
+        with pytest.raises(ValueError, match=r"not Hermitian: .* = 2\.000e-03"):
+            hermitian_propagator(bad, 1.0)
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -20,7 +20,7 @@ from mptrotter import (
 )
 from mptrotter.circuit import complete_unitary, loading_gates
 from mptrotter.experiments import classical_fidelity
-from mptrotter.linalg import as_state, kron, spectral_norm
+from mptrotter.linalg import ATOL_ALGEBRAIC, as_state, kron, spectral_norm
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -103,6 +103,24 @@ class TestSpectralNorm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             spectral_norm(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("diag", [[-3.0, 1.0], [1j, -2.0 + 0.5j, 0.0], [0.0, -0.5],
+                                      [3.0 + 4.0j, -5.0, 1e-300], [0.0] * 4],
+                             ids=["negative", "complex", "zero-entry", "tie", "zero-matrix"])
+    def test_diagonal_matrix_needs_no_eigenproblem(self, monkeypatch, diag):
+        # the singular values of a diagonal matrix are the absolute values of
+        # its entries, so max |m_ii| is exact
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        m = np.diag(diag)
+        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-15, abs=0.0)
+        assert calls == []
+
+    def test_nan_on_the_diagonal_gives_nan(self):
+        # so every `not dev < ATOL_ALGEBRAIC` check still rejects it
+        dev = spectral_norm(np.diag([1.0, np.nan, -2.0]))
+        assert np.isnan(dev) and not dev < ATOL_ALGEBRAIC
 
 
 class TestCompleteUnitary:

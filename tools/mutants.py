@@ -4,9 +4,10 @@ suite run on that copy until its first failure. The checkout is never edited.
 
 A "correctness" mutant changes what the library computes, and the suite must
 fail on it (the mutant is killed). A "performance" mutant keeps the results to
-roundoff but drops a fast path; the suite is expected to pass on it (the mutant
-survives), and only the benchmark can tell it from the library. A change that
-adds a fast path adds its mutants here.
+roundoff but drops a fast path; only a test that counts the calls the path
+avoids can kill it, and where none does (the mutant survives) only the
+benchmark can tell it from the library. A change that adds a fast path adds
+its mutants here.
 
     python tools/mutants.py    # the unmutated suite, then every mutant
 
@@ -98,6 +99,22 @@ MUTANTS = (
            "src/mptrotter/lcu.py",
            "if not isfinite(nrm):",
            "if nrm == float(\"inf\"):", "correctness"),
+    Mutant("spectral norm: a diagonal's largest entry without np.abs",
+           "src/mptrotter/linalg.py",
+           "return float(np.abs(np.diagonal(a)).max())",
+           "return float(np.diagonal(a).max())", "correctness"),
+    Mutant("spectral norm: diagonal path off",
+           "src/mptrotter/linalg.py",
+           "if is_diagonal(a):",
+           "if False:", "performance"),
+    Mutant("sectors: a matrix whose diagonal is kept is taken for invariant",
+           "src/mptrotter/linalg.py",
+           "and (is_diagonal(h) or np.array_equal(h[np.ix_(p, p)], h))",
+           "and (True or np.array_equal(h[np.ix_(p, p)], h))", "correctness"),
+    Mutant("eigenpairs: a dyadic row with an imaginary part takes the Walsh path",
+           "src/mptrotter/linalg.py",
+           "if g is not None and not g.imag.any():",
+           "if g is not None:", "correctness"),
 )
 
 
