@@ -19,6 +19,7 @@ import numpy as np
 
 from .experiments import (
     COLUMNS,
+    ERROR_CEILING,
     SweepConfig,
     cell_text,
     config_fields,
@@ -196,8 +197,13 @@ def _cmd_scaling(args) -> int:
     errs, _ = state_errors(exact, kept)
     kept_t, kept_e = drop_floor(ts, errs, floor)
     print(f"schedule L = {schedule.iterations}, {len(kept_t)}/{len(ts)} points "
-          f"above floor {floor:g}")
+          f"above floor {floor:g} before the first error >= {ERROR_CEILING:g}")
     if len(kept_t) < 4:
+        if (errs >= ERROR_CEILING).any():
+            raise ValueError(
+                "fewer than 4 points above the numerical floor before the error "
+                f"saturates at {ERROR_CEILING:g}; move [tmin, tmax] to smaller times"
+            )
         raise ValueError(
             "fewer than 4 points above the numerical floor; the error is too small "
             "to measure in double precision on this window, widen [tmin, tmax]"

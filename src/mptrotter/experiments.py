@@ -43,6 +43,11 @@ from .trotter import product_stacks
 # fit above; `scaling` drops errors at the schedule's own `roundoff_floor()`.
 ERROR_FLOOR = 1e-13
 
+# Half of 2, the largest state error: from the first error this large on, the
+# error saturates and oscillates between 0 and 2, so `drop_floor` keeps no
+# point from there on.
+ERROR_CEILING = 1.0
+
 DEFAULT_ALGORITHMS = ("exact", "trotter:96", "mp:modified:2,4", "mp_oaa:modified:2,4:1")
 
 # Most rounds an mp_oaa spec may ask for: `lcu.amplify` runs one Python loop
@@ -404,11 +409,13 @@ def fit_order(t_grid, errors) -> float:
 
 
 def drop_floor(t_grid, errors, floor: float):
-    """Keep only the points whose error rises above floor, which has no default:
-    `scaling` reads the schedule's roundoff floor, criterion 3 ERROR_FLOOR."""
+    """Keep only the points whose error rises above floor, which has no default
+    (`scaling` reads the schedule's roundoff floor, criterion 3 ERROR_FLOOR),
+    and that come before the first error >= ERROR_CEILING: a later point is
+    saturated, however small its error."""
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
     es = np.asarray(errors, dtype=float).reshape(-1)
-    keep = es > floor
+    keep = (es > floor) & ~np.logical_or.accumulate(es >= ERROR_CEILING)
     return ts[keep], es[keep]
 
 

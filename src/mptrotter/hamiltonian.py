@@ -57,7 +57,7 @@ class SpinModelParams:
 DEFAULT_PARAMS = SpinModelParams()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianDecomposition:
     """Ordered Hermitian terms whose sum is the full Hamiltonian.
 
@@ -66,7 +66,8 @@ class HamiltonianDecomposition:
     of Im g) and for an exactly Hermitian one (whose skew part is the zero
     matrix, a diagonal that `spectral_norm` reads directly). Only a term
     whose skew part has an entry off the diagonal costs an O(d^3)
-    eigenproblem.
+    eigenproblem. Decompositions compare and hash by identity, as objects
+    holding arrays do.
     """
 
     terms: tuple[np.ndarray, ...]

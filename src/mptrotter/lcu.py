@@ -31,7 +31,7 @@ sweep runs every time of its grid at once; the circuit API (`build_lcu`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, isfinite, sin
+from math import asin, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -39,11 +39,12 @@ from .linalg import as_operator, as_state, check_count, spectral_norm, weighted_
 from .multiproduct import DEGENERATE_AMPLITUDE, state_errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LcuCircuit:
     """Validated circuit data; all arrays are frozen by convention.
 
-    block is the d x d kept-branch operator M = sum_i m_i m'_i A_i.
+    block is the d x d kept-branch operator M = sum_i m_i m'_i A_i. Circuits
+    compare and hash by identity, as objects holding arrays do.
     """
 
     coeffs: np.ndarray          # real c_i, length k
@@ -59,12 +60,13 @@ class LcuCircuit:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LcuOutcome:
     """Post-selected branch of one circuit application.
 
     projected_state is the unnormalized kept branch; its squared norm is the
     success probability. renormalized_state is None when the branch vanished.
+    Outcomes compare and hash by identity, as circuits do.
     """
 
     projected_state: np.ndarray
@@ -108,7 +110,7 @@ def optimal_split(coeffs) -> tuple[np.ndarray, np.ndarray]:
 
 def _optimal_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`optimal_split` of coefficients already checked by `_as_real_coeffs`."""
-    tot = float(np.sum(np.abs(c)))
+    tot = float(np.abs(c).sum())
     if tot == 0.0:
         raise ValueError("all coefficients are zero")
     m = np.sqrt(c.astype(complex) / tot)
@@ -117,8 +119,8 @@ def _optimal_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _as_real_coeffs(coeffs) -> np.ndarray:
     a = np.asarray(coeffs)
-    if np.iscomplexobj(a):
-        if not np.all(a.imag == 0):
+    if a.dtype.kind == "c":
+        if a.imag.any():
             raise ValueError("coefficients must be real")
         a = a.real
     a = np.asarray(a, dtype=float).reshape(-1)
@@ -133,13 +135,13 @@ def _validate_split(c: np.ndarray, m: np.ndarray, m_prime: np.ndarray) -> None:
     prod = m * m_prime
     # the products must be proportional to the coefficients with one common
     # (complex) factor; anchor the factor on the largest coefficient
-    j = int(np.argmax(np.abs(c)))
+    j = int(np.abs(c).argmax())
     if abs(c[j]) == 0.0:
         raise ValueError("all coefficients are zero")
     z = prod[j] / c[j]
     if abs(z) < 1e-300:
         raise ValueError("split vectors give a vanishing amplitude on every branch")
-    dev = float(np.max(np.abs(prod - z * c)))
+    dev = float(np.abs(prod - z * c).max())
     if not dev <= 1e-9:
         raise ValueError(
             f"split products m_i * m'_i are not proportional to the coefficients "
@@ -173,12 +175,9 @@ def build_lcu(coeffs, branch_ops, split: tuple[np.ndarray, np.ndarray] | None = 
             raise ValueError("split vectors must match the coefficient count")
         _validate_split(c, m, m_prime)
 
-    ancilla = 1
-    while ancilla < c.size:
-        ancilla *= 2
     return LcuCircuit(coeffs=c, m=m, m_prime=m_prime, branch_ops=ops,
                       block=weighted_sum(m * m_prime, ops),
-                      ancilla_dim=ancilla, data_dim=d)
+                      ancilla_dim=1 << (c.size - 1).bit_length(), data_dim=d)
 
 
 def _data_state(circuit: LcuCircuit, psi) -> np.ndarray:
@@ -189,7 +188,11 @@ def _data_state(circuit: LcuCircuit, psi) -> np.ndarray:
 
 
 def _project(kept: np.ndarray) -> LcuOutcome:
-    nrm = float(np.linalg.norm(kept))
+    """The outcome of the kept branch, whose norm is sqrt(re.re + im.im) on its
+    real and imaginary parts: `np.linalg.norm`'s formula for a complex vector,
+    bit for bit, without its dispatch."""
+    re, im = kept.real, kept.imag
+    nrm = sqrt(re.dot(re) + im.dot(im))
     if not isfinite(nrm):  # a NaN branch operator reaches no other check
         raise ValueError(f"kept branch norm must be finite, got {nrm!r}")
     prob = nrm * nrm
@@ -205,10 +208,11 @@ def amplify(block, psi, n: int) -> np.ndarray:
 
     With M the kept-branch block, u_0 = M psi, u_{-1} = -u_0 and
     u_{j+1} = -2 (2 M M^dag - I) u_j - u_{j-1} give u_n at 2n + 1 products with
-    M or M^dag; n = 0 is M psi. M^dag u is formed as conj(M^T conj(u)), so no
-    conjugate copy of M is made. block is an ndarray that may carry leading
-    batch axes, (..., d, d), and psi is one d-vector ndarray; the result has
-    shape (..., d). Inputs are not validated here.
+    M or M^dag; n = 0 is M psi. M^dag u is formed as conj(M^T conj(u)), with the
+    outer conjugate taken in place, so no conjugate copy of M is made and a
+    round allocates one conjugate vector, conj(u). block is an ndarray that
+    may carry leading batch axes, (..., d, d), and psi is one d-vector
+    ndarray; the result has shape (..., d). Inputs are not validated here.
     """
     # a stack of blocks multiplies a column per block; one block keeps the
     # vector, since a matrix-vector product is faster than a one-column matmul
@@ -220,7 +224,8 @@ def amplify(block, psi, n: int) -> np.ndarray:
         for _ in range(n):
             # -4 x + 2 u - prev, in place: the same numbers as
             # -2 (2 x - u) - prev, since scaling by a power of two is exact
-            x = block @ (block_t @ u.conj()).conj()
+            v = block_t @ u.conj()
+            x = block @ np.conjugate(v, out=v)
             x *= -4.0
             x += 2.0 * u
             x -= prev

@@ -43,11 +43,12 @@ at g_b(r), chi_c(b) = (-1)^|c & b|, when chi_c is 1 on the maps that fix r.
 These vectors form an orthogonal V with V^T h V = diag(h_c), and
 `SectorMap.blocks` gives h_c[r, r'] = sqrt(|O_r| |O_r'|)/g sum_b chi_c(b)
 h[r, g_b(r')], a gather and a Walsh transform over b. `SectorMap.join` maps
-functions u_c of the blocks back, V diag(u_c) V^T: a Walsh transform of the
-padded u_c over c, divided by sqrt(|O_r| |O_r'|) and gathered at (i, j) from
-map b(i) ^ b(j). Both are O(d^2). Orbit members share their diagonal entry, so
-a diagonal h gives diagonal blocks, and symmetric u_c join to an exactly
-symmetric matrix. With the complement alone the blocks are A +- C J for
+functions u_c of the blocks back, V diag(u_c) V^T: the u_c gathered into a
+zero-padded (g, n, n) array, a Walsh transform over c, a division by
+sqrt(|O_r| |O_r'|) and a gather at (i, j) from map b(i) ^ b(j). Both are
+O(d^2). Orbit members share their diagonal entry, so a diagonal h gives
+diagonal blocks, and symmetric u_c join to an exactly symmetric matrix.
+With the complement alone the blocks are A +- C J for
 h = [[A, C], [J C J, J A J]] (Cantoni and Butler, 1976), so a dyadic row
 g gives the dyadic rows g[:n] +- g[::-1][:n]; the 8-qubit Ising chain has both
 involutions and sectors of 72, 64, 56 and 64 states, a quarter of the flops of
@@ -232,7 +233,12 @@ class SectorMap:
         self.index = [np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(0)) for chi in chars]
         size = self.g / fixed.sum(0)
         self.unscale = 1.0 / np.sqrt(np.multiply.outer(size, size))  # 1 / sqrt(|O_r| |O_r'|)
-        self.spots = [(c * n + i[:, None]) * n + i for c, i in enumerate(self.index)]
+        # source[s]: where entry s of the (g, n, n) pad sits in the concatenated
+        # blocks, or the position of one zero appended after them
+        spots = np.concatenate([((c * n + i[:, None]) * n + i).ravel()
+                                for c, i in enumerate(self.index)])
+        self.source = np.full(self.g * n * n, spots.size, dtype=np.intp)
+        self.source[spots] = np.arange(spots.size)
         elem = np.empty(group.shape[1], dtype=np.intp)
         elem[self.orbits] = np.arange(self.g)[:, None]
         self.gather = (elem[:, None] ^ elem) * n * n + pos[:, None] * n + pos
@@ -249,10 +255,11 @@ class SectorMap:
         """V diag(blocks) V^T, for one matrix per sector or stacks with the same leading axes."""
         lead = blocks[0].shape[:-2]
         n = len(self.reps)
-        pad = np.zeros(lead + (self.g * n * n,), dtype=np.result_type(*blocks))
-        for spots, b in zip(self.spots, blocks):
-            pad[..., spots] = b
-        pad = walsh_transform(pad.reshape(lead + (self.g, n, n)), axis=-3) * self.unscale
+        zero = np.zeros(lead + (1,), dtype=np.result_type(*blocks))
+        flat = np.concatenate([b.reshape(lead + (-1,)) for b in blocks] + [zero], axis=-1)
+        pad = np.take(flat, self.source, axis=-1).reshape(lead + (self.g, n, n))
+        pad = walsh_transform(pad, axis=-3)
+        pad *= self.unscale
         return np.take(pad.reshape(lead + (-1,)), self.gather, axis=-1)
 
 

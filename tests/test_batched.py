@@ -28,7 +28,7 @@ from mptrotter import (
 from mptrotter import linalg
 from mptrotter.lcu import amplify
 from mptrotter.linalg import (WALSH, diagonal_matrices, eigen_propagator, eigenpairs, phases,
-                              sector_map, weighted_sum, xor_index)
+                              sector_map, walsh_transform, weighted_sum, xor_index)
 from mptrotter.trotter import _REAL_FORM_MAX_DIM, SYMMETRIC_MIN_DIM, _real, product_stacks
 from tests.conftest import (haar_unitary, ising_split, random_hermitian, random_state,
                             taylor_propagator)
@@ -620,6 +620,32 @@ def test_sector_blocks_join_back_to_the_matrix(symmetry, d):
     # one stack of two matrices per sector joins to the two matrices
     stacked = sectors.join([np.stack([b, 2.0 * b]) for b in blocks])
     assert max_dev(stacked, np.stack([h, 2.0 * h])) <= 2e-15
+
+
+def scatter_join(sectors, blocks) -> np.ndarray:
+    """V diag(blocks) V^T with each block scattered into a zero pad, the pad
+    Walsh-transformed over the sectors, scaled and gathered."""
+    lead = blocks[0].shape[:-2]
+    n = len(sectors.reps)
+    pad = np.zeros(lead + (sectors.g, n, n), dtype=np.result_type(*blocks))
+    for c, (i, b) in enumerate(zip(sectors.index, blocks)):
+        pad[..., c, i[:, None], i] = b
+    pad = walsh_transform(pad, axis=-3) * sectors.unscale
+    return np.take(pad.reshape(lead + (-1,)), sectors.gather, axis=-1)
+
+
+@pytest.mark.parametrize("fields", [None, np.linspace(0.5, 1.5, 8)], ids=["both", "flip"])
+def test_sector_join_is_the_scatter_join_bit_for_bit(fields):
+    # a field that varies along the chain breaks the reflection and keeps the flip
+    decomp = ising_split(8, fields)
+    sectors, _ = decomp.sectors
+    assert sectors.g == (4 if fields is None else 2)
+    blocks = sectors.blocks(total(decomp))
+    props = [eigen_propagator(*eigenpairs(b), np.array([0.3, -1.1])) for b in blocks]
+    for case in (blocks, [p[0] for p in props], props):
+        joined, want = sectors.join(case), scatter_join(sectors, case)
+        assert joined.dtype == want.dtype and joined.shape == want.shape
+        assert joined.tobytes() == want.tobytes()
 
 
 def eigh_products(terms, t, counts) -> dict:

@@ -394,6 +394,28 @@ class TestScaling:
         assert f"{len(kept_t)}/13 points above floor {floor:g}" in out
         assert f"fitted order = {fit_order(kept_t, kept_e):.6g}" in out
 
+    @pytest.mark.parametrize("window, kept, order", [
+        (("--tmin", "1", "--tmax", "1000", "--points", "40"), "19/40", 4.680),
+        (("--tmax", "1e308", "--points", "1000"), "9/1000", 4.908),
+        (("--tmin", "2", "--tmax", "32"), "12/13", 4.566),
+    ], ids=["1-1e3", "0.05-1e308", "2-32"])
+    def test_saturated_errors_are_not_fitted(self, capsys, window, kept, order):
+        # past the first error >= 1 the error oscillates between 0 and 2, and a
+        # fit that took it in read 2.10, 0.00117 and 4.41 on these windows
+        code, out, _ = run_cli(capsys, "scaling", "--k", "2", *window)
+        assert code == 0
+        assert f", {kept} points above floor " in out
+        assert " before the first error >= 1\n" in out
+        assert grab(rf"fitted order = {NUM}", out) == pytest.approx(order, abs=1e-3)
+
+    def test_saturated_window_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "scaling", "--k", "2", "--tmin", "100",
+                                 "--tmax", "1e308", "--points", "50")
+        assert code == 1
+        assert "0/50 points above floor" in out and "fitted order" not in out
+        assert one_error_line(err)
+        assert "saturates" in err and "smaller times" in err
+
     @pytest.mark.parametrize("k", ["13", "17", "21"])
     def test_roundoff_under_the_schedule_floor_is_not_fitted(self, capsys, k):
         # the errors here are L-dependent roundoff; they clear a fixed 1e-13

@@ -114,6 +114,13 @@ class TestFitOrder:
         assert ts.tolist() == [2.0, 3.0]
         assert es.tolist() == [1e-3, 1e-2]
 
+    def test_drop_floor_stops_at_the_first_saturated_error(self):
+        # from the first error >= 1 the error oscillates, so a later small one
+        # is saturation, not truncation error
+        ts, es = drop_floor(range(1, 8), [1e-15, 1e-3, 0.5, 1.0, 0.3, 1.9, 1e-2], floor=1e-13)
+        assert ts.tolist() == [2.0, 3.0]
+        assert es.tolist() == [1e-3, 0.5]
+
     def test_drop_floor_names_its_floor(self):
         # scaling reads the schedule's floor and criterion 3 the fixed one, so a
         # default would let the two disagree without a caller saying which

@@ -26,6 +26,15 @@ def test_default_model_matches_hand_expansion():
     assert np.allclose(h, H_REFERENCE, atol=1e-12)
 
 
+def test_decompositions_compare_by_identity_and_params_by_value():
+    a, b = build_spin_hamiltonian(), build_spin_hamiltonian()
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
+    # the parameters key the model cache, so equal values are one key
+    assert SpinModelParams() == SpinModelParams(0.2, 0.5, 0.3, 0.7)
+    assert len({SpinModelParams(), SpinModelParams()}) == 1
+
+
 def test_all_zero_params_give_zero_hamiltonian():
     h = total(build_spin_hamiltonian(SpinModelParams(0.0, 0.0, 0.0, 0.0)))
     assert np.allclose(h, np.zeros((4, 4)), atol=0)

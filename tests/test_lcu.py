@@ -23,7 +23,7 @@ from mptrotter import (
 )
 from mptrotter import circuit
 from mptrotter.circuit import circuit_matrix, oaa_iterate
-from mptrotter.lcu import optimal_split
+from mptrotter.lcu import _project, optimal_split
 from mptrotter.linalg import spectral_norm
 from tests.conftest import haar_unitary, is_unitary, random_state
 
@@ -170,6 +170,34 @@ class TestApplyLcu:
         circ = build_lcu([1.0], [np.eye(3)])
         with pytest.raises(ValueError, match="data register"):
             apply_lcu(circ, np.array([1.0, 0.0]))
+
+
+class TestProject:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 256])
+    def test_norm_is_numpy_norm_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        kept = 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        nrm = np.linalg.norm(kept)
+        out = _project(kept)
+        assert out.success_probability == float(nrm) * float(nrm)
+        assert out.renormalized_state.tobytes() == (kept / nrm).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_branch_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="kept branch norm must be finite"):
+            _project(np.array([0.5, complex(0.0, bad)]))
+
+
+class TestIdentity:
+    """Records holding arrays compare and hash by identity."""
+
+    def test_circuits_and_outcomes(self):
+        a, b = (build_lcu([0.5, 0.5], [np.eye(2), np.eye(2)]) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        x, y = (apply_lcu(a, np.array([1.0, 0.0])) for _ in range(2))
+        assert x == x and x != y
+        assert {x: 1, y: 2}[y] == 2
 
 
 class TestOaa:

@@ -77,8 +77,22 @@ MUTANTS = (
            "for start in range(0, ell.size, 8):", "correctness"),
     Mutant("amplify: M^T u in place of M^dag u",
            "src/mptrotter/lcu.py",
-           "x = block @ (block_t @ u.conj()).conj()",
+           "v = block_t @ u.conj()\n            x = block @ np.conjugate(v, out=v)",
            "x = block @ (block_t @ u)", "correctness"),
+    Mutant("amplify: the in-place conjugate dropped",
+           "src/mptrotter/lcu.py",
+           "x = block @ np.conjugate(v, out=v)",
+           "x = block @ v", "correctness"),
+    Mutant("kept branch: norm squared as re.re + im.re",
+           "src/mptrotter/lcu.py",
+           "sqrt(re.dot(re) + im.dot(im))",
+           "sqrt(re.dot(re) + im.dot(re))", "correctness"),
+    # `or sqrt(0.0)` changes no value (a zero norm stays +0.0); it keeps the
+    # import in use, which tier-1 checks
+    Mutant("kept branch: norm back on np.linalg.norm",
+           "src/mptrotter/lcu.py",
+           "nrm = sqrt(re.dot(re) + im.dot(im))",
+           "nrm = float(np.linalg.norm(kept)) or sqrt(0.0)", "performance"),
     Mutant("as_state: a NaN norm passes",
            "src/mptrotter/linalg.py",
            "if not abs(n - 1.0) <= 1e-9:  # NaN fails",
@@ -111,6 +125,25 @@ MUTANTS = (
            "src/mptrotter/linalg.py",
            "and (is_diagonal(h) or np.array_equal(h[np.ix_(p, p)], h))",
            "and (True or np.array_equal(h[np.ix_(p, p)], h))", "correctness"),
+    Mutant("sector join: the zero slot points at the last block entry",
+           "src/mptrotter/linalg.py",
+           "self.source = np.full(self.g * n * n, spots.size, dtype=np.intp)",
+           "self.source = np.full(self.g * n * n, spots.size - 1, dtype=np.intp)",
+           "correctness"),
+    Mutant("sector join: back on a scatter into zeros",
+           "src/mptrotter/linalg.py",
+           """zero = np.zeros(lead + (1,), dtype=np.result_type(*blocks))
+        flat = np.concatenate([b.reshape(lead + (-1,)) for b in blocks] + [zero], axis=-1)
+        pad = np.take(flat, self.source, axis=-1).reshape(lead + (self.g, n, n))
+        pad = walsh_transform(pad, axis=-3)""",
+           """pad = np.zeros(lead + (self.g, n, n), dtype=np.result_type(*blocks))
+        for c, (i, b) in enumerate(zip(self.index, blocks)):
+            pad[..., c, i[:, None], i] = b
+        pad = walsh_transform(pad, axis=-3)""", "performance"),
+    Mutant("scaling fit: no ceiling at the first saturated error",
+           "src/mptrotter/experiments.py",
+           "keep = (es > floor) & ~np.logical_or.accumulate(es >= ERROR_CEILING)",
+           "keep = es > floor", "correctness"),
     Mutant("eigenpairs: a dyadic row with an imaginary part takes the Walsh path",
            "src/mptrotter/linalg.py",
            "if g is not None and not g.imag.any():",
