@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -56,9 +57,12 @@ DEFAULT_ALGORITHMS = ("exact", "trotter:96", "mp:modified:2,4", "mp_oaa:modified
 _MAX_ROUNDS = 10 ** 4
 
 
+_DEFAULT_T_GRID = tuple(float(t) for t in np.linspace(0.0, 60.0, 61))
+
+
 def default_t_grid() -> tuple[float, ...]:
-    """61 integer-spaced times covering [0, 60]."""
-    return tuple(float(t) for t in np.linspace(0.0, 60.0, 61))
+    """61 integer-spaced times covering [0, 60]: one tuple, formed at import."""
+    return _DEFAULT_T_GRID
 
 
 # Each generated schedule kind's first parameter and its type; k follows it.
@@ -107,7 +111,26 @@ class AlgorithmSpec:
         return self.schedule.iterations if self.schedule else ()
 
 
+# Most distinct spec texts the parse memo keeps; a config lists a few, and
+# `scaling` adds one per k.
+_SPEC_CACHE_SIZE = 64
+
+
 def parse_algorithm(spec: str) -> AlgorithmSpec:
+    """The algorithm a spec string names, parsed once per process per spec text.
+
+    The result is frozen, schedule and coefficients included, so one memo of
+    at most _SPEC_CACHE_SIZE entries serves every config of the process; a
+    spec that fails raises again each time. A spec that is no string is a
+    ValueError naming it.
+    """
+    if not isinstance(spec, str):
+        raise ValueError(f"algorithm spec must be a string, got {spec!r}")
+    return _parse_algorithm(spec)
+
+
+@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _parse_algorithm(spec: str) -> AlgorithmSpec:
     s = spec.strip()
     if s == "exact":
         return AlgorithmSpec(spec=s, kind="exact")
@@ -154,7 +177,7 @@ class SweepConfig:
             raise ValueError(f"initial state needs 4 amplitudes, got {len(state)}")
         as_state(state, "initial state")
         grid = tuple(float(t) for t in self.t_grid) or default_t_grid()
-        if not all(np.isfinite(grid)):
+        if not all(map(math.isfinite, grid)):
             raise ValueError("time grid entries must be finite")
         object.__setattr__(self, "specs", tuple(parse_algorithm(s) for s in self.algorithms))
         object.__setattr__(self, "initial_state", state)
@@ -241,7 +264,8 @@ def classical_fidelity(p, q):
     Inputs must be elementwise nonnegative and each sum to 1 within 1e-9;
     the result is symmetric, 1 exactly when p = q, 0 on disjoint support.
     Batched over the last axis: 1-d inputs give a float, (T, n) inputs an
-    array of T overlaps, and one bad row rejects the batch.
+    array of T overlaps, and one bad row rejects the batch. The checked
+    inputs go to `_fidelity`, which `run_sweep` calls on its populations.
     """
     a = np.atleast_1d(np.asarray(p, dtype=float))
     b = np.atleast_1d(np.asarray(q, dtype=float))
@@ -254,24 +278,32 @@ def classical_fidelity(p, q):
         bad = ~(np.abs(tot - 1.0) <= 1e-9)  # NaN fails
         if np.any(bad):
             raise ValueError(f"{name} is not normalized: sum = {float(tot[bad].flat[0])!r}")
-    root = np.sum(np.sqrt(np.clip(a, 0.0, None) * np.clip(b, 0.0, None)), axis=-1)
-    fid = np.minimum(root * root, 1.0)
+    fid = _fidelity(a, b)
     return float(fid) if fid.ndim == 0 else fid
 
 
-def _outputs(algo: AlgorithmSpec, psi0, exact, stacks) -> np.ndarray:
+def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`classical_fidelity` of float arrays a and b, unchecked, over the last axis."""
+    root = np.sum(np.sqrt(np.clip(a, 0.0, None) * np.clip(b, 0.0, None)), axis=-1)
+    return np.minimum(root * root, 1.0)
+
+
+def _outputs(algo: AlgorithmSpec, psi0, exact, stacks, blocks) -> np.ndarray:
     """Unnormalized kept states of one algorithm at every time, (T, d).
 
     stacks maps each iteration count to its (T, d, d) stack of Trotter
-    products.
+    products; blocks maps each schedule to its circuit block stack, and
+    gains the block of a schedule seen for the first time.
     """
     if algo.kind == "exact":
         return exact
     if algo.kind == "trotter":
         return stacks[algo.l] @ psi0
-    m, m_prime = optimal_split(algo.schedule.coefficients)
-    block = weighted_sum(m * m_prime, [stacks[l] for l in algo.schedule.iterations])
-    return amplify(block, psi0, algo.rounds)
+    key = algo.schedule  # mp and mp_oaa on one schedule share its block
+    if key not in blocks:
+        m, m_prime = optimal_split(algo.schedule.coefficients)
+        blocks[key] = weighted_sum(m * m_prime, [stacks[l] for l in algo.schedule.iterations])
+    return amplify(blocks[key], psi0, algo.rounds)
 
 
 @functools.lru_cache(maxsize=8)
@@ -299,8 +331,9 @@ def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     one model diagonalize H twice per process, not once per run. Each run
     forms the steps of every distinct Trotter product in one stacked call,
     giving one (T, d, d) stack per product shared by the algorithms that use
-    it. Each multi-product algorithm runs its circuit block through one
-    stacked amplification.
+    it. Each distinct schedule's circuit block (its optimal split and
+    weighted sum) is formed once per run and shared by the mp and mp_oaa
+    algorithms on it; each runs the block through one stacked amplification.
 
     Products of about 2**60 steps and more overflow double precision. They
     are formed with numpy's overflow warnings off, and an algorithm whose
@@ -315,7 +348,8 @@ def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = product_stacks(decomp, ts,
                                 sorted({l for a in config.specs for l in a.iterations}))
-        outputs = [_outputs(algo, psi0, exact, stacks) for algo in config.specs]
+        blocks = {}
+        outputs = [_outputs(algo, psi0, exact, stacks, blocks) for algo in config.specs]
         for algo, kept in zip(config.specs, outputs):
             # a NaN or infinite entry makes its norm NaN or infinite too
             if not np.isfinite(np.linalg.norm(kept, axis=-1)).all():
@@ -376,8 +410,9 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     kept_pops = np.abs(kept[ok]) ** 2
     kept_pops /= kept_pops.sum(axis=-1, keepdims=True)
     pops[ok] = kept_pops
-    # each kept cell against the exact distribution at its time
-    fid[ok] = classical_fidelity(p_exact[np.nonzero(ok)[0]], kept_pops)
+    # each kept cell against the exact distribution at its time; both are
+    # distributions by construction, so the checks of classical_fidelity are skipped
+    fid[ok] = _fidelity(p_exact[np.nonzero(ok)[0]], kept_pops)
     times, algos, dim = kept.shape
     return SweepTable(t=np.repeat(np.asarray(config.t_grid), algos),
                       algo=tuple(algo.spec for algo in specs) * times,

@@ -119,7 +119,9 @@ def product_stacks(decomp: HamiltonianDecomposition, ts, counts) -> dict:
 
 def _products(decomp: HamiltonianDecomposition, ts: np.ndarray, counts: list, dim: int) -> dict:
     """`product_stacks` of decomp, a whole split of dimension dim or one of its sectors."""
-    steps = second_order_step(decomp, np.stack([ts / l for l in counts]))
+    # every count's times in one division: (len(counts),) + ts.shape
+    steps = second_order_step(decomp, ts / np.asarray(counts, dtype=float).reshape(
+        (-1,) + (1,) * ts.ndim))
     if (d := decomp.dim) <= _REAL_FORM_MAX_DIM:  # one real form for the steps of all counts
         real = np.empty(steps.shape[:-2] + (2 * d, 2 * d))
         real[..., :d, :d] = real[..., d:, d:] = steps.real

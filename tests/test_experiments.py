@@ -254,6 +254,9 @@ class TestSweepConfig:
             SweepConfig(algorithms=("exact", "nope"))
 
     def test_parses_each_spec_once(self, monkeypatch, capsys):
+        # specs are parsed through a per-process memo: a spec text parsed
+        # once is never parsed again, whichever config or command lists it
+        experiments._parse_algorithm.cache_clear()
         calls = []
         real = experiments.make_schedule
 
@@ -264,15 +267,55 @@ class TestSweepConfig:
         monkeypatch.setattr(experiments, "make_schedule", counting)
         config = SweepConfig()
         assert len(calls) == 2  # the two multi-product defaults
+        assert SweepConfig().specs == config.specs
         run_sweep(config)
-        assert len(calls) == 2
         assert cli.main(["evolve", "--algo", "mp:modified:2,4", "--t", "1"]) == 0
-        assert len(calls) == 3  # the cell's own spec; the defaults it replaces are not parsed
         assert "fidelity = " in capsys.readouterr().out
-        del calls[:]
-        assert cli.main(["scaling", "--k", "3", "--tmin", "1", "--tmax", "3"]) == 0
-        assert len(calls) == 1
-        assert "fitted order = " in capsys.readouterr().out
+        assert len(calls) == 2
+        for _ in range(2):
+            assert cli.main(["scaling", "--k", "3", "--tmin", "1", "--tmax", "3"]) == 0
+            assert "fitted order = " in capsys.readouterr().out
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("spec", [5, ["exact"], None])
+    def test_rejects_a_spec_that_is_no_string(self, spec):
+        with pytest.raises(ValueError, match=f"^algorithm spec must be a string, got "
+                                             f"{re.escape(repr(spec))}$"):
+            SweepConfig(algorithms=(spec,))
+        with pytest.raises(ValueError, match="must be a string"):
+            parse_algorithm(spec)
+
+    def test_default_grid_is_formed_once(self, monkeypatch):
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+        assert SweepConfig().t_grid == default_t_grid()
+        assert calls == []
+
+    def test_cold_and_warm_memos_write_the_same_bytes(self, tmp_path, capsys):
+        written = []
+        for cold in (True, True, False):
+            if cold:
+                experiments._parse_algorithm.cache_clear()
+                experiments._spin_model.cache_clear()
+            path = tmp_path / "sweep.csv"
+            assert cli.main(["sweep", "--out", str(path)]) == 0
+            assert cli.main(["scaling", "--k", "4", "--tmin", "2", "--tmax", "32"]) == 0
+            written.append((path.read_bytes(), capsys.readouterr().out))
+        assert written[0] == written[1] == written[2]
+
+    def test_schedules_sharing_a_sweep_keep_their_own_blocks(self):
+        # mp and mp_oaa on one schedule share its block; another schedule
+        # gets its own, so every cell equals the one-algorithm sweep's
+        grid = (0.0, 0.7, 3.0, 11.0, 40.0)
+        specs = ("mp:modified:2,4", "mp_oaa:modified:2,4:1", "mp:modified:1,3")
+        together = run_sweep(SweepConfig(t_grid=grid, algorithms=specs))
+        for i, spec in enumerate(specs):
+            alone = run_sweep(SweepConfig(t_grid=grid, algorithms=(spec,)))
+            assert together.algo[i::len(specs)] == alone.algo
+            for name in ("populations", "success_prob", "state_error", "fidelity"):
+                ours = np.ascontiguousarray(getattr(together, name)[i::len(specs)])
+                assert ours.tobytes() == getattr(alone, name).tobytes(), (spec, name)
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"

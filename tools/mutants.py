@@ -148,6 +148,16 @@ MUTANTS = (
            "src/mptrotter/linalg.py",
            "if g is not None and not g.imag.any():",
            "if g is not None:", "correctness"),
+    # maxsize 0 keeps the memo's cache_clear and the bound in use, so only
+    # the parse count tells
+    Mutant("spec parse cache off",
+           "src/mptrotter/experiments.py",
+           "@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)",
+           "@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE * 0)", "performance"),
+    Mutant("sweep blocks keyed by algo.kind, not by schedule",
+           "src/mptrotter/experiments.py",
+           "key = algo.schedule",
+           "key = algo.kind", "correctness"),
 )
 
 
