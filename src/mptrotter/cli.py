@@ -22,6 +22,7 @@ from .experiments import (
     ERROR_CEILING,
     SweepConfig,
     cell_text,
+    check_format,
     config_fields,
     drop_floor,
     emit,
@@ -162,6 +163,7 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config) if args.config else SweepConfig()
     if not args.out:
         raise ValueError("no output path: pass --out")
+    check_format(args.format)  # before the sweep, not after it
     table = run_sweep(config)
     emit(table, args.format, args.out)
     print(f"wrote {len(table)} rows to {args.out} ({args.format})")

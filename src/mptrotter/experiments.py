@@ -473,6 +473,12 @@ def _csv_line(cells) -> str:
     return buf.getvalue()
 
 
+def check_format(format: str) -> None:
+    """Reject an output format other than csv or json, naming it."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {format!r}")
+
+
 def emit(table: SweepTable, format: str, path) -> None:
     """Write a sweep's table as CSV or JSON, in one write; CSV floats carry 12
     significant digits.
@@ -482,8 +488,7 @@ def emit(table: SweepTable, format: str, path) -> None:
     numbers is formatted in one step, its algorithm name quoted once per name;
     the others go cell by cell through csv.writer or json.dumps.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {format!r}")
+    check_format(format)
     columns, as_csv = table.columns(), format == "csv"
     irregular = ~np.isfinite(np.column_stack([table.t, table.populations, table.success_prob,
                                               table.state_error, table.fidelity])).all(axis=1)

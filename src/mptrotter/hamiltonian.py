@@ -149,8 +149,12 @@ def build_spin_hamiltonian(params: SpinModelParams = DEFAULT_PARAMS) -> Hamilton
 
 
 def total(decomp: HamiltonianDecomposition) -> np.ndarray:
-    """Sum of all terms."""
-    out = np.array(decomp.terms[0], dtype=np.result_type(*decomp.terms))
-    for h in decomp.terms[1:]:
+    """Sum of all terms, left to right, in their result dtype; the first two
+    are added in one pass, with no copy of the first."""
+    terms = decomp.terms
+    if len(terms) == 1:
+        return terms[0].copy()
+    out = np.add(terms[0], terms[1], dtype=np.result_type(*terms))
+    for h in terms[2:]:
         out += h
     return out

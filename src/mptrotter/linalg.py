@@ -43,11 +43,13 @@ at g_b(r), chi_c(b) = (-1)^|c & b|, when chi_c is 1 on the maps that fix r.
 These vectors form an orthogonal V with V^T h V = diag(h_c), and
 `SectorMap.blocks` gives h_c[r, r'] = sqrt(|O_r| |O_r'|)/g sum_b chi_c(b)
 h[r, g_b(r')], a gather and a Walsh transform over b. `SectorMap.join` maps
-functions u_c of the blocks back, V diag(u_c) V^T: the u_c gathered into a
-zero-padded (g, n, n) array, a Walsh transform over c, a division by
-sqrt(|O_r| |O_r'|) and a gather at (i, j) from map b(i) ^ b(j). Both are
-O(d^2). Orbit members share their diagonal entry, so a diagonal h gives
-diagonal blocks, and symmetric u_c join to an exactly symmetric matrix.
+functions u_c of the blocks back, V diag(u_c) V^T, in four passes: the u_c
+copied end to end, each entry divided by sqrt(|O_r| |O_r'|) on the way; a take
+into a zero-padded (g, n, n) array; the Walsh transform over c, as one real
+product of the g x g character matrix with that array; and a gather at (i, j)
+from map b(i) ^ b(j). Both are O(d^2). Orbit members share their diagonal
+entry, so a diagonal h gives diagonal blocks, and symmetric u_c join to an
+exactly symmetric matrix.
 With the complement alone the blocks are A +- C J for
 h = [[A, C], [J C J, J A J]] (Cantoni and Butler, 1976), so a dyadic row
 g gives the dyadic rows g[:n] +- g[::-1][:n]; the 8-qubit Ising chain has both
@@ -229,12 +231,13 @@ class SectorMap:
         self.orbits = group[:, self.reps]  # orbits[b, r] = g_b(rep r)
         fixed = self.orbits == self.reps
         self.g, n = fixed.shape
-        chars = walsh_transform(np.eye(self.g))  # chars[c, b] = chi_c(b)
-        self.index = [np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(0)) for chi in chars]
+        self.chars = walsh_transform(np.eye(self.g))  # chars[c, b] = chi_c(b) = chars[b, c]
+        self.index = [np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(0)) for chi in self.chars]
         size = self.g / fixed.sum(0)
         self.unscale = 1.0 / np.sqrt(np.multiply.outer(size, size))  # 1 / sqrt(|O_r| |O_r'|)
-        # source[s]: where entry s of the (g, n, n) pad sits in the concatenated
-        # blocks, or the position of one zero appended after them
+        self.scales = [self.unscale[i[:, None], i] for i in self.index]  # at block c's entries
+        # source[s]: where entry s of the (g, n, n) pad sits in the scaled blocks
+        # laid end to end, or the position of one zero appended after them
         spots = np.concatenate([((c * n + i[:, None]) * n + i).ravel()
                                 for c, i in enumerate(self.index)])
         self.source = np.full(self.g * n * n, spots.size, dtype=np.intp)
@@ -252,14 +255,19 @@ class SectorMap:
         return [w[c, i[:, None], i] for c, i in enumerate(self.index)]
 
     def join(self, blocks) -> np.ndarray:
-        """V diag(blocks) V^T, for one matrix per sector or stacks with the same leading axes."""
+        """V diag(blocks) V^T, for one matrix per sector or stacks with the
+        same leading axes, in the four passes of the module docstring."""
         lead = blocks[0].shape[:-2]
-        n = len(self.reps)
-        zero = np.zeros(lead + (1,), dtype=np.result_type(*blocks))
-        flat = np.concatenate([b.reshape(lead + (-1,)) for b in blocks] + [zero], axis=-1)
-        pad = np.take(flat, self.source, axis=-1).reshape(lead + (self.g, n, n))
-        pad = walsh_transform(pad, axis=-3)
-        pad *= self.unscale
+        width = sum(u.size for u in self.scales) + 1  # the blocks and one zero
+        # at least float64, so a complex pad views as (re, im) pairs of the characters' dtype
+        flat = np.empty(lead + (width,), dtype=np.result_type(self.chars, *blocks))
+        start = 0
+        for b, u in zip(blocks, self.scales):
+            np.multiply(b, u, out=flat[..., start:start + u.size].reshape(b.shape))
+            start += u.size
+        flat[..., start] = 0.0
+        pad = np.take(flat, self.source, axis=-1).reshape(lead + (self.g, -1))
+        pad = (self.chars @ pad.view(self.chars.dtype)).view(pad.dtype)
         return np.take(pad.reshape(lead + (-1,)), self.gather, axis=-1)
 
 
@@ -364,11 +372,28 @@ def weighted_sum(weights, operators) -> np.ndarray:
     """sum_i w_i A_i over a nonempty sequence of operators, left to right.
 
     The operators may be stacks with the same leading axes; the sum is then
-    taken entrywise over the stacks.
+    taken entrywise over the stacks. Above 2^14 entries it is formed a band of
+    rows at a time, so each band of the result stays in cache while every
+    term is added to it, and the one temporary is a band rather than another
+    array of the result's size. Either way each entry is that of the loop
+    out = w_0 A_0; out += w_i A_i, bit for bit.
     """
-    out = (weights[0] * operators[0]).astype(complex, copy=False)
-    for w, a in zip(weights[1:], operators[1:]):
-        out += w * a
+    band = 1 << 14
+    if operators[0].size <= band:
+        out = (weights[0] * operators[0]).astype(complex, copy=False)
+        for w, a in zip(weights[1:], operators[1:]):
+            out += w * a
+        return out
+    out = np.empty(operators[0].shape, dtype=complex)
+    rows = out.reshape(-1, out.shape[-1])
+    ops = [a.reshape(rows.shape) for a in operators]
+    step = max(1, band // rows.shape[1])
+    term = np.empty((step, rows.shape[1]), dtype=complex)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        np.multiply(weights[0], ops[0][start:start + step], out=part)
+        for w, a in zip(weights[1:], ops[1:]):
+            part += np.multiply(w, a[start:start + step], out=term[:len(part)])
     return out
 
 

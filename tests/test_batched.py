@@ -8,6 +8,8 @@ Propagators and products of diagonal, dyadic, real and complex terms must
 agree with the complex eigendecomposition written out here within 1e-12, and
 a propagator from remembered spectra must equal a fresh one bit for bit.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -634,9 +636,15 @@ def scatter_join(sectors, blocks) -> np.ndarray:
     return np.take(pad.reshape(lead + (-1,)), sectors.gather, axis=-1)
 
 
-@pytest.mark.parametrize("fields", [None, np.linspace(0.5, 1.5, 8)], ids=["both", "flip"])
-def test_sector_join_is_the_scatter_join_bit_for_bit(fields):
-    # a field that varies along the chain breaks the reflection and keeps the flip
+# a field that varies along the chain breaks the reflection and keeps the flip
+SPLITS = pytest.mark.parametrize("fields", [None, np.linspace(0.5, 1.5, 8)], ids=["both", "flip"])
+
+
+@SPLITS
+def test_sector_join_is_the_scatter_join_to_roundoff(fields):
+    # the join divides by sqrt(|O_r| |O_r'|) before its transform and the
+    # scatter join after it; with the flip alone every orbit has 2 members, the
+    # division is by 2, exact either way, and the two agree bit for bit
     decomp = ising_split(8, fields)
     sectors, _ = decomp.sectors
     assert sectors.g == (4 if fields is None else 2)
@@ -645,7 +653,42 @@ def test_sector_join_is_the_scatter_join_bit_for_bit(fields):
     for case in (blocks, [p[0] for p in props], props):
         joined, want = sectors.join(case), scatter_join(sectors, case)
         assert joined.dtype == want.dtype and joined.shape == want.shape
-        assert joined.tobytes() == want.tobytes()
+        assert max_dev(joined, want) <= 1e-15
+        if sectors.g == 2:
+            assert joined.tobytes() == want.tobytes()
+
+
+@SPLITS
+def test_symmetric_blocks_join_to_an_exactly_symmetric_matrix(fields):
+    decomp = ising_split(8, fields)
+    sectors, parts = decomp.sectors
+    rng = np.random.default_rng(17)
+    for lead in ((), (3,)):
+        blocks = []
+        for part in parts:
+            a = (rng.standard_normal(lead + (part.dim,) * 2)
+                 + 1j * rng.standard_normal(lead + (part.dim,) * 2))
+            blocks.append(a + a.swapaxes(-1, -2))
+        joined = sectors.join(blocks)
+        assert np.array_equal(joined, joined.swapaxes(-1, -2))
+    # a real split's step is squared as z z^T, and a power of two of it is
+    # exactly symmetric in every sector and so once joined
+    got = trotterize(decomp, np.array([0.4, 1.3]), 8)
+    assert np.array_equal(got, got.swapaxes(-1, -2))
+
+
+def test_a_sector_join_makes_no_walsh_transform(monkeypatch):
+    # its transform over the sectors is one real product with the characters
+    sectors, parts = ising_split(8).sectors
+    calls = []
+    walsh = linalg.walsh_transform
+    monkeypatch.setattr(linalg, "walsh_transform",
+                        lambda *args, **kwargs: calls.append(1) or walsh(*args, **kwargs))
+    eyes = [np.eye(part.dim) for part in parts]
+    assert np.array_equal(sectors.join(eyes), np.eye(256))
+    assert np.array_equal(sectors.join([np.stack([e, 2.0 * e]) for e in eyes]),
+                          np.stack([np.eye(256), 2.0 * np.eye(256)]))
+    assert calls == []
 
 
 def eigh_products(terms, t, counts) -> dict:
@@ -717,6 +760,52 @@ def test_sums_keep_the_dtype_of_their_terms():
         assert got.dtype == complex
         assert np.array_equal(got, weights[0] * hx + weights[1] * zz)
     assert weighted_sum([2.0], [hx]).dtype == complex
+
+
+def loop_sum(weights, operators) -> np.ndarray:
+    """sum_i w_i A_i as the plain left-to-right loop forms it."""
+    out = (weights[0] * operators[0]).astype(complex, copy=False)
+    for w, a in zip(weights[1:], operators[1:]):
+        out += w * a
+    return out
+
+
+# up to 2^14 entries the sum is the loop itself; above, it goes a band of rows
+# at a time, the last band short for 600 rows of 300
+@pytest.mark.parametrize("shape", [(4, 4), (61, 4, 4), (256, 256), (3, 100, 100), (2, 300, 300)])
+def test_weighted_sum_is_the_loop_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[-1])
+    ops = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)]
+    ops[1][..., 0, :] = -0.0  # signed zeros keep their sign through both
+    for weights in (rng.standard_normal(4) + 1j * rng.standard_normal(4), [1, -0.5, 2.0, 3],
+                    np.array([3, 1, -2, 5])):
+        for operators in (ops, [a.real for a in ops], [ops[0].swapaxes(-1, -2)] + ops[1:],
+                          ops[:1]):
+            got, want = weighted_sum(weights, operators), loop_sum(weights, operators)
+            assert got.dtype == want.dtype == complex and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def loop_total(terms) -> np.ndarray:
+    """The sum of terms as a copy of the first in their result dtype, the others added."""
+    out = np.array(terms[0], dtype=np.result_type(*terms))
+    for h in terms[1:]:
+        out += h
+    return out
+
+
+def test_total_is_the_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    dense = [random_hermitian(8, rng) for _ in range(3)]
+    diag = [np.diag(rng.standard_normal(8)) for _ in range(2)]
+    diag[1][0, 0] = -0.0
+    part = ising_split(6).sectors[1][0]  # a sector's terms are real
+    for terms in ((dense[0],), tuple(dense), tuple(diag), (diag[0], dense[1]),
+                  (dense[2], diag[1], diag[0]), part.terms):
+        got, want = total(SimpleNamespace(terms=terms)), loop_total(terms)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # one term gives a copy, not the term itself
+    assert not np.shares_memory(total(SimpleNamespace(terms=(dense[0],))), dense[0])
 
 
 # --- the spectrum memo of hermitian_propagator -------------------------------

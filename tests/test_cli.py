@@ -211,13 +211,16 @@ class TestSweep:
         assert one_error_line(err)
         assert "no output path" in err
 
-    def test_unknown_format(self, capsys, tmp_path):
-        # emit checks the format before it writes anything
+    def test_unknown_format(self, capsys, tmp_path, monkeypatch):
+        # the format is checked before the sweep runs, so nothing is computed or written
+        calls = []
+        monkeypatch.setattr(mptrotter.cli, "run_sweep", lambda *args: calls.append(args))
         out_path = tmp_path / "rows.xml"
         code, out, err = run_cli(capsys, "sweep", "--config", str(self.write_config(tmp_path)),
                                  "--out", str(out_path), "--format", "xml")
         assert (code, out) == (1, "")
         assert err == "error: format must be csv or json, got 'xml'\n"
+        assert calls == []
         assert not out_path.exists()
 
     def test_output_in_missing_directory(self, capsys, tmp_path):

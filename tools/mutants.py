@@ -132,14 +132,30 @@ MUTANTS = (
            "correctness"),
     Mutant("sector join: back on a scatter into zeros",
            "src/mptrotter/linalg.py",
-           """zero = np.zeros(lead + (1,), dtype=np.result_type(*blocks))
-        flat = np.concatenate([b.reshape(lead + (-1,)) for b in blocks] + [zero], axis=-1)
-        pad = np.take(flat, self.source, axis=-1).reshape(lead + (self.g, n, n))
-        pad = walsh_transform(pad, axis=-3)""",
-           """pad = np.zeros(lead + (self.g, n, n), dtype=np.result_type(*blocks))
-        for c, (i, b) in enumerate(zip(self.index, blocks)):
-            pad[..., c, i[:, None], i] = b
-        pad = walsh_transform(pad, axis=-3)""", "performance"),
+           """        start = 0
+        for b, u in zip(blocks, self.scales):
+            np.multiply(b, u, out=flat[..., start:start + u.size].reshape(b.shape))
+            start += u.size
+        flat[..., start] = 0.0
+        pad = np.take(flat, self.source, axis=-1).reshape(lead + (self.g, -1))""",
+           """        n = len(self.reps)
+        pad = np.zeros(lead + (self.g, n, n), dtype=flat.dtype)
+        for c, (i, b, u) in enumerate(zip(self.index, blocks, self.scales)):
+            pad[..., c, i[:, None], i] = b * u
+        pad = pad.reshape(lead + (self.g, -1))""", "performance"),
+    Mutant("sector join: blocks copied without the division by the orbit sizes",
+           "src/mptrotter/linalg.py",
+           "np.multiply(b, u, out=flat[..., start:start + u.size].reshape(b.shape))",
+           "np.multiply(b, 1.0, out=flat[..., start:start + u.size].reshape(b.shape))",
+           "correctness"),
+    Mutant("sector join: the transform back on walsh_transform",
+           "src/mptrotter/linalg.py",
+           "pad = (self.chars @ pad.view(self.chars.dtype)).view(pad.dtype)",
+           "pad = walsh_transform(pad, axis=-2)", "performance"),
+    Mutant("weighted sum: the last band of rows left out",
+           "src/mptrotter/linalg.py",
+           "for start in range(0, len(rows), step):",
+           "for start in range(0, len(rows) - step, step):", "correctness"),
     Mutant("scaling fit: no ceiling at the first saturated error",
            "src/mptrotter/experiments.py",
            "keep = (es > floor) & ~np.logical_or.accumulate(es >= ERROR_CEILING)",
