@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .experiments import (
     SweepConfig,
     cell_text,
     check_format,
-    config_fields,
     drop_floor,
     emit,
     fit_order,
@@ -114,20 +114,6 @@ def _numbers(args, kind, *names) -> list:
             for name in names]
 
 
-def _file_fields(path: str | None) -> dict:
-    """The fields a config file gives a command that replaces its times and algorithms.
-
-    The file is checked first as `sweep` checks it, so it fails with the same
-    error before any command-line value is looked at; algorithms it does not
-    list are not parsed, since they would only be replaced.
-    """
-    if not path:
-        return {}
-    fields = config_fields(path)
-    SweepConfig(**{"algorithms": (), **fields})
-    return fields
-
-
 def _cmd_coeffs(args) -> int:
     sched = parse_schedule_spec(args.schedule)
     print(f"schedule: {args.schedule.strip()}  L = {', '.join(map(str, sched.iterations))}")
@@ -145,10 +131,9 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    fields = _file_fields(args.config)
+    config = load_config(args.config) if args.config else SweepConfig()
     (t,) = _numbers(args, float, "t")
-    one = SweepConfig(**{**fields, "t_grid": (t,), "algorithms": (args.algo,)})
-    table = run_sweep(one)
+    table = run_sweep(replace(config, t_grid=(t,), algorithms=(args.algo,)))
     # time and algorithm share the first line; NaN cells are left out
     lines = [f"{name} = {cell_text(cell)}"
              for name, (cell,) in zip(COLUMNS, table.columns()) if cell == cell]
@@ -171,7 +156,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    fields = _file_fields(args.config)
+    config = load_config(args.config) if args.config else SweepConfig()
     k, points = _numbers(args, int, "k", "points")
     tmin, tmax, floor = _numbers(args, float, "tmin", "tmax", "floor")
     if points < 4:
@@ -187,8 +172,7 @@ def _cmd_scaling(args) -> int:
         ts = np.geomspace(tmin, tmax, points)
     except OverflowError:
         raise ValueError(f"points {points} overflows a float") from None
-    config = SweepConfig(**{**fields, "algorithms": (f"mp:modified:1,{k}",),
-                            "t_grid": tuple(ts)})
+    config = replace(config, t_grid=tuple(ts), algorithms=(f"mp:modified:1,{k}",))
     schedule = config.specs[0].schedule
     if floor is None:
         floor = schedule.roundoff_floor()

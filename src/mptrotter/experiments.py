@@ -225,19 +225,13 @@ def load_config(path) -> SweepConfig:
     """Read a flat JSON config; unknown keys are rejected, known ones optional.
 
     Every value is type-checked, so a malformed config fails with a
-    ValueError naming the key rather than a TypeError deeper down.
+    ValueError naming the key rather than a TypeError deeper down; one nested
+    too deeply for the JSON parser fails with a ValueError too.
     """
-    return SweepConfig(**config_fields(path))
-
-
-def config_fields(path) -> dict:
-    """The SweepConfig keyword arguments a flat JSON config file gives.
-
-    Each value is type-checked as `load_config` describes; the SweepConfig
-    checks are left to its construction. algorithms is present only when the
-    file lists them, so a caller that replaces them never parses the defaults.
-    """
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("config nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
@@ -252,10 +246,8 @@ def config_fields(path) -> dict:
     algorithms = _config_list(raw, "algorithms")
     if not all(isinstance(a, str) for a in algorithms):
         raise ValueError(f"config key 'algorithms' must list strings, got {algorithms!r}")
-    given = dict(model=model, initial_state=state, t_grid=grid)
-    if "algorithms" in raw:
-        given["algorithms"] = tuple(algorithms)
-    return given
+    return SweepConfig(model=model, initial_state=state, t_grid=grid, algorithms=(
+        tuple(algorithms) if "algorithms" in raw else DEFAULT_ALGORITHMS))
 
 
 def classical_fidelity(p, q):

@@ -321,6 +321,61 @@ class TestConfigErrors:
         assert (code, out) == (1, "")
         assert err == f"error: {named} must fit in a float, got a 400-digit integer\n"
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"initial_state": ' + "[" * 5000 + "1" + "]" * 5000 + "}",
+    ], ids=["brackets", "initial_state"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--out", "rows.csv"],
+        ["evolve", "--algo", "exact", "--t", "1"],
+        ["scaling", "--k", "2"],
+    ], ids=["sweep", "evolve", "scaling"])
+    def test_deep_nesting_is_one_error_line(self, capsys, tmp_path, text, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: config nests too deeply to parse\n"
+
+
+class TestConfigReader:
+    """sweep, evolve and scaling read a config file through one reader."""
+
+    def write(self, tmp_path, name, **cfg):
+        path = tmp_path / name
+        path.write_text(json.dumps({"omega": 0.3, "initial_state": [[0.6, 0.0], 0, 0.8, 0],
+                                    **cfg}))
+        return str(path)
+
+    def test_no_algorithms_is_a_sweep_of_no_rows(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--config",
+                               self.write(tmp_path, "cfg.json", algorithms=[]),
+                               "--out", str(out_path))
+        assert (code, out) == (0, f"wrote 0 rows to {out_path} (csv)\n")
+        assert out_path.read_text() == "t,algo,p00,p01,p10,p11,success_prob,state_error,fidelity\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--algo", "mp_oaa:modified:2,4:1", "--t", "10"],
+        ["scaling", "--k", "2"],
+    ], ids=["evolve", "scaling"])
+    def test_listed_algorithms_change_no_output(self, capsys, tmp_path, argv):
+        bare = self.write(tmp_path, "bare.json")
+        listed = self.write(tmp_path, "listed.json", t_grid=[1.0, 2.0],
+                            algorithms=["exact", "trotter:3", "mp:modified:1,5"])
+        code, want, err = run_cli(capsys, *argv, "--config", bare)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv, "--config", listed) == (0, want, "")
+
+    def test_a_bad_listed_algorithm_fails_evolve_as_it_fails_sweep(self, capsys, tmp_path):
+        cfg = self.write(tmp_path, "cfg.json", algorithms=["exact", "warp"])
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--out",
+                                 str(tmp_path / "rows.csv"))
+        assert (code, out) == (1, "") and err.startswith("error: unknown algorithm 'warp'")
+        # the file fails before the malformed --t is read
+        assert run_cli(capsys, "evolve", "--config", cfg, "--algo", "exact",
+                       "--t", "abc") == (1, "", err)
+
 
 @pytest.mark.parametrize("argv, named", [
     (["evolve", "--algo", f"trotter:{HUGE}", "--t", "1"], f"iteration count {HUGE}"),

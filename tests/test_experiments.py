@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -385,6 +386,18 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"{key}.* must fit in a float, got a "
                                              "400-digit integer"):
             load_config(path)
+
+    @pytest.mark.parametrize("key, inner", [
+        ("initial_state", "1"), ("t_grid", "1"), ("algorithms", '"exact"'), ("omega", "1")])
+    def test_load_config_rejects_nesting_near_the_recursion_limit(self, tmp_path, key, inner):
+        # whether the JSON parser or an error message's repr meets the limit
+        # first, the file fails with a ValueError, never a RecursionError
+        path = tmp_path / "cfg.json"
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 60, limit + 10):
+            path.write_text(f'{{"{key}": {"[" * depth}{inner}{"]" * depth}}}')
+            with pytest.raises(ValueError):
+                load_config(path)
 
     def test_load_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"

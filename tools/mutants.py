@@ -174,6 +174,10 @@ MUTANTS = (
            "src/mptrotter/experiments.py",
            "key = algo.schedule",
            "key = algo.kind", "correctness"),
+    Mutant("load_config ignores listed algorithms",
+           "src/mptrotter/experiments.py",
+           'tuple(algorithms) if "algorithms" in raw else DEFAULT_ALGORITHMS',
+           "DEFAULT_ALGORITHMS", "correctness"),
 )
 
 
