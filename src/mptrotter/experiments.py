@@ -36,7 +36,7 @@ from .hamiltonian import (
     total,
 )
 from .lcu import amplify, optimal_split
-from .linalg import as_state, check_count, hermitian_propagator, weighted_sum
+from .linalg import as_state, brief, check_count, hermitian_propagator, weighted_sum
 from .multiproduct import MpSchedule, make_schedule, state_errors
 from .trotter import product_stacks
 
@@ -78,7 +78,7 @@ def parse_schedule_spec(text: str) -> MpSchedule:
         name, number = _GENERATED[kind]
         parts = body.split(",")
         if len(parts) != 2:
-            raise ValueError(f"{kind} schedule spec needs '{kind}:{name},k', got {text!r}")
+            raise ValueError(f"{kind} schedule spec needs '{kind}:{name},k', got {brief(text)}")
         return make_schedule(kind, **{name: read_number(parts[0], name, number)},
                              k=read_number(parts[1], "k"))
     return MpSchedule(tuple(read_number(p, "iteration count") for p in text.split(",")))
@@ -92,7 +92,7 @@ def read_number(text: str, what: str, kind=int):
         return kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{what} must be {noun}, got {text!r}") from None
+        raise ValueError(f"{what} must be {noun}, got {brief(text)}") from None
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def parse_algorithm(spec: str) -> AlgorithmSpec:
     ValueError naming it.
     """
     if not isinstance(spec, str):
-        raise ValueError(f"algorithm spec must be a string, got {spec!r}")
+        raise ValueError(f"algorithm spec must be a string, got {brief(spec)}")
     return _parse_algorithm(spec)
 
 
@@ -157,7 +157,7 @@ def _parse_algorithm(spec: str) -> AlgorithmSpec:
         return AlgorithmSpec(spec=s, kind="mp", schedule=parse_schedule_spec(body),
                              rounds=rounds)
     raise ValueError(
-        f"unknown algorithm {spec!r}; expected exact, trotter:<l>, mp:<schedule>, "
+        f"unknown algorithm {brief(spec)}; expected exact, trotter:<l>, mp:<schedule>, "
         f"or mp_oaa:<schedule>[:<rounds>]"
     )
 
@@ -199,7 +199,7 @@ def _parse_amplitude(entry) -> complex:
     """A bare number or an [re, im] pair; JSON true/false are no numbers."""
     pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
-        raise ValueError(f"amplitudes must be numbers or [re, im] pairs, got {entry!r}")
+        raise ValueError(f"amplitudes must be numbers or [re, im] pairs, got {brief(entry)}")
     return complex(*(_real(x, "every initial_state amplitude") for x in pair))
 
 
@@ -207,13 +207,13 @@ def _config_list(raw: dict, key: str) -> list:
     """raw[key], or an empty list when the key is absent; rejected unless a list."""
     val = raw.get(key, [])
     if not isinstance(val, list):
-        raise ValueError(f"config key {key!r} must be a list, got {val!r}")
+        raise ValueError(f"config key {key!r} must be a list, got {brief(val)}")
     return val
 
 
 def _real(val, what: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError(f"{what} must be a number, got {val!r}")
+        raise ValueError(f"{what} must be a number, got {brief(val)}")
     try:
         return float(val)
     except OverflowError:
@@ -236,7 +236,7 @@ def load_config(path) -> SweepConfig:
         raise ValueError("config must be a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; allowed: {list(CONFIG_KEYS)}")
+        raise ValueError(f"unknown config keys {brief(unknown)}; allowed: {list(CONFIG_KEYS)}")
     model = SpinModelParams(**{
         f.name: _real(raw.get(f.name, getattr(DEFAULT_PARAMS, f.name)), f"config key {f.name!r}")
         for f in fields(SpinModelParams)
@@ -245,7 +245,7 @@ def load_config(path) -> SweepConfig:
     grid = tuple(_real(t, "every t_grid entry") for t in _config_list(raw, "t_grid"))
     algorithms = _config_list(raw, "algorithms")
     if not all(isinstance(a, str) for a in algorithms):
-        raise ValueError(f"config key 'algorithms' must list strings, got {algorithms!r}")
+        raise ValueError(f"config key 'algorithms' must list strings, got {brief(algorithms)}")
     return SweepConfig(model=model, initial_state=state, t_grid=grid, algorithms=(
         tuple(algorithms) if "algorithms" in raw else DEFAULT_ALGORITHMS))
 
@@ -346,7 +346,7 @@ def sweep_states(config: SweepConfig) -> tuple[np.ndarray, list[np.ndarray]]:
             # a NaN or infinite entry makes its norm NaN or infinite too
             if not np.isfinite(np.linalg.norm(kept, axis=-1)).all():
                 raise ValueError(
-                    f"algorithm {algo.spec!r} overflows double precision: its kept "
+                    f"algorithm {brief(algo.spec)} overflows double precision: its kept "
                     f"states or their norms are not finite (largest iteration "
                     f"count {max(algo.iterations)})")
     return exact, outputs

@@ -25,12 +25,10 @@ from .linalg import (
     ATOL_ALGEBRAIC,
     SectorMap,
     as_operator,
-    dyadic_row,
     eigenpairs,
     kron,
     sector_map,
     spectral_norm,
-    walsh_transform,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -61,13 +59,11 @@ DEFAULT_PARAMS = SpinModelParams()
 class HamiltonianDecomposition:
     """Ordered Hermitian terms whose sum is the full Hamiltonian.
 
-    Each term is checked to be finite and Hermitian to within ATOL_ALGEBRAIC
-    in ||H - H^dag||, in O(d^2) for a dyadic term (from the Walsh transform
-    of Im g) and for an exactly Hermitian one (whose skew part is the zero
-    matrix, a diagonal that `spectral_norm` reads directly). Only a term
-    whose skew part has an entry off the diagonal costs an O(d^3)
-    eigenproblem. Decompositions compare and hash by identity, as objects
-    holding arrays do.
+    Each term is checked to be finite and Hermitian by `linalg`'s one rule,
+    spectral_norm(H - H^dag) < ATOL_ALGEBRAIC, which costs O(d^2) when the skew
+    part is diagonal (zero, for an exactly Hermitian term) or dyadic (for a
+    dyadic term), and an O(d^3) eigenproblem otherwise. Decompositions compare
+    and hash by identity, as objects holding arrays do.
     """
 
     terms: tuple[np.ndarray, ...]
@@ -84,12 +80,8 @@ class HamiltonianDecomposition:
                 )
             if not np.isfinite(h).all():
                 raise ValueError(f"term {i} entries must be finite")
-            g = dyadic_row(h)
-            # a dyadic term's H - H^dag is the dyadic matrix of the row 2i Im g,
-            # whose norm is its largest Walsh coefficient: 0 exactly for real g
-            dev = (spectral_norm(h - h.conj().T) if g is None
-                   else 2.0 * float(np.abs(walsh_transform(g.imag)).max()))
-            if not dev < ATOL_ALGEBRAIC:  # NaN fails
+            dev = spectral_norm(h - h.conj().T)
+            if not dev < ATOL_ALGEBRAIC:
                 raise ValueError(f"term {i} is not Hermitian: ||H - H^dag|| = {dev:.3e}")
         object.__setattr__(self, "terms", coerced)
 

@@ -35,7 +35,7 @@ from math import asin, isfinite, sin, sqrt
 
 import numpy as np
 
-from .linalg import as_operator, as_state, check_count, spectral_norm, weighted_sum
+from .linalg import as_operator, as_state, brief, check_count, spectral_norm, weighted_sum
 from .multiproduct import DEGENERATE_AMPLITUDE, state_errors
 
 
@@ -110,10 +110,7 @@ def optimal_split(coeffs) -> tuple[np.ndarray, np.ndarray]:
 
 def _optimal_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`optimal_split` of coefficients already checked by `_as_real_coeffs`."""
-    tot = float(np.abs(c).sum())
-    if tot == 0.0:
-        raise ValueError("all coefficients are zero")
-    m = np.sqrt(c.astype(complex) / tot)
+    m = np.sqrt(c.astype(complex) / float(np.abs(c).sum()))
     return m, m.copy()
 
 
@@ -126,8 +123,11 @@ def _as_real_coeffs(coeffs) -> np.ndarray:
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.size == 0:
         raise ValueError("need at least one coefficient")
-    if not all(map(isfinite, a.tolist())):  # faster than np.isfinite for a few entries
-        raise ValueError(f"coefficients must be finite, got {a.tolist()}")
+    vals = a.tolist()
+    if not all(map(isfinite, vals)):  # faster than np.isfinite for a few entries
+        raise ValueError(f"coefficients must be finite, got {brief(vals)}")
+    if not any(vals):
+        raise ValueError("all coefficients are zero")
     return a
 
 
@@ -136,8 +136,6 @@ def _validate_split(c: np.ndarray, m: np.ndarray, m_prime: np.ndarray) -> None:
     # the products must be proportional to the coefficients with one common
     # (complex) factor; anchor the factor on the largest coefficient
     j = int(np.abs(c).argmax())
-    if abs(c[j]) == 0.0:
-        raise ValueError("all coefficients are zero")
     z = prod[j] / c[j]
     if abs(z) < 1e-300:
         raise ValueError("split vectors give a vanishing amplitude on every branch")

@@ -13,11 +13,10 @@ whose bits equal the copy is neither hashed, validated nor diagonalized. So the
 total H of a model is diagonalized twice per process, not once per call, while
 a matrix used once leaves only its 32-byte digest behind.
 
-Checking that a matrix is Hermitian costs O(d^2) when it is exactly so: its
-skew part h - h^dag is then the zero matrix, whose Frobenius norm accepts it
-in `hermitian_propagator`, and whose `spectral_norm`, like that of any
-diagonal matrix, is read off its diagonal. Only a skew part with an entry off
-the diagonal costs `spectral_norm` an O(d^3) eigenproblem.
+A matrix h is Hermitian when spectral_norm(h - h^dag) < ATOL_ALGEBRAIC, in
+`hermitian_propagator` and `hamiltonian.HamiltonianDecomposition` alike. That
+costs O(d^2) when h is exactly Hermitian or dyadic: `spectral_norm` reads its
+zero or dyadic skew part off the diagonal or the first row, with no eigenproblem.
 
 `eigenpairs` is the one place a matrix is diagonalized, and it picks the
 cheapest basis the matrix allows: the eigenvectors are None for a diagonal
@@ -60,10 +59,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 
 import numpy as np
 
-# Tolerance of the hermiticity checks on ||H - H^dag||.
+# Tolerance of the hermiticity rule on ||H - H^dag||.
 ATOL_ALGEBRAIC = 1e-10
 
 # Smallest dimension that takes the paths whose fixed cost only pays off on
@@ -75,6 +75,13 @@ SYMMETRIC_MIN_DIM = 64
 # The eigenvector slot of a dyadic matrix's eigenpairs: its eigenvectors are
 # the columns of the Walsh-Hadamard matrix, which is never formed.
 WALSH = "walsh"
+
+
+def brief(x) -> str:
+    """repr(x) for an error message: at most 2 levels, 6 entries, 60 characters each."""
+    r = reprlib.Repr()
+    r.maxlevel, r.maxstring, r.maxlong, r.maxother = 2, 60, 60, 60
+    return r.repr(x)
 
 
 def is_integer(x) -> bool:
@@ -91,7 +98,7 @@ def is_integer(x) -> bool:
 def check_count(x, what: str, least: int) -> int:
     """int(x) for a count x that is an integer >= least; a ValueError naming it otherwise."""
     if not is_integer(x) or x < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
+        raise ValueError(f"{what} must be an integer >= {least}, got {brief(x)}")
     return int(x)
 
 
@@ -125,15 +132,18 @@ def spectral_norm(m) -> float:
     """Largest singular value of m.
 
     A diagonal m, the zero matrix included, gives max |m_ii| exactly, after
-    one O(d^2) `is_diagonal` pass; a NaN on its diagonal gives NaN. Any other
-    m costs an O(d^3) eigenproblem: sqrt of the top eigenvalue of M^dag M
-    rather than an SVD, so tests can use an independent SVD oracle. The
-    eigenvalue is clamped at zero before the square root; roundoff can push
-    it slightly negative.
+    one O(d^2) `is_diagonal` pass; a NaN on its diagonal gives NaN. A dyadic m
+    of row g, real or complex, is W diag(W g) W / d, so it gives max |W g| in
+    O(d^2). Any other m costs an O(d^3) eigenproblem: sqrt of the top
+    eigenvalue of M^dag M rather than an SVD, so tests can use an independent
+    SVD oracle. The eigenvalue is clamped at zero; roundoff can push it below.
     """
     a = as_operator(m)
     if is_diagonal(a):
         return float(np.abs(np.diagonal(a)).max())
+    g = dyadic_row(a)
+    if g is not None:
+        return float(np.abs(walsh_transform(g)).max())
     w = np.linalg.eigvalsh(a.conj().T @ a)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
@@ -183,13 +193,9 @@ def _check_hermitian(a: np.ndarray) -> None:
     """Reject a matrix with a non-finite entry or a skew part of norm >= ATOL_ALGEBRAIC."""
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    skew = a - a.conj().T
-    # The Frobenius norm bounds the spectral norm from above, so a small one
-    # accepts without the eigenvalue problem the spectral norm costs.
-    if not np.linalg.norm(skew) < ATOL_ALGEBRAIC:  # NaN fails
-        dev = spectral_norm(skew)
-        if not dev < ATOL_ALGEBRAIC:
-            raise ValueError(f"matrix is not Hermitian: ||H - H^dag|| = {dev:.3e}")
+    dev = spectral_norm(a - a.conj().T)
+    if not dev < ATOL_ALGEBRAIC:
+        raise ValueError(f"matrix is not Hermitian: ||H - H^dag|| = {dev:.3e}")
 
 
 def is_diagonal(h: np.ndarray) -> bool:

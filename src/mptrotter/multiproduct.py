@@ -23,8 +23,8 @@ from math import exp, inf
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition, total
-from .linalg import (as_state, check_count, hermitian_propagator, is_integer, spectral_norm,
-                     weighted_sum)
+from .linalg import (as_state, brief, check_count, hermitian_propagator, is_integer,
+                     spectral_norm, weighted_sum)
 from .trotter import product_stacks
 
 COEFF_SUM_TOL = 1e-9
@@ -49,10 +49,10 @@ def mp_coefficients(iterations) -> np.ndarray:
     if ell.size == 0:
         raise ValueError("schedule must contain at least one iteration count")
     if not np.all(ell > 0):  # NaN fails
-        raise ValueError(f"iteration counts must be positive, got {ell.tolist()}")
+        raise ValueError(f"iteration counts must be positive, got {brief(ell.tolist())}")
     if np.any(np.diff(ell) <= 0):
         raise ValueError(
-            f"iteration counts must be strictly increasing, got {ell.tolist()}"
+            f"iteration counts must be strictly increasing, got {brief(ell.tolist())}"
         )
     # L(q)^2 / (L(q)^2 - L(p)^2) for all q and 16 p at a time, both squares
     # scaled exactly so the larger is its mantissa: f * 2^shift, 0.25 <= |f| <= 2^55.

@@ -337,6 +337,39 @@ class TestConfigErrors:
         assert (code, out) == (1, "")
         assert err == "error: config nests too deeply to parse\n"
 
+    @pytest.mark.parametrize("text, start", [
+        (json.dumps({"t_grid": [0, "x" * 100_000]}),
+         "error: every t_grid entry must be a number, got 'xxx"),
+        ('{"initial_state": ' + "[" * 900 + "1" + "]" * 900 + "}",
+         "error: amplitudes must be numbers or [re, im] pairs, got [[[...]]]\n"),
+        (json.dumps({"algorithms": ["exact"] * 20_001 + [5]}),
+         "error: config key 'algorithms' must list strings, got ['exact', 'exact', "),
+        (json.dumps({f"key{i}" * 50: 1 for i in range(2_000)}),
+         "error: unknown config keys ['key0key0"),
+    ], ids=["long-string", "deep-list", "long-list", "many-keys"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--out", "rows.csv"],
+        ["evolve", "--algo", "exact", "--t", "1"],
+        ["scaling", "--k", "2"],
+    ], ids=["sweep", "evolve", "scaling"])
+    def test_quoted_input_is_cut_short(self, capsys, tmp_path, text, start, command):
+        # the message names the offending value by a shortened repr, not in full
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and err.startswith(start) and len(err) < 600
+
+    @pytest.mark.parametrize("algo, start", [
+        ("trotter:" + "9" * 5_000, "error: iteration count must be an integer, got '999"),
+        ("mp:2,1," + ",".join(map(str, range(3, 20_000))),
+         "error: iteration counts must be strictly increasing, got [2.0, 1.0, 3.0, "),
+    ], ids=["long-count", "long-schedule"])
+    def test_a_long_spec_is_cut_short(self, capsys, algo, start):
+        code, out, err = run_cli(capsys, "evolve", "--algo", algo, "--t", "1")
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and err.startswith(start) and len(err) < 200
+
 
 class TestConfigReader:
     """sweep, evolve and scaling read a config file through one reader."""

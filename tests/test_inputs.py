@@ -2,7 +2,8 @@
 
 Every count (iteration counts, round counts, a schedule's a and k) is checked
 by `linalg.check_count`, so every entry point rejects a bad one with the same
-wording.
+wording. Every message that quotes outside input quotes it through
+`linalg.brief`, so a short value reads as its repr and a huge one stays short.
 """
 import math
 import re
@@ -27,6 +28,7 @@ from mptrotter import (
 from mptrotter.circuit import complete_unitary
 from mptrotter.cli import main
 from mptrotter.lcu import optimal_split
+from mptrotter.linalg import brief
 
 # entry point -> (call with a count n, the count's name, its least value, the bad
 # counts the entry point takes: a spec's text reads 1.5 as no integer at all)
@@ -166,3 +168,20 @@ def test_a_matrix_is_no_state(entry):
     what, call = STATE_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{what} must be a 1-d vector, got shape \\(2, 2\\)$"):
         call(np.eye(2) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("value", [
+    "warp", "", "x" * 58, -1, 1.5, -0.0, math.nan, None, True, 10 ** 59, np.int64(3),
+    ["exact", 5], [[0.6, 0.0], 0, 0.8, 0], {"t_grid": [0, "x"]}, (1,),
+], ids=repr)
+def test_a_short_value_is_quoted_as_its_repr(value):
+    assert brief(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", [
+    "x" * 100_000, "9" * 5_000, 10 ** 400, [[[[1]]]], ["exact"] * 20_002,
+    [["x" * 1_000] * 100] * 100, {f"key{i}" * 50: [1] * 100 for i in range(1_000)},
+], ids=["long-string", "long-digits", "long-int", "deep-list", "long-list", "wide-and-long",
+        "many-keys"])
+def test_a_huge_value_is_quoted_short(value):
+    assert len(brief(value)) < 2_500

@@ -20,9 +20,19 @@ from mptrotter import (
 )
 from mptrotter.circuit import complete_unitary, loading_gates
 from mptrotter.experiments import classical_fidelity
-from mptrotter.linalg import ATOL_ALGEBRAIC, as_state, kron, spectral_norm
+from mptrotter import linalg
+from mptrotter.linalg import (ATOL_ALGEBRAIC, as_state, dyadic_row, is_diagonal, kron,
+                              spectral_norm, xor_index)
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def eigvalsh_calls(monkeypatch) -> list:
+    """Record the shape of each np.linalg.eigvalsh argument."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    return calls
 
 
 class TestHermitianPropagator:
@@ -117,10 +127,61 @@ class TestSpectralNorm:
         assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-15, abs=0.0)
         assert calls == []
 
+    @pytest.mark.parametrize("d", [2 ** n for n in range(1, 9)])
+    @pytest.mark.parametrize("row", ["real", "complex"])
+    def test_dyadic_matrix_needs_no_eigenproblem(self, monkeypatch, d, row):
+        # m[i, j] = g[i ^ j] is W diag(W g) W / d with W / sqrt(d) orthogonal,
+        # so its singular values are |W g|
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal(d) + (1j * rng.standard_normal(d) if row == "complex" else 0.0)
+        m = g[xor_index(d)]
+        calls = eigvalsh_calls(monkeypatch)
+        want = np.linalg.svd(m, compute_uv=False)[0]
+        assert spectral_norm(m) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert calls == []
+
     def test_nan_on_the_diagonal_gives_nan(self):
         # so every `not dev < ATOL_ALGEBRAIC` check still rejects it
         dev = spectral_norm(np.diag([1.0, np.nan, -2.0]))
         assert np.isnan(dev) and not dev < ATOL_ALGEBRAIC
+
+
+class TestHermiticityRule:
+    """`hermitian_propagator` and `HamiltonianDecomposition` judge a matrix by
+    one rule, spectral_norm(H - H^dag) < ATOL_ALGEBRAIC."""
+
+    @staticmethod
+    def dense_hermitian(d: int) -> np.ndarray:
+        a = np.random.default_rng(d).standard_normal((d, d, 2)).view(complex)[..., 0]
+        h = (a + a.conj().T) / 2.0  # exactly Hermitian, neither diagonal nor dyadic
+        assert not is_diagonal(h) and dyadic_row(h) is None
+        return h
+
+    def test_first_propagator_of_a_dense_hermitian_matrix_needs_no_eigenvalues(
+            self, monkeypatch):
+        # its skew part is the zero matrix, whose norm is read off the diagonal
+        monkeypatch.setattr(linalg, "_last", (None, None))
+        h = self.dense_hermitian(64)
+        calls = eigvalsh_calls(monkeypatch)
+        hermitian_propagator(h, 0.7)
+        assert calls == []
+
+    def test_both_checks_accept_a_skew_part_within_the_tolerance(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_last", (None, None))
+        h = self.dense_hermitian(6)
+        h[1, 4] += 1e-12  # H - H^dag is 1e-12 at (1, 4) and -1e-12 at (4, 1)
+        HamiltonianDecomposition((h,))
+        hermitian_propagator(h, 0.3)
+
+    def test_both_checks_report_the_same_norm(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_last", (None, None))
+        h = self.dense_hermitian(6)
+        h[1, 4] += 1e-3
+        norm = r"\|\|H - H\^dag\|\| = 1\.000e-03$"
+        with pytest.raises(ValueError, match=f"^term 0 is not Hermitian: {norm}"):
+            HamiltonianDecomposition((h,))
+        with pytest.raises(ValueError, match=f"^matrix is not Hermitian: {norm}"):
+            hermitian_propagator(h, 0.3)
 
 
 class TestCompleteUnitary:

@@ -121,6 +121,14 @@ MUTANTS = (
            "src/mptrotter/linalg.py",
            "if is_diagonal(a):",
            "if False:", "performance"),
+    Mutant("spectral norm: dyadic path transforms Re g",
+           "src/mptrotter/linalg.py",
+           "return float(np.abs(walsh_transform(g)).max())",
+           "return float(np.abs(walsh_transform(g.real)).max())", "correctness"),
+    Mutant("spectral norm: dyadic path off",
+           "src/mptrotter/linalg.py",
+           "g = dyadic_row(a)\n    if g is not None:",
+           "g = dyadic_row(a)\n    if False:", "performance"),
     Mutant("sectors: a matrix whose diagonal is kept is taken for invariant",
            "src/mptrotter/linalg.py",
            "and (is_diagonal(h) or np.array_equal(h[np.ix_(p, p)], h))",
