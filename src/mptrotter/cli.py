@@ -34,6 +34,7 @@ from .experiments import (
     sweep_states,
 )
 from .lcu import predicted_probability
+from .linalg import check_count
 from .multiproduct import state_errors
 
 
@@ -159,8 +160,7 @@ def _cmd_scaling(args) -> int:
     config = load_config(args.config) if args.config else SweepConfig()
     k, points = _numbers(args, int, "k", "points")
     tmin, tmax, floor = _numbers(args, float, "tmin", "tmax", "floor")
-    if points < 4:
-        raise ValueError(f"need at least 4 points, got {points}")
+    points = check_count(points, "points", 4, most=sys.maxsize)
     for name, value in (("tmin", tmin), ("tmax", tmax)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -168,10 +168,7 @@ def _cmd_scaling(args) -> int:
         raise ValueError(f"need 0 < tmin < tmax, got {tmin}, {tmax}")
     if floor is not None and not 0 <= floor < np.inf:  # NaN fails
         raise ValueError(f"floor must be a finite nonnegative number, got {floor}")
-    try:
-        ts = np.geomspace(tmin, tmax, points)
-    except OverflowError:
-        raise ValueError(f"points {points} overflows a float") from None
+    ts = np.geomspace(tmin, tmax, points)
     config = replace(config, t_grid=tuple(ts), algorithms=(f"mp:modified:1,{k}",))
     schedule = config.specs[0].schedule
     if floor is None:

@@ -84,22 +84,29 @@ def brief(x) -> str:
     return r.repr(x)
 
 
-def is_integer(x) -> bool:
-    """Whether x is a number with an integer value; False for inf, NaN and text.
+# The largest integer float() converts: from 2^1024 - 2^970 on, it rounds to inf.
+_FLOAT_COUNT_MAX = 2 ** 1024 - 2 ** 970 - 1
 
-    Plain Python, so per-call checks of counts cost no numpy call.
+
+def check_count(x, what: str, least: int, most: int = _FLOAT_COUNT_MAX) -> int:
+    """int(x) for a count x by the one count rule: an integer with least <= x <= most.
+
+    Otherwise a ValueError names what and quotes x through `brief`. most
+    defaults to 2^1024 - 2^970 - 1, the largest integer float() converts, so
+    every count that passes converts to a float; a count above it "overflows
+    a float", and one above a lower most "must be at most" it. Plain Python,
+    so a check costs no numpy call.
     """
     try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def check_count(x, what: str, least: int) -> int:
-    """int(x) for a count x that is an integer >= least; a ValueError naming it otherwise."""
-    if not is_integer(x) or x < least:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):  # text, inf, NaN
+        n = None
+    if n is None or n != x or n < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {brief(x)}")
-    return int(x)
+    if n > most:
+        raise ValueError(f"{what} {brief(n)} overflows a float" if most == _FLOAT_COUNT_MAX
+                         else f"{what} must be at most {most}, got {brief(n)}")
+    return n
 
 
 def as_operator(m) -> np.ndarray:

@@ -23,8 +23,8 @@ from math import exp, inf
 import numpy as np
 
 from .hamiltonian import HamiltonianDecomposition, total
-from .linalg import (as_state, brief, check_count, hermitian_propagator, is_integer,
-                     spectral_norm, weighted_sum)
+from .linalg import (as_state, brief, check_count, hermitian_propagator, spectral_norm,
+                     weighted_sum)
 from .trotter import product_stacks
 
 COEFF_SUM_TOL = 1e-9
@@ -45,7 +45,7 @@ def mp_coefficients(iterations) -> np.ndarray:
     try:
         ell = np.asarray(iterations, dtype=float).reshape(-1)
     except OverflowError:
-        raise ValueError(f"iteration count {max(iterations)} overflows a float") from None
+        raise ValueError(f"iteration count {brief(max(iterations))} overflows a float") from None
     if ell.size == 0:
         raise ValueError("schedule must contain at least one iteration count")
     if not np.all(ell > 0):  # NaN fails
@@ -92,9 +92,7 @@ class MpSchedule:
     coefficients: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not all(map(is_integer, self.iterations)):
-            raise ValueError(f"iteration counts must be integers, got {self.iterations!r}")
-        its = tuple(int(x) for x in self.iterations)
+        its = tuple(check_count(x, "iteration count", 1) for x in self.iterations)
         coeffs = tuple(mp_coefficients(its).tolist())
         dev = abs(sum(coeffs) - 1.0)
         if not dev <= COEFF_SUM_TOL:  # NaN fails
@@ -130,7 +128,7 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
             raise ValueError("modified schedule needs a and k")
         a, k = check_count(a, "prefactor a", 1), check_count(k, "k", 1)
         if a.bit_length() + k > 1024:  # a * 2^k >= 2^1024 overflows a float
-            raise ValueError(f"largest iteration count {a} * 2^{k} overflows a float")
+            raise ValueError(f"largest iteration count {brief(a)} * 2^{brief(k)} overflows a float")
         return MpSchedule(tuple(a * 2 ** q for q in range(1, k + 1)))
     if kind == "original":
         if gamma is None or k is None:
@@ -144,7 +142,7 @@ def make_schedule(kind: str, *, a: int | None = None, k: int | None = None,
             raise ValueError(f"tail e^(gamma k) = e^{gamma * k:g} overflows a float") from None
         if tail <= k - 1:
             raise ValueError(
-                f"rounded tail {tail} collides with the leading ramp 1..{k - 1}; "
+                f"rounded tail {tail} collides with the leading ramp 1..{brief(k - 1)}; "
                 f"increase gamma"
             )
         if k - 1 >= _RAMP_OVERFLOW_LEN:

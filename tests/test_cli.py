@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import mptrotter
 from mptrotter import SweepConfig, drop_floor, fit_order, make_schedule, run_sweep
 from mptrotter.cli import main
-from mptrotter.experiments import _MAX_ROUNDS
+from mptrotter.experiments import _MAX_ROUNDS, parse_algorithm
+from mptrotter.linalg import brief
 from tests.conftest import HUGE
 
 
@@ -410,14 +411,54 @@ class TestConfigReader:
                        "--t", "abc") == (1, "", err)
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["evolve", "--algo", f"trotter:{HUGE}", "--t", "1"], f"iteration count {HUGE}"),
-    (["scaling", "--k", "2", "--points", str(HUGE)], f"points {HUGE}"),
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--algo", f"trotter:{HUGE}", "--t", "1"],
+     f"iteration count {brief(HUGE)} overflows a float"),
+    (["scaling", "--k", "2", "--points", str(HUGE)],
+     f"points must be at most {sys.maxsize}, got {brief(HUGE)}"),
 ], ids=["trotter", "points"])
-def test_counts_too_large_for_a_float(capsys, argv, named):
+def test_counts_too_large_for_a_float(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: {named} overflows a float\n"
+    assert err == f"error: {message}\n"
+
+
+# a count of 3,000 digits, which Python's int() still reads
+LONG_COUNT = "9" * 3000
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["evolve", "--algo", f"trotter:{LONG_COUNT}", "--t", "1"], "iteration count"),
+    (["evolve", "--algo", f"mp:1,{LONG_COUNT}", "--t", "1"], "iteration count"),
+    (["coeffs", "--schedule", f"1,2,{LONG_COUNT}"], "iteration count"),
+    (["coeffs", "--schedule", f"modified:{LONG_COUNT},3"], "prefactor a"),
+    (["coeffs", "--schedule", f"modified:2,{LONG_COUNT}"], "k"),
+    (["scaling", "--k", LONG_COUNT], "k"),
+    (["scaling", "--k", "5", "--points", LONG_COUNT], "points"),
+    (["evolve", "--algo", f"mp_oaa:modified:2,4:{LONG_COUNT}", "--t", "1"], "round count"),
+    (["coeffs", "--schedule", f"original:0.5,{LONG_COUNT}"], "k"),
+], ids=["trotter", "mp", "list", "modified-a", "modified-k", "scaling-k", "points",
+        "rounds", "original-k"])
+def test_a_long_count_gives_a_short_line_naming_it(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert one_error_line(err) and len(err.rstrip("\n")) <= 120
+    assert err.startswith(f"error: {named} ")
+
+
+@pytest.mark.parametrize("count, accepted", [(2 ** 1024 - 2 ** 970 - 1, True),
+                                             (2 ** 1024 - 2 ** 970, False)],
+                         ids=["largest-float", "rounds-to-inf"])
+def test_float_edge_of_an_iteration_count(count, accepted):
+    # 2^1024 - 2^970 is the first integer float() rounds to inf
+    if accepted:
+        assert parse_algorithm(f"trotter:{count}").l == count
+        assert float(count) == sys.float_info.max
+    else:
+        with pytest.raises(ValueError, match="^iteration count .* overflows a float$"):
+            parse_algorithm(f"trotter:{count}")
+        with pytest.raises(OverflowError):
+            float(count)
 
 
 def test_huge_round_count_fails_at_once(capsys):
@@ -528,6 +569,25 @@ class TestScaling:
         assert one_error_line(err)
         assert "is at least 2, the largest state error" in err
 
+    def test_a_long_grid_runs_in_bounded_memory(self):
+        # one pass over 10^5 times would hold the stacks of 10 products at
+        # once, 900 MB; chunks of times keep the run's peak near 80 MB. The
+        # peak is read in a wrapper process whose only child is the run.
+        wrapper = ("import resource, subprocess, sys\n"
+                   "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+                   "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+                   "print(proc.returncode, peak if sys.platform == 'darwin' else 1024 * peak)\n"
+                   "sys.stdout.write(proc.stdout)\n")
+        proc = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m", "mptrotter",
+                               "scaling", "--k", "10", "--points", "100000"],
+                              capture_output=True, text=True, env=package_env(), check=True)
+        head, out = proc.stdout.split("\n", 1)
+        code, peak = map(int, head.split())
+        assert code == 1  # no point clears the schedule's roundoff floor on this window
+        assert out == ("schedule L = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024), 0/100000 "
+                       "points above floor 3.87113e-13 before the first error >= 1\n")
+        assert peak < 150 * 2 ** 20
+
     def test_bad_bounds(self, capsys):
         code, _, err = run_cli(capsys, "scaling", "--k", "2",
                                "--tmin", "0.4", "--tmax", "0.1")
@@ -570,7 +630,7 @@ class TestScaling:
     def test_too_few_points(self, capsys):
         code, _, err = run_cli(capsys, "scaling", "--k", "2", "--points", "3")
         assert code == 1
-        assert "at least 4 points" in err
+        assert err == "error: points must be an integer >= 4, got 3\n"
 
     @pytest.mark.parametrize("text, message", [
         ('{"omega": null}', "'omega' must be a number"),
@@ -682,9 +742,9 @@ def test_overflowing_products_are_one_error_line(capsys, argv, count):
 # Every command ends in one of three ways: exit 0 with nothing on stderr, exit 1
 # with one error: line, or an argparse usage error (exit 2). Values come from
 # pools of edge spellings, numbers padded with whitespace, signed with + or
-# grouped with _ among them. --points stays at 10^3 or below: the product stacks
-# of a scaling run grow with points times k, and k = 60 with 10^5 points needs
-# gigabytes before it fails.
+# grouped with _ among them. --points reaches 10^5 for k <= 10: a scaling run
+# forms its product stacks a chunk of times at a time, so its memory stays
+# bounded, but k = 60 with 10^5 points would run for about a minute.
 
 EDGE_NUMBERS = ["0", "-0", "0.7", "-2.5", "1e-320", "1e308", "-1e308", "1e309", "inf",
                 "-inf", "nan", "0x10", "1_0", "", "abc", " 0.7 ", "+2.5", "1_0.5", "\t3\n"]
@@ -738,6 +798,19 @@ def edge_command(name, *options):
     return st.tuples(st.just([name]), *options).map(lambda parts: sum(parts, []))
 
 
+# every k here is at most 10 or no integer at all
+EDGE_KS = ["0", "1", "2", "-1", "2.5", "", "1_0", "0x2", "1e3", " 3 ", "+2"]
+EDGE_POINTS = ["3", "4", "13", "1_3", "1000", "-4", "", "nan", "1e3", " 13 ", "+5"]
+
+
+def scaling_command(ks, points):
+    return edge_command("scaling", config_option, edge_option("k", st.sampled_from(ks), True),
+                        edge_option("tmin", st.one_of(st.just("0.05"), edge_number)),
+                        edge_option("tmax", st.one_of(st.just("2"), edge_number)),
+                        edge_option("points", st.sampled_from(points)),
+                        edge_option("floor", edge_number))
+
+
 config_option = st.one_of(st.just([]), st.just(["--config", "{config}"]),
                           st.just(["--config", "{missing}"]))
 edge_argv = st.one_of(
@@ -746,14 +819,8 @@ edge_argv = st.one_of(
                  edge_option("t", edge_number, True)),
     edge_command("sweep", config_option, edge_option("out", st.sampled_from(["{out}", ""])),
                  edge_option("format", st.sampled_from(["csv", "json", "xml", "", "CSV"]))),
-    edge_command("scaling", config_option,
-                 edge_option("k", st.sampled_from(["0", "1", "2", "-1", "2.5", "", "1_0",
-                                                   "60", "0x2", "1e3", " 3 ", "+2"]), True),
-                 edge_option("tmin", st.one_of(st.just("0.05"), edge_number)),
-                 edge_option("tmax", st.one_of(st.just("2"), edge_number)),
-                 edge_option("points", st.sampled_from(["3", "4", "13", "1_3", "1000", "-4",
-                                                        "", "nan", "1e3", " 13 ", "+5"])),
-                 edge_option("floor", edge_number)),
+    scaling_command(EDGE_KS + ["60"], EDGE_POINTS),
+    scaling_command(EDGE_KS, EDGE_POINTS + ["100000"]),
     st.sampled_from([[], ["warp"], ["coeffs", "--bogus", "1"], ["evolve", "--algo", "exact"],
                      ["scaling", "--k", "2", "--points"]]),
 )

@@ -669,6 +669,47 @@ class TestStackedScoring:
             t_grid=tuple(ts), algorithms=tuple(a for a in DEFAULT_ALGORITHMS if a in chosen)))
 
 
+class TestChunkedSweep:
+    """A grid whose stacks exceed the byte budget runs a chunk of times at a
+    time, with the states of one pass over the grid."""
+
+    # the default sweep's stacks: the exact one, 5 counts and 1 schedule block
+    # of 4 x 4 complex entries, 1,792 bytes per time
+    PER_TIME = 7 * 16 * 4 * 4
+
+    @pytest.mark.parametrize("budget, calls", [(None, 1), (1, 61), (7 * PER_TIME, 9)],
+                             ids=["one-pass", "one-time", "seven-times"])
+    def test_chunks_give_the_one_pass_states(self, monkeypatch, budget, calls):
+        config = SweepConfig()
+        exact, outputs = sweep_states(config)
+        if budget is not None:
+            monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+        seen = []
+
+        def counted(decomp, ts, counts):
+            seen.append(len(ts))
+            return product_stacks(decomp, ts, counts)
+
+        monkeypatch.setattr(experiments, "product_stacks", counted)
+        chunked_exact, chunked = sweep_states(config)
+        assert len(seen) == calls and sum(seen) == 61
+        assert np.array_equal(chunked_exact, exact)
+        assert len(chunked) == len(outputs)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, outputs))
+
+    def test_overflow_is_named_as_in_one_pass(self, monkeypatch):
+        # the check runs on the joined states, so it names the same algorithm
+        config = SweepConfig(t_grid=(0.0, 1.0, 2.0), algorithms=(
+            "exact", f"trotter:{2 ** 62}", "mp:modified:1,60"))
+        with pytest.raises(ValueError) as one_pass:
+            sweep_states(config)
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
+        with pytest.raises(ValueError) as chunked:
+            sweep_states(config)
+        assert str(chunked.value) == str(one_pass.value)
+        assert f"largest iteration count {2 ** 62})" in str(one_pass.value)
+
+
 def table_of(cells):
     """A SweepTable of hand-made (t, algo, p00, p01, p10, p11, success_prob,
     state_error, fidelity) cells; a cell with a NaN state error is degenerate."""

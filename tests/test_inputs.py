@@ -27,6 +27,7 @@ from mptrotter import (
 )
 from mptrotter.circuit import complete_unitary
 from mptrotter.cli import main
+from mptrotter.experiments import _MAX_ROUNDS
 from mptrotter.lcu import optimal_split
 from mptrotter.linalg import brief
 
@@ -59,6 +60,16 @@ def test_every_count_is_rejected_in_one_wording(entry, bad):
     message = f"{what} must be an integer >= {least}, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_every_count_is_bounded_in_one_wording(entry):
+    call, what, _, _ = COUNT_ENTRIES[entry]
+    n = 2 ** 1024 - 2 ** 970  # the first integer float() rounds to inf
+    message = (f"{what} must be at most {_MAX_ROUNDS}, got {brief(n)}"
+               if entry == "SweepConfig-mp_oaa" else f"{what} {brief(n)} overflows a float")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(n)
 
 
 def _usage_exit(argv) -> bool:
@@ -99,7 +110,7 @@ RARE_BRANCHES = {
     "degenerate-oaa-target": (_degenerate_target_scores_nan, None),
     "empty-state": (lambda: complete_unitary([]), "first column must be nonempty"),
     "count-beyond-a-float": (lambda: mp_coefficients([1, 10 ** 400]),
-                             f"iteration count {10 ** 400} overflows a float"),
+                             f"iteration count {brief(10 ** 400)} overflows a float"),
     "original-without-gamma": (lambda: make_schedule("original", k=3),
                                "original schedule needs gamma and k"),
     "dash-value-that-is-no-number": (

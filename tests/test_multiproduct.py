@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import time
 from fractions import Fraction
@@ -240,20 +241,29 @@ class TestMpScheduleValidation:
         assert [f.name for f in dataclasses.fields(MpSchedule)] == ["iterations", "coefficients"]
 
     def test_rejects_non_integer_iterations(self):
-        with pytest.raises(ValueError, match="integers"):
+        message = "^iteration count must be an integer >= 1, got 1\\.5$"
+        with pytest.raises(ValueError, match=message):
             MpSchedule((1.5, 2.0))
         # explicit counts reach the check unconverted, not truncated to (1, 2)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=message):
             MpSchedule([1.5, 2.7])
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), np.inf,
                                      "abc", None, 1 + 2j])
     def test_rejects_non_finite_and_non_numeric_iterations(self, bad):
         # one message for every entry that is not an integer, whatever int() raises
-        with pytest.raises(ValueError, match="iteration counts must be integers"):
+        message = f"iteration count must be an integer >= 1, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MpSchedule([1, bad])
-        with pytest.raises(ValueError, match="iteration counts must be integers"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MpSchedule((bad,))
+
+    def test_many_non_integer_counts_give_a_short_message(self):
+        # the first bad count is quoted, not the whole schedule
+        with pytest.raises(ValueError) as info:
+            MpSchedule([0.5] * 20_000)
+        assert str(info.value) == "iteration count must be an integer >= 1, got 0.5"
+        assert len(str(info.value)) < 200
 
     def test_accepts_integral_counts(self):
         for its in ([1, 2], [1.0, 2.0], [np.int64(1), np.float64(2.0)], (np.int32(2), 4)):

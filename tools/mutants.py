@@ -99,8 +99,20 @@ MUTANTS = (
            "if abs(n - 1.0) > 1e-9:", "correctness"),
     Mutant("check_count: one below the least count passes",
            "src/mptrotter/linalg.py",
-           "if not is_integer(x) or x < least:",
-           "if not is_integer(x) or x < least - 1:", "correctness"),
+           "if n is None or n != x or n < least:",
+           "if n is None or n != x or n < least - 1:", "correctness"),
+    Mutant("check_count: the float bound takes the first count that rounds to inf",
+           "src/mptrotter/linalg.py",
+           "_FLOAT_COUNT_MAX = 2 ** 1024 - 2 ** 970 - 1",
+           "_FLOAT_COUNT_MAX = 2 ** 1024 - 2 ** 970", "correctness"),
+    Mutant("check_count: a caller's bound ignored, so rounds reach the float bound",
+           "src/mptrotter/linalg.py",
+           "if n > most:",
+           "if n > _FLOAT_COUNT_MAX:", "correctness"),
+    Mutant("sweep chunks: each boundary time repeated",
+           "src/mptrotter/experiments.py",
+           "for part in (ts[i:i + step] for i in range(0, len(ts), step)):",
+           "for part in (ts[i:i + step + 1] for i in range(0, len(ts), step)):", "correctness"),
     Mutant("emit: a row is irregular only when every cell is",
            "src/mptrotter/experiments.py",
            "table.state_error, table.fidelity])).all(axis=1)",
